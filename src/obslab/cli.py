@@ -21,7 +21,8 @@ from .errors import (ConfigError, ContainmentError, ConvergenceError,
                      ResolutionError)
 from .geometry import SpaceTimeSet
 from .report import RunReport
-from .semigroup import ObservationSelector, SpectralState, mode_trace
+from .semigroup import (ObservationSelector, SpectralState, mode_factors,
+                        propagate)
 
 SUBCOMMANDS = ("simulate", "remez", "interp", "counterexample", "estimate-L",
                "null-control", "time-optimal", "telescope", "sweep-all")
@@ -78,11 +79,11 @@ def _state_batch(domain, rng, n):
 def _run_simulate(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     mode = 1
-    pair = (1.0, 0.0)
-    trace = mode_trace(domain, params, mode, pair)
+    state = SpectralState.single_mode(domain, mode, (1.0, 0.0))
     lam = domain.eigenvalues[mode - 1]
     t = np.linspace(0.0, cfg.horizon, 256)
-    observed = np.abs(trace(t))
+    traces = propagate(mode_factors(domain, params, t), state.coeffs)
+    observed = np.abs(traces[:, mode - 1, 0])
     closed = np.exp(-params.a * lam * t) * np.abs(np.cos(lam * params.b * t))
     defect = float(np.abs(observed - closed).max())
     report.add("simulate", mode=mode, eigenvalue=lam, trace_defect=defect)
@@ -201,13 +202,7 @@ def _run_null_control(cfg, rng, report) -> bool:
                sup_norm=cert.sup_norm, control_bound=cert.control_bound,
                L_hat=cert.L_hat, dual_value=cert.dual_value,
                duality_defect=defect)
-    mids = (np.arange(D.n_time) + 0.5) * D.dt
-    rows = []
-    for i in range(D.n_time):
-        for j in np.nonzero(D.mask[i])[0]:
-            rows.append((float(mids[i]), float(domain.points[j][0]),
-                         float(field.values[i, j])))
-    report.add_series("control_field", "t,x,value", rows)
+    report.add_series("control_field", *field.table())
     return ok
 
 
@@ -233,25 +228,18 @@ def _run_telescope(cfg, rng, report) -> bool:
     batch = _state_batch(domain, rng, cfg.batch)
     rep = observability.telescope_chain_demo(domain, params, D, cfg.beta,
                                              cfg.depth, batch)
-    gts = geometry.good_time_set(D, *observability.covering_ball(domain))
-    seq = geometry.telescoping_sequence(gts.times, rep.ell, cfg.beta, cfg.depth)
-    # ring observation per level, batch-maximal, plus running partial sums
+    # time measure |E cap ring| per level, plus running partial sums
     rows = []
     partial = 0.0
-    for m in range(cfg.depth):
-        if m < cfg.depth - 1:
-            lo, hi = seq.terms[m + 1], seq.terms[m]
-            ring = gts.times.measure_in(lo, hi)
-        else:
-            ring = 0.0
+    for m, (ell_m, ring) in enumerate(zip(rep.terms, [*rep.ring_measures, 0.0])):
         partial += ring
-        rows.append((m + 1, float(seq.terms[m]), float(ring), float(partial)))
+        rows.append((m + 1, float(ell_m), float(ring), float(partial)))
     report.add("telescope", ell=rep.ell, ell1=rep.ell1, mu=rep.mu,
                theta=rep.theta, C_hat=rep.C_hat, prefactor=rep.prefactor,
                domination_margin=rep.domination_margin, N_hat=rep.N_hat,
                dominated=rep.dominated)
     report.add_series("telescope_partial_sums",
-                      "m,ell_m,ring_observation,partial_sum", rows)
+                      "m,ell_m,ring_time_measure,partial_sum", rows)
     return rep.dominated and math.isfinite(rep.N_hat)
 
 
@@ -315,8 +303,7 @@ def main(argv=None) -> int:
         if args.cases is not None:
             overrides.update(remez_cases=args.cases, sine_cases=args.cases,
                              geometry_cases=args.cases,
-                             equivalence_cases=args.cases,
-                             pair_cases=args.cases)
+                             equivalence_cases=args.cases)
         if overrides:
             cfg = cfg.replaced(**overrides)
     except ConfigError as exc:

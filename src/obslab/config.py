@@ -59,7 +59,6 @@ class ExperimentConfig:
     sine_cases: int = 10_000
     geometry_cases: int = 1_000
     equivalence_cases: int = 100
-    pair_cases: int = 1_000
     batch: int = 32
     # [run]
     seed: int = 0
@@ -72,7 +71,7 @@ class ExperimentConfig:
         "interpolation": ("theta", "beta", "s1", "s2", "depth"),
         "control": ("nu1", "nu2", "radius", "tol"),
         "sweep": ("remez_cases", "sine_cases", "geometry_cases",
-                  "equivalence_cases", "pair_cases", "batch"),
+                  "equivalence_cases", "batch"),
         "run": ("seed",),
     }
 
@@ -125,7 +124,7 @@ class ExperimentConfig:
         if not 1e-6 < self.tol < 1e-1:
             bad("control", "tol", "must lie in (1e-6, 1e-1)")
         for key in ("remez_cases", "sine_cases", "geometry_cases",
-                    "equivalence_cases", "pair_cases", "batch"):
+                    "equivalence_cases", "batch"):
             if getattr(self, key) < 1:
                 bad("sweep", key, "must be a positive integer")
 

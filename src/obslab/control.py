@@ -5,9 +5,10 @@ sup-norm-bounded null controls by minimizing the dual functional, and
 solves the time-optimal problem by bisection over the horizon with a
 box-constrained feasibility solve at each trial time.
 
-The controlled system runs under the transposed generator: each mode's
-2x2 evolution block is the transpose of the observation-side block, so
-the discrete duality pairing is exact by construction.
+The controlled system runs under the transposed generator,
+``evolve(..., transpose=True)``: each mode's 2x2 evolution block is the
+transpose of the observation-side block, so the discrete duality pairing
+is exact by construction.
 """
 
 from __future__ import annotations
@@ -19,24 +20,10 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError
 from .geometry import SpaceTimeSet
-from .semigroup import SpectralState, evolve
+from .observability import sphere_descent
+from .report import write_csv
+from .semigroup import SpectralState, evolve, mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
-
-
-def evolve_adjoint(state: SpectralState, params: PhysicalParams,
-                   t: float) -> SpectralState:
-    """Apply the transposed-generator semigroup for time t >= 0."""
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    lam = state.domain.eigenvalues
-    decay = np.exp(-params.a * lam * t)
-    phi = lam * params.b * t
-    c, s = np.cos(phi), np.sin(phi)
-    v1, v2 = state.coeffs[:, 0], state.coeffs[:, 1]
-    out = np.empty_like(state.coeffs)
-    out[:, 0] = decay * (c * v1 - s * v2)
-    out[:, 1] = decay * (s * v1 + c * v2)
-    return SpectralState(out, state.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +110,19 @@ class ControlField:
         on = self.values[self.region.mask]
         return bool(np.all(on >= nu1 - 1e-12) and np.all(on <= nu2 + 1e-12))
 
-    def to_csv(self, path) -> None:
-        """Rows (t, x[, y], value) over the region cells."""
+    def table(self) -> tuple[str, list]:
+        """CSV header and rows (t, x[, y], value) over the region cells."""
         dom = self.region.domain
-        mids = (np.arange(self.region.n_time) + 0.5) * self.region.dt
         header = "t,x,value" if dom.dim == 1 else "t,x,y,value"
         rows = []
-        for i, t in enumerate(mids):
-            idx = np.nonzero(self.region.mask[i])[0]
-            for j in idx:
-                coords = ",".join(f"{c!r}" for c in dom.points[j])
-                rows.append(f"{t!r},{coords},{self.values[i, j]!r}")
-        with open(path, "w") as fh:
-            fh.write(header + "\n" + "\n".join(rows) + "\n")
+        for i, t in enumerate(self.region.midpoints):
+            for j in np.nonzero(self.region.mask[i])[0]:
+                rows.append((float(t), *map(float, dom.points[j]),
+                             float(self.values[i, j])))
+        return header, rows
+
+    def to_csv(self, path) -> None:
+        write_csv(path, *self.table())
 
     @staticmethod
     def zero(region: SpaceTimeSet) -> "ControlField":
@@ -178,12 +165,9 @@ class ControlOperator:
         self.params = params
         self.region = region
         T = region.horizon
-        mids = (np.arange(region.n_time) + 0.5) * region.dt
-        tau = T - mids                        # dual trace times per cell
-        lam = domain.eigenvalues
-        self.decay = np.exp(-params.a * lam[None, :] * tau[:, None])
-        ang = lam[None, :] * params.b * tau[:, None]
-        self.cos, self.sin = np.cos(ang), np.sin(ang)
+        tau = T - region.midpoints            # dual trace times per cell
+        self.decay, self.cos, self.sin = mode_factors(domain, params, tau)
+        self.at_horizon = mode_factors(domain, params, T)
 
     def dual_field(self, z: np.ndarray) -> np.ndarray:
         """First component of exp(A * (T - s_i)) z on the grid, (n_time, n_cells)."""
@@ -227,7 +211,7 @@ class ControlOperator:
 
     def terminal(self, v0: SpectralState, u: np.ndarray) -> SpectralState:
         """v(T) under the transposed generator with control u."""
-        free = evolve_adjoint(v0, self.params, self.region.horizon)
+        free = evolve(v0, self.params, self.region.horizon, transpose=True)
         return SpectralState(free.coeffs + self.apply(u), self.domain)
 
 
@@ -235,11 +219,14 @@ class ControlOperator:
 # observability constant of the control region
 
 
-def _ratio_and_grad(op: ControlOperator, forward_decay, forward_cos,
-                    forward_sin, y0: np.ndarray):
-    """Observation-to-terminal-norm ratio and its coefficient gradient."""
+def _ratio_and_grad(op: ControlOperator, forward, y0: np.ndarray):
+    """Observation-to-terminal-norm ratio and its coefficient gradient.
+
+    forward holds the mode_factors tables at the region's time midpoints.
+    """
     # numerator: int over D of |first component of exp(At) y0|
     dom, region = op.domain, op.region
+    forward_decay, forward_cos, forward_sin = forward
     w1 = forward_decay * (forward_cos * y0[:, 0] + forward_sin * y0[:, 1])
     field = w1 @ dom.eigenfunctions
     wgt = dom.cell_volume * region.dt
@@ -250,18 +237,9 @@ def _ratio_and_grad(op: ControlOperator, forward_decay, forward_cos,
     g_num[:, 0] = (forward_decay * forward_cos * g1).sum(axis=0)
     g_num[:, 1] = (forward_decay * forward_sin * g1).sum(axis=0)
     # denominator: norm of exp(A T) y0, diagonal per mode
-    lam = dom.eigenvalues
-    T = region.horizon
-    dT = np.exp(-op.params.a * lam * T)
-    yT = np.empty_like(y0)
-    ang = lam * op.params.b * T
-    c, s = np.cos(ang), np.sin(ang)
-    yT[:, 0] = dT * (c * y0[:, 0] + s * y0[:, 1])
-    yT[:, 1] = dT * (-s * y0[:, 0] + c * y0[:, 1])
+    yT = propagate(op.at_horizon, y0)
     den = float(np.linalg.norm(yT))
-    g_den = np.empty_like(y0)
-    g_den[:, 0] = dT * (c * yT[:, 0] - s * yT[:, 1]) / den
-    g_den[:, 1] = dT * (s * yT[:, 0] + c * yT[:, 1]) / den
+    g_den = propagate(op.at_horizon, yT, transpose=True) / den
     ratio = num / den
     grad = (g_num * den - num * g_den) / den ** 2
     return ratio, grad
@@ -280,45 +258,12 @@ def estimate_L(problem: ControlProblem, restarts: int = 64,
         rng = np.random.default_rng(0)
     region = problem.region_at(problem.horizon)
     op = ControlOperator(problem.domain, problem.params, region)
-    mids = (np.arange(region.n_time) + 0.5) * region.dt
-    lam = problem.domain.eigenvalues
-    fdecay = np.exp(-problem.params.a * lam[None, :] * mids[:, None])
-    ang = lam[None, :] * problem.params.b * mids[:, None]
-    fcos, fsin = np.cos(ang), np.sin(ang)
-
-    def value_grad(y0):
-        return _ratio_and_grad(op, fdecay, fcos, fsin, y0)
-
+    forward = mode_factors(problem.domain, problem.params, region.midpoints)
     n = problem.domain.n_modes
     starts = [np.asarray(s, dtype=float) for s in extra_starts]
     starts += [rng.standard_normal((n, 2)) for _ in range(restarts)]
-    best = math.inf
-    for y0 in starts:
-        y = y0 / np.linalg.norm(y0)
-        val, grad = value_grad(y)
-        step = 1.0
-        for _ in range(200):
-            g_t = grad - np.sum(grad * y) * y
-            gn2 = float(np.sum(g_t * g_t))
-            if gn2 < 1e-24:
-                break
-            moved = False
-            while step > 1e-14:
-                cand = y - step * g_t
-                cand /= np.linalg.norm(cand)
-                cval, cgrad = value_grad(cand)
-                if cval <= val - 1e-4 * step * gn2:
-                    y, val, grad = cand, cval, cgrad
-                    step = min(step * 2.0, 1.0)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if math.isfinite(val):
-            best = min(best, val)
-    if not math.isfinite(best):
-        raise ArithmeticError("all observability-ratio restarts were non-finite")
+    best, _ = sphere_descent(lambda y: _ratio_and_grad(op, forward, y),
+                             starts, iters=200, gtol=1e-24)
     assert best > 0
     return best
 
@@ -328,15 +273,11 @@ def brute_force_single_mode_ratio(problem: ControlProblem,
     """Oracle for single-mode truncation: scan the initial phase circle."""
     region = problem.region_at(problem.horizon)
     op = ControlOperator(problem.domain, problem.params, region)
-    mids = (np.arange(region.n_time) + 0.5) * region.dt
-    lam = problem.domain.eigenvalues
-    fdecay = np.exp(-problem.params.a * lam[None, :] * mids[:, None])
-    ang = lam[None, :] * problem.params.b * mids[:, None]
-    fcos, fsin = np.cos(ang), np.sin(ang)
+    forward = mode_factors(problem.domain, problem.params, region.midpoints)
     best = math.inf
     for phase in np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False):
         y0 = np.array([[math.cos(phase), math.sin(phase)]])
-        val, _ = _ratio_and_grad(op, fdecay, fcos, fsin, y0)
+        val, _ = _ratio_and_grad(op, forward, y0)
         best = min(best, val)
     return best
 
@@ -358,25 +299,13 @@ def _control_from_dual(op: ControlOperator, z: np.ndarray) -> np.ndarray:
 def _ray_rescale(op: ControlOperator, v0T: np.ndarray, z: np.ndarray):
     """Scale z along its ray to exact stationarity of the dual functional."""
     bulk = op.bulk_l1(z)
-    lin = float(np.sum(v0T * _evolve_coeffs(op, z)))
+    lin = float(np.sum(v0T * propagate(op.at_horizon, z)))
     if bulk <= 0:
         return z, 0.0
     t = lin / bulk ** 2
     if t < 0:
         z, t = -z, -t
     return t * z, t * bulk        # rescaled z and its bulk M*
-
-
-def _evolve_coeffs(op: ControlOperator, z: np.ndarray) -> np.ndarray:
-    lam = op.domain.eigenvalues
-    T = op.region.horizon
-    d = np.exp(-op.params.a * lam * T)
-    ang = lam * op.params.b * T
-    c, s = np.cos(ang), np.sin(ang)
-    out = np.empty_like(z)
-    out[:, 0] = d * (c * z[:, 0] + s * z[:, 1])
-    out[:, 1] = d * (-s * z[:, 0] + c * z[:, 1])
-    return out
 
 
 def synthesize_null_control(problem: ControlProblem, tol: float,
@@ -406,11 +335,11 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
 
     # With u = -M* sign(dual field), the terminal state is the negative of
     # this J's gradient, so driving J down drives ||v(T)|| down.
-    lin_grad = evolve_adjoint(problem.v0, problem.params,
-                              problem.horizon).coeffs
+    lin_grad = evolve(problem.v0, problem.params, problem.horizon,
+                      transpose=True).coeffs
 
     def J(z):
-        lin = float(np.sum(v0 * _evolve_coeffs(op, z)))
+        lin = float(np.sum(v0 * propagate(op.at_horizon, z)))
         return 0.5 * op.bulk_l1(z) ** 2 - lin
 
     def subgrad(z):
@@ -489,7 +418,7 @@ def duality_defect(problem: ControlProblem, field: ControlField,
     for _ in range(n_probes):
         z = rng.standard_normal(v0.shape)
         lhs = float(np.sum(vT * z))
-        rhs = float(np.sum(v0 * _evolve_coeffs(op, z)))
+        rhs = float(np.sum(v0 * propagate(op.at_horizon, z)))
         rhs += float(np.sum(field.values * op.adjoint(z)) * wgt)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
@@ -513,7 +442,8 @@ def least_squares_null_control(problem: ControlProblem,
         e = np.zeros((n, 2))
         e[i // 2, i % 2] = 1.0
         gram[:, i] = (op.apply(op.adjoint(e)) * wgt).ravel()
-    free = evolve_adjoint(problem.v0, problem.params, problem.horizon).coeffs
+    free = evolve(problem.v0, problem.params, problem.horizon,
+                  transpose=True).coeffs
     y = (np.linalg.pinv(gram, rcond=rcond) @ (-free.ravel())).reshape(n, 2)
     u = op.adjoint(y) * wgt
     terminal = op.terminal(problem.v0, u).norm()
@@ -546,7 +476,7 @@ def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
     wgt = region.dt * problem.domain.cell_volume
     lip = max(op.norm_estimate() ** 2, 1e-30)
     step = 1.0 / lip
-    free = evolve_adjoint(problem.v0, problem.params, T).coeffs
+    free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
     u = np.zeros(region.mask.shape) if u0 is None else u0 * region.mask
     y, t_acc = u, 1.0
     best_norm, best_u = math.inf, u

@@ -103,6 +103,11 @@ class SpaceTimeSet:
     def dt(self) -> float:
         return self.horizon / self.n_time
 
+    @property
+    def midpoints(self) -> np.ndarray:
+        """Midpoints of the time cells, shape (n_time,)."""
+        return (np.arange(self.n_time) + 0.5) * self.dt
+
     def measure(self) -> float:
         return float(self.mask.sum()) * self.domain.cell_volume * self.dt
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InsufficientTruncationError
 from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
-                        evolve, masked_l1, observe)
+                        evolve, masked_l1, mode_factors, observe, propagate)
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -32,21 +32,6 @@ def covering_ball(domain: SpectralDomain):
     return half, float(np.linalg.norm(half))
 
 
-def coefficient_traces(state: SpectralState, params: PhysicalParams,
-                       times: np.ndarray) -> np.ndarray:
-    """Evolved coefficient pairs at each time, shape (nt, n_modes, 2)."""
-    lam = state.domain.eigenvalues
-    t = np.asarray(times, dtype=float)[:, None]
-    decay = np.exp(-params.a * lam[None, :] * t)
-    phi = lam[None, :] * params.b * t
-    c, s = np.cos(phi), np.sin(phi)
-    v1, v2 = state.coeffs[:, 0], state.coeffs[:, 1]
-    out = np.empty(t.shape[:1] + (lam.shape[0], 2))
-    out[:, :, 0] = decay * (c * v1 + s * v2)
-    out[:, :, 1] = decay * (-s * v1 + c * v2)
-    return out
-
-
 def observation_profile(state: SpectralState, params: PhysicalParams,
                         D: SpaceTimeSet, sel: ObservationSelector) -> np.ndarray:
     """t_i -> L1 norm over the slice D_{t_i} of the observed field.
@@ -54,8 +39,8 @@ def observation_profile(state: SpectralState, params: PhysicalParams,
     Evaluated at the midpoints of D's time cells; multiplying by dt and
     summing gives the time-integrated observation.
     """
-    mids = (np.arange(D.n_time) + 0.5) * D.dt
-    traces = coefficient_traces(state, params, mids)
+    traces = propagate(mode_factors(state.domain, params, D.midpoints),
+                       state.coeffs)
     eig = state.domain.eigenfunctions
     if sel.kind is SelectorKind.FIRST:
         mag = np.abs(traces[:, :, 0] @ eig)
@@ -64,6 +49,45 @@ def observation_profile(state: SpectralState, params: PhysicalParams,
     else:
         mag = np.hypot(traces[:, :, 0] @ eig, traces[:, :, 1] @ eig)
     return (mag * D.mask).sum(axis=1) * D.domain.cell_volume
+
+
+def sphere_descent(value_grad, starts, iters: int, gtol: float):
+    """Multi-start projected (sub)gradient descent on the unit sphere.
+
+    value_grad(y) returns the objective and its gradient at y.  Each start
+    is normalised, then descended with Armijo backtracking along the
+    tangent gradient until its squared norm drops below gtol, no step is
+    accepted, or iters steps are taken.  Returns the best finite value
+    over all starts and its minimiser.
+    """
+    best_val, best_y = math.inf, None
+    for y0 in starts:
+        y = y0 / np.linalg.norm(y0)
+        val, grad = value_grad(y)
+        step = 1.0
+        for _ in range(iters):
+            g_t = grad - np.sum(grad * y) * y
+            gn2 = float(np.sum(g_t * g_t))
+            if gn2 < gtol:
+                break
+            moved = False
+            while step > 1e-14:
+                cand = y - step * g_t
+                cand /= np.linalg.norm(cand)
+                cval, cgrad = value_grad(cand)
+                if cval <= val - 1e-4 * step * gn2:
+                    y, val, grad = cand, cval, cgrad
+                    step = min(step * 2.0, 1.0)
+                    moved = True
+                    break
+                step *= 0.5
+            if not moved:
+                break
+        if math.isfinite(val) and val < best_val:
+            best_val, best_y = val, y
+    if best_y is None:
+        raise ArithmeticError("all sphere-descent restarts were non-finite")
+    return best_val, best_y
 
 
 def solve_increasing(fn, target: float, lo: float = 0.0,
@@ -107,53 +131,6 @@ class SpectralL1Constant:
     minimizer: np.ndarray
 
 
-def _sphere_min_l1(basis: np.ndarray, cell_volume: float, restarts: int,
-                   rng: np.random.Generator, iters: int = 300):
-    """Projected (sub)gradient descent for min ||a @ basis||_L1, |a| = 1.
-
-    Armijo backtracking on the sphere; the best value over all restarts
-    is returned together with its minimizer.
-    """
-    k = basis.shape[0]
-
-    def value(a):
-        return float(np.abs(a @ basis).sum() * cell_volume)
-
-    best_val, best_a = math.inf, None
-    for _ in range(restarts):
-        a = rng.standard_normal(k)
-        a /= np.linalg.norm(a)
-        val = value(a)
-        step = 1.0
-        for _ in range(iters):
-            f = a @ basis
-            g = (np.sign(f) @ basis.T) * cell_volume
-            g_t = g - (g @ a) * a
-            gn2 = g_t @ g_t
-            if gn2 < 1e-20:
-                break
-            accepted = False
-            while step > 1e-14:
-                cand = a - step * g_t
-                cand /= np.linalg.norm(cand)
-                cval = value(cand)
-                if cval <= val - 1e-4 * step * gn2:
-                    a, val = cand, cval
-                    step = min(step * 2.0, 1.0)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-        if not math.isfinite(val):
-            continue
-        if val < best_val:
-            best_val, best_a = val, a
-    if best_a is None:
-        raise ArithmeticError("all sphere-minimization restarts were non-finite")
-    return best_val, best_a
-
-
 def estimate_spectral_L1_constant(domain: SpectralDomain, lam: float,
                                   omega: np.ndarray, restarts: int = 64,
                                   rng: np.random.Generator | None = None,
@@ -171,7 +148,14 @@ def estimate_spectral_L1_constant(domain: SpectralDomain, lam: float,
         rng = np.random.default_rng(0)
     k = domain.count_below(lam)
     basis = domain.eigenfunctions[:k][:, omega]
-    min_l1, a = _sphere_min_l1(basis, domain.cell_volume, restarts, rng)
+    cv = domain.cell_volume
+
+    def value_grad(a):
+        f = a @ basis
+        return float(np.abs(f).sum() * cv), (np.sign(f) @ basis.T) * cv
+
+    starts = [rng.standard_normal(k) for _ in range(restarts)]
+    min_l1, a = sphere_descent(value_grad, starts, iters=300, gtol=1e-20)
     if min_l1 <= 0:
         raise ArithmeticError("masked L1 minimum collapsed to zero")
     c_hat = solve_c_exp_sqrt(1.0 / min_l1 ** 2, lam)
@@ -269,7 +253,7 @@ class InterpolationReport:
 
 def _window_weights(D: SpaceTimeSet, E: TimeSet, s1: float, s2: float):
     """Time-cell selection for integrals of chi_E over [s1, s2]."""
-    mids = (np.arange(D.n_time) + 0.5) * D.dt
+    mids = D.midpoints
     sel = E.mask & (mids >= s1) & (mids <= s2)
     return sel, float(sel.sum()) * D.dt
 
@@ -498,6 +482,8 @@ class TelescopeReport:
     prefactor: float
     domination_margin: float      # min over z of rhs - lhs in the chain bound
     N_hat: float                  # end-to-end observability constant
+    terms: np.ndarray             # telescoping times ell_1 > ... > ell_depth
+    ring_measures: np.ndarray     # |E cap (ell_{m+1}, ell_m)| per ring
 
     @property
     def dominated(self) -> bool:
@@ -530,7 +516,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     L = np.empty((len(z_batch), depth))
     O = np.empty((len(z_batch), depth - 1))
     totals = np.empty(len(z_batch))
-    mids = (np.arange(D.n_time) + 0.5) * D.dt
+    mids = D.midpoints
     for i, z in enumerate(z_batch):
         profile = observation_profile(z, params, D, sel)
         totals[i] = float(profile.sum()) * D.dt
@@ -576,4 +562,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     return TelescopeReport(ell=ell, ell1=seq.ell1, mu=mu, theta=theta,
                            ring_constants=ring_constants, C_hat=C_hat,
                            prefactor=prefactor, domination_margin=float(margin),
-                           N_hat=N_hat)
+                           N_hat=N_hat, terms=terms,
+                           ring_measures=np.array([
+                               E.measure_in(terms[m + 1], terms[m])
+                               for m in range(depth - 1)]))

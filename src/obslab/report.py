@@ -70,12 +70,17 @@ def emit_plot_data(report: RunReport, out_dir) -> list:
     written = []
     for name, (header, rows) in report.series.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(path, header, rows)
         written.append(path)
     return written
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Header row, then one comma-separated line of rendered values per row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def strip_timings(text: str) -> str:

@@ -84,40 +84,39 @@ class ObservationSelector:
         return ObservationSelector(SelectorKind.FULL)
 
 
-def mode_factors(domain: SpectralDomain, params: PhysicalParams, t: float):
-    """Per-mode decay factors and rotation angles at time t."""
+def mode_factors(domain: SpectralDomain, params: PhysicalParams, t):
+    """Per-mode decay and rotation (cos, sin) at time t, a scalar or an array.
+
+    Each of the three tables has shape t.shape + (n_modes,).
+    """
     lam = domain.eigenvalues
-    return np.exp(-params.a * lam * t), lam * params.b * t
+    t = np.asarray(t, dtype=float)[..., None]
+    phi = lam * params.b * t
+    return np.exp(-params.a * lam * t), np.cos(phi), np.sin(phi)
 
 
-def evolve(state: SpectralState, params: PhysicalParams, t: float) -> SpectralState:
-    """Apply the semigroup for time t >= 0, exactly per mode."""
+def propagate(factors, coeffs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Apply mode_factors tables to coefficient pairs of shape (n_modes, 2).
+
+    transpose=True applies the transposed 2x2 block of each mode (the
+    generator of the controlled system).  The result has the tables'
+    leading shape + (n_modes, 2).
+    """
+    decay, c, s = factors
+    if transpose:
+        s = -s
+    v1, v2 = coeffs[:, 0], coeffs[:, 1]
+    return np.stack([decay * (c * v1 + s * v2), decay * (-s * v1 + c * v2)],
+                    axis=-1)
+
+
+def evolve(state: SpectralState, params: PhysicalParams, t: float,
+           transpose: bool = False) -> SpectralState:
+    """Apply the semigroup (or its transpose) for time t >= 0, exactly per mode."""
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    decay, phi = mode_factors(state.domain, params, t)
-    c, s = np.cos(phi), np.sin(phi)
-    v1, v2 = state.coeffs[:, 0], state.coeffs[:, 1]
-    out = np.empty_like(state.coeffs)
-    out[:, 0] = decay * (c * v1 + s * v2)
-    out[:, 1] = decay * (-s * v1 + c * v2)
-    return SpectralState(out, state.domain)
-
-
-def mode_trace(domain: SpectralDomain, params: PhysicalParams, j: int, pair):
-    """t -> v_j(t), the observed first-component coefficient of mode j.
-
-    v_j(t) = exp(-a*lambda_j*t) * (p1*cos(lambda_j*b*t) + p2*sin(lambda_j*b*t)).
-    """
-    lam = domain.eigenvalues[j - 1]
-    p1, p2 = pair
-
-    def trace(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-params.a * lam * t) * (
-            p1 * np.cos(lam * params.b * t) + p2 * np.sin(lam * params.b * t)
-        )
-
-    return trace
+    factors = mode_factors(state.domain, params, t)
+    return SpectralState(propagate(factors, state.coeffs, transpose), state.domain)
 
 
 def observe(state: SpectralState, sel: ObservationSelector) -> np.ndarray:

@@ -160,3 +160,22 @@ def test_different_seed_changes_report(tmp_path):
         (report_dir,) = out.iterdir()
         texts.append(strip_timings((report_dir / "report.txt").read_text()))
     assert texts[0] != texts[1]
+
+
+@pytest.mark.parametrize("kind,header", [("interval", "t,x,value"),
+                                         ("rectangle", "t,x,y,value")])
+def test_null_control_csv_is_plain_floats(tmp_path, kind, header):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"[domain]\nkind = {kind}\nnx = 8\nny = 8\nn_modes = 4\n"
+                   "[observation]\nn_time = 16\nfill = 0.6\n"
+                   "[control]\ntol = 0.05\n")
+    out = tmp_path / "out"
+    assert run(["null-control", "--config", str(cfg), "--seed", "0",
+                "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    lines = (report_dir / "control_field.csv").read_text().strip().split("\n")
+    assert lines[0] == header
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert rows and all(len(r) == header.count(",") + 1 for r in rows)
+    cells = [r[:-1] for r in rows]
+    assert len(set(cells)) == len(cells)

@@ -7,7 +7,7 @@ from obslab import control as ctl
 from obslab.errors import ConvergenceError, InfeasibleError
 from obslab.geometry import SpaceTimeSet
 from obslab.semigroup import SpectralState, evolve
-from obslab.spectral import PhysicalParams, interval
+from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=8, n_cells=256)
@@ -28,13 +28,13 @@ def test_adjoint_evolution_is_the_transpose():
     x = SpectralState.random(DOMAIN, rng)
     y = SpectralState.random(DOMAIN, rng)
     t = 0.37
-    lhs = float(np.sum(ctl.evolve_adjoint(x, PARAMS, t).coeffs * y.coeffs))
+    lhs = float(np.sum(evolve(x, PARAMS, t, transpose=True).coeffs * y.coeffs))
     rhs = float(np.sum(x.coeffs * evolve(y, PARAMS, t).coeffs))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_uncontrolled_decay_contraction():
-    vT = ctl.evolve_adjoint(V0, PARAMS, 1.0)
+    vT = evolve(V0, PARAMS, 1.0, transpose=True)
     lam1 = DOMAIN.eigenvalues[0]
     assert vT.norm() <= math.exp(-lam1) * V0.norm() + 1e-12
     assert vT.norm() == pytest.approx(math.exp(-lam1), abs=1e-12)
@@ -93,6 +93,20 @@ def test_control_field_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,x,value"
     assert len(lines) == 1 + int(FULL.mask.sum())
+
+
+def test_control_field_csv_plain_floats_on_rectangle(tmp_path):
+    dom = rectangle(PI, PI, n_modes=4, cells=(6, 5))
+    region = SpaceTimeSet.full_cylinder(dom, 1.0, 4)
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, region.mask.shape)
+    path = tmp_path / "u.csv"
+    ctl.ControlField(values, region).to_csv(path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "t,x,y,value"
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert len(rows) == values.size
+    assert len({r[:3] for r in rows}) == len(rows)
+    assert sorted(r[3] for r in rows) == sorted(values.ravel())
 
 
 # -- observability constant ----------------------------------------------

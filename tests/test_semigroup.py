@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              masked_l1, mode_trace, observe,
-                              observed_trace_L1)
+                              masked_l1, mode_factors, observe,
+                              observed_trace_L1, propagate)
 from obslab.spectral import PhysicalParams, interval
 
 PI = math.pi
@@ -44,6 +44,49 @@ def test_norm_never_grows(t, seed):
     assert evolve(z, PARAMS, t).norm() <= z.norm() + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=0.0, max_value=2.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_transposed_semigroup_composition(t, s, seed):
+    rng = np.random.default_rng(seed)
+    z = SpectralState.random(DOMAIN, rng)
+    once = evolve(z, PARAMS, s + t, transpose=True)
+    twice = evolve(evolve(z, PARAMS, s, transpose=True), PARAMS, t,
+                   transpose=True)
+    assert np.allclose(once.coeffs, twice.coeffs, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=2.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_transpose_pairing(t, seed):
+    rng = np.random.default_rng(seed)
+    x = SpectralState.random(DOMAIN, rng)
+    y = SpectralState.random(DOMAIN, rng)
+    lhs = float(np.sum(evolve(x, PARAMS, t, transpose=True).coeffs * y.coeffs))
+    rhs = float(np.sum(x.coeffs * evolve(y, PARAMS, t).coeffs))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1,
+                max_size=6),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_time_table_rows_match_scalar_evolve(times, transpose, seed):
+    rng = np.random.default_rng(seed)
+    z = SpectralState.random(DOMAIN, rng)
+    t = np.array(times)
+    factors = mode_factors(DOMAIN, PARAMS, t)
+    assert all(f.shape == (len(times), DOMAIN.n_modes) for f in factors)
+    table = propagate(factors, z.coeffs, transpose)
+    assert table.shape == (len(times), DOMAIN.n_modes, 2)
+    for row, ti in zip(table, times):
+        expect = evolve(z, PARAMS, ti, transpose=transpose).coeffs
+        assert np.array_equal(row, expect)
+
+
 def test_evolve_rejects_negative_time():
     z = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
     with pytest.raises(ValueError):
@@ -52,17 +95,18 @@ def test_evolve_rejects_negative_time():
 
 def test_mode_trace_closed_form():
     lam = DOMAIN.eigenvalues[1]
-    tr = mode_trace(DOMAIN, PARAMS, 2, (0.3, 0.4))
+    z = SpectralState.single_mode(DOMAIN, 2, (0.3, 0.4))
     t = np.linspace(0.0, 1.0, 50)
     expect = np.exp(-lam * t) * (0.3 * np.cos(lam * t) + 0.4 * np.sin(lam * t))
-    assert np.allclose(tr(t), expect, atol=1e-15)
+    tr = propagate(mode_factors(DOMAIN, PARAMS, t), z.coeffs)[:, 1, 0]
+    assert np.allclose(tr, expect, atol=1e-15)
 
 
 def test_mode_trace_matches_evolved_coefficient():
     z = SpectralState.single_mode(DOMAIN, 4, (0.5, 0.5))
-    tr = mode_trace(DOMAIN, PARAMS, 4, (0.5, 0.5))
     for t in (0.05, 0.3):
-        assert evolve(z, PARAMS, t).coeffs[3, 0] == pytest.approx(float(tr(t)))
+        tr = propagate(mode_factors(DOMAIN, PARAMS, t), z.coeffs)[3, 0]
+        assert evolve(z, PARAMS, t).coeffs[3, 0] == pytest.approx(float(tr))
 
 
 def test_observe_selectors_consistent():
