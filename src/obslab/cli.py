@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(cfg.seed)
     report = RunReport(experiment_id=cfg.experiment_id(),
                        subcommand=args.subcommand, seed=cfg.seed)
-    out_dir = f"{args.out}/{cfg.experiment_id()}"
+    out_dir = f"{args.out}/{args.subcommand}-{cfg.experiment_id()}"
     start = time.perf_counter()
     try:
         if args.subcommand == "counterexample":

@@ -51,43 +51,60 @@ def observation_profile(state: SpectralState, params: PhysicalParams,
     return (mag * D.mask).sum(axis=1) * D.domain.cell_volume
 
 
+def lane_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each lane of x, as the BLAS dot np.linalg.norm uses."""
+    f = x.reshape(len(x), math.prod(x.shape[1:]))
+    return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(len(x)))
+
+
 def sphere_descent(value_grad, starts, iters: int, gtol: float):
     """Multi-start projected (sub)gradient descent on the unit sphere.
 
-    value_grad(y) returns the objective and its gradient at y.  Each start
-    is normalised, then descended with Armijo backtracking along the
-    tangent gradient until its squared norm drops below gtol, no step is
-    accepted, or iters steps are taken.  Returns the best finite value
-    over all starts and its minimiser.
+    starts stacks the restarts on a leading axis; they run together as
+    lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
+    values (B,) and gradients (B, ...).  Each lane is normalised, then
+    descended with Armijo backtracking along its tangent gradient exactly
+    as it would be alone: every round tries one step on each live lane;
+    an accepted step doubles the lane's step (up to 1), a rejected one
+    halves it.  A lane retires when its squared tangent-gradient norm
+    drops below gtol, its step falls to 1e-14 without an accept, or it
+    has taken iters steps.  Returns the best finite value over all lanes
+    (the first lane wins ties) and its minimiser.
     """
-    best_val, best_y = math.inf, None
-    for y0 in starts:
-        y = y0 / np.linalg.norm(y0)
-        val, grad = value_grad(y)
-        step = 1.0
-        for _ in range(iters):
-            g_t = grad - np.sum(grad * y) * y
-            gn2 = float(np.sum(g_t * g_t))
-            if gn2 < gtol:
-                break
-            moved = False
-            while step > 1e-14:
-                cand = y - step * g_t
-                cand /= np.linalg.norm(cand)
-                cval, cgrad = value_grad(cand)
-                if cval <= val - 1e-4 * step * gn2:
-                    y, val, grad = cand, cval, cgrad
-                    step = min(step * 2.0, 1.0)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if math.isfinite(val) and val < best_val:
-            best_val, best_y = val, y
-    if best_y is None:
+    y = np.array(starts, dtype=float)
+    axes = tuple(range(1, y.ndim))
+    bcast = (slice(None),) + (None,) * len(axes)    # (B,) -> broadcast over y
+    y /= lane_norms(y)[bcast]
+
+    def tangent(y, grad):
+        g_t = grad - np.sum(grad * y, axis=axes)[bcast] * y
+        return g_t, np.sum(g_t * g_t, axis=axes)
+
+    val, grad = value_grad(y)
+    g_t, gn2 = tangent(y, grad)
+    step = np.ones(len(y))
+    taken = np.zeros(len(y), dtype=int)
+    live = ~(gn2 < gtol) & (iters > 0)
+    while live.any():
+        idx = np.flatnonzero(live)
+        s = step[idx]
+        cand = y[idx] - s[bcast] * g_t[idx]
+        cand /= lane_norms(cand)[bcast]
+        cval, cgrad = value_grad(cand)
+        ok = cval <= val[idx] - 1e-4 * s * gn2[idx]
+        acc, rej = idx[ok], idx[~ok]
+        y[acc], val[acc], grad[acc] = cand[ok], cval[ok], cgrad[ok]
+        step[acc] = np.minimum(s[ok] * 2.0, 1.0)
+        taken[acc] += 1
+        g_t[acc], gn2[acc] = tangent(y[acc], grad[acc])
+        live[acc] = (taken[acc] < iters) & ~(gn2[acc] < gtol)
+        step[rej] *= 0.5
+        live[rej] = step[rej] > 1e-14
+    finite = np.isfinite(val)
+    if not finite.any():
         raise ArithmeticError("all sphere-descent restarts were non-finite")
-    return best_val, best_y
+    best = int(np.argmin(np.where(finite, val, np.inf)))
+    return float(val[best]), y[best]
 
 
 def solve_increasing(fn, target: float, lo: float = 0.0,
@@ -131,6 +148,16 @@ class SpectralL1Constant:
     minimizer: np.ndarray
 
 
+def _l1_value_grad(basis: np.ndarray, cell_volume: float):
+    """Masked L1 norms of coefficient lanes (B, k) and their subgradients."""
+    def value_grad(A):
+        # one gemv per lane: a lane's values do not depend on the batch
+        f = A[:, None, :] @ basis
+        vals = np.abs(f).sum(axis=(1, 2)) * cell_volume
+        return vals, (np.sign(f) @ basis.T)[:, 0] * cell_volume
+    return value_grad
+
+
 def estimate_spectral_L1_constant(domain: SpectralDomain, lam: float,
                                   omega: np.ndarray, restarts: int = 64,
                                   rng: np.random.Generator | None = None,
@@ -147,14 +174,9 @@ def estimate_spectral_L1_constant(domain: SpectralDomain, lam: float,
     if rng is None:
         rng = np.random.default_rng(0)
     k = domain.count_below(lam)
-    basis = domain.eigenfunctions[:k][:, omega]
-    cv = domain.cell_volume
-
-    def value_grad(a):
-        f = a @ basis
-        return float(np.abs(f).sum() * cv), (np.sign(f) @ basis.T) * cv
-
-    starts = [rng.standard_normal(k) for _ in range(restarts)]
+    value_grad = _l1_value_grad(domain.eigenfunctions[:k][:, omega],
+                                domain.cell_volume)
+    starts = rng.standard_normal((restarts, k))
     min_l1, a = sphere_descent(value_grad, starts, iters=300, gtol=1e-20)
     if min_l1 <= 0:
         raise ArithmeticError("masked L1 minimum collapsed to zero")

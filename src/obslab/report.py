@@ -2,8 +2,9 @@
 
 A report is structured text: one `key: value` per line, sections
 separated by blank lines.  Timing keys carry the `time_` prefix so
-determinism checks can strip them; everything else is rendered with
-repr so identical runs produce byte-identical files.
+determinism checks can strip them; floats (numpy's too) are rendered
+with the repr of a plain float, so identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     return str(value)
 

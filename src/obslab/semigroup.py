@@ -96,16 +96,16 @@ def mode_factors(domain: SpectralDomain, params: PhysicalParams, t):
 
 
 def propagate(factors, coeffs: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Apply mode_factors tables to coefficient pairs of shape (n_modes, 2).
+    """Apply mode_factors tables to coefficient pairs of shape (..., n_modes, 2).
 
     transpose=True applies the transposed 2x2 block of each mode (the
-    generator of the controlled system).  The result has the tables'
-    leading shape + (n_modes, 2).
+    generator of the controlled system).  The result has the broadcast of
+    the tables' and the coefficients' leading shapes + (n_modes, 2).
     """
     decay, c, s = factors
     if transpose:
         s = -s
-    v1, v2 = coeffs[:, 0], coeffs[:, 1]
+    v1, v2 = coeffs[..., 0], coeffs[..., 1]
     return np.stack([decay * (c * v1 + s * v2), decay * (-s * v1 + c * v2)],
                     axis=-1)
 

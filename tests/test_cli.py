@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from obslab import cli, trigpoly
+from obslab import cli, control, trigpoly
 from obslab.config import ExperimentConfig
 from obslab.errors import ConfigError
 from obslab.report import RunReport, strip_timings
@@ -179,3 +179,67 @@ def test_null_control_csv_is_plain_floats(tmp_path, kind, header):
     assert rows and all(len(r) == header.count(",") + 1 for r in rows)
     cells = [r[:-1] for r in rows]
     assert len(set(cells)) == len(cells)
+
+
+def test_simulate_reports_plain_eigenvalue(tmp_path):
+    out = tmp_path / "out"
+    assert run(["simulate", "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    assert "eigenvalue: 1.0\n" in (report_dir / "report.txt").read_text()
+
+
+def test_report_renders_numpy_scalars_plainly():
+    rep = RunReport("abc", "simulate", 0)
+    rep.add("s", x=np.float64(0.25), y=np.float32(0.5), ok=np.bool_(True),
+            bad=np.bool_(False))
+    text = rep.render()
+    assert "x: 0.25\ny: 0.5\nok: true\nbad: false\n" in text
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_no_report_renders_numpy_reprs(tmp_path, kind):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"[domain]\nkind = {kind}\nnx = 8\nny = 8\nn_modes = 4\n"
+                   "[observation]\nn_time = 16\nfill = 0.6\n"
+                   "[control]\ntol = 0.05\nradius = 0.25\n"
+                   "[sweep]\nbatch = 4\n")
+    out = tmp_path / "out"
+    for sub in cli.SUBCOMMANDS:
+        code = run([sub, "--config", str(cfg), "--cases", "5", "--seed", "0",
+                    "--out", str(out)])
+        assert code in (0, 3, 4)
+    reports = sorted(out.glob("*/report.txt"))
+    assert len(reports) == len(cli.SUBCOMMANDS)
+    for path in reports:
+        assert "np." not in path.read_text(), path.parent.name
+
+
+def test_subcommands_sharing_out_keep_their_reports(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("[domain]\nnx = 8\nn_modes = 4\n"
+                   "[observation]\nn_time = 16\nfill = 0.6\n"
+                   "[control]\ntol = 0.05\n")
+    out = tmp_path / "out"
+    for sub in ("estimate-L", "null-control"):
+        assert run([sub, "--config", str(cfg), "--seed", "0",
+                    "--out", str(out)]) == 0
+    reports = {p.parent.name: p.read_text() for p in out.glob("*/report.txt")}
+    assert len(reports) == 2
+    for name, text in reports.items():
+        sub = name.rsplit("-", 1)[0]
+        assert f"subcommand: {sub}\n" in text
+
+
+def test_estimate_l_exit_3_when_ratio_collapses(tmp_path, monkeypatch):
+    monkeypatch.setattr(control, "_ratio_and_grad",
+                        lambda op, forward, Y: (np.zeros(len(Y)),
+                                                np.zeros_like(Y)))
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("[domain]\nnx = 8\nn_modes = 4\n"
+                   "[observation]\nn_time = 16\nfill = 0.6\n")
+    out = tmp_path / "out"
+    assert run(["estimate-L", "--config", str(cfg), "--out", str(out)]) == 3
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: convergence-failure" in text
+    assert "collapsed to zero" in text

@@ -124,6 +124,39 @@ def test_estimate_l_positive_and_monotone_in_region():
     assert L_half <= L_full + 1e-9
 
 
+def test_estimate_l_positive_and_monotone_in_region_rectangle():
+    dom = rectangle(PI, PI, n_modes=8, cells=(16, 16))
+    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    full = SpaceTimeSet.full_cylinder(dom, 1.0, 32)
+    half_mask = full.mask.copy()
+    half_mask[full.n_time // 2:] = False
+    half = SpaceTimeSet(half_mask, 1.0, dom)
+    L = [ctl.estimate_L(ctl.ControlProblem(dom, PARAMS, v0, 1.0, region=r),
+                        restarts=12, rng=np.random.default_rng(3))
+         for r in (full, half)]
+    assert L[0] > 0 and L[1] > 0
+    assert L[1] <= L[0] + 1e-9
+
+
+def test_estimate_l_pinned_value():
+    # reference value of the per-start form of the descent
+    dom = interval(PI, n_modes=6, n_cells=48)
+    region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(5),
+                                 fill=0.6, min_measure_fraction=0.1)
+    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    problem = ctl.ControlProblem(dom, PARAMS, v0, 1.0, region=region)
+    L = ctl.estimate_L(problem, restarts=16, rng=np.random.default_rng(7))
+    assert L == pytest.approx(0.3003544644447294, rel=1e-12)
+
+
+def test_estimate_l_raises_when_ratio_collapses(monkeypatch):
+    monkeypatch.setattr(ctl, "_ratio_and_grad",
+                        lambda op, forward, Y: (np.zeros(len(Y)),
+                                                np.zeros_like(Y)))
+    with pytest.raises(ArithmeticError, match="collapsed to zero"):
+        ctl.estimate_L(null_problem(), restarts=4)
+
+
 def test_estimate_l_single_mode_brute_force():
     dom = interval(PI, n_modes=1, n_cells=256)
     v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))

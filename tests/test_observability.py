@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from obslab import control as ctl
 from obslab import observability as obs
 from obslab.errors import InsufficientTruncationError
 from obslab.geometry import SpaceTimeSet
-from obslab.semigroup import ObservationSelector, SpectralState, evolve
-from obslab.spectral import PhysicalParams, interval
+from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
+                              mode_factors)
+from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=16, n_cells=512)
@@ -83,6 +87,81 @@ def test_spectral_l1_rejects_empty_omega():
     with pytest.raises(ValueError):
         obs.estimate_spectral_L1_constant(
             DOMAIN, 5.0, np.zeros(DOMAIN.n_cells, dtype=bool))
+
+
+# -- batched sphere descent -----------------------------------------------
+
+SMALL_DOMAINS = {"interval": interval(PI, n_modes=4, n_cells=32),
+                 "rectangle": rectangle(PI, PI, n_modes=4, cells=(8, 8))}
+
+
+def assert_lanes_run_alone(value_grad, starts, iters, gtol):
+    """The batch returns what the best single-start run returns, bit for bit.
+
+    Single-start results are taken in order with a strict <, so the first
+    of equal values wins; a non-finite single start raises and drops out.
+    """
+    expected = None
+    for i in range(len(starts)):
+        try:
+            res = obs.sphere_descent(value_grad, starts[i:i + 1], iters, gtol)
+        except ArithmeticError:
+            continue
+        if expected is None or res[0] < expected[0]:
+            expected = res
+    val, y = obs.sphere_descent(value_grad, starts, iters, gtol)
+    assert val == expected[0]
+    assert np.array_equal(y, expected[1])
+    # an objective even in y has mirrored lanes of equal value: first wins
+    a = next(s for s in starts if np.isfinite(s).all())
+    val_a, y_a = obs.sphere_descent(value_grad, np.stack([a, -a]), iters, gtol)
+    val_b, y_b = obs.sphere_descent(value_grad, np.stack([-a, a]), iters, gtol)
+    assert val_a == val_b and np.array_equal(y_a, -y_b)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(sorted(SMALL_DOMAINS)),
+       st.integers(min_value=0, max_value=5))
+def test_batched_ratio_descent_matches_single_starts(seed, kind, nan_lane):
+    dom = SMALL_DOMAINS[kind]
+    rng = np.random.default_rng(seed)
+    region = SpaceTimeSet.random(dom, 1.0, 16, rng, fill=0.6,
+                                 min_measure_fraction=0.1)
+    op = ctl.ControlOperator(dom, PARAMS, region)
+    forward = mode_factors(dom, PARAMS, region.midpoints)
+    starts = rng.standard_normal((6, dom.n_modes, 2))
+    starts[nan_lane] = np.nan
+    assert_lanes_run_alone(lambda Y: ctl._ratio_and_grad(op, forward, Y),
+                           starts, iters=60, gtol=1e-24)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=5))
+def test_batched_l1_descent_matches_single_starts(seed, nan_lane):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 2.0)
+    mids = DOMAIN.points[:, 0]
+    omega = (mids > lo) & (mids < lo + rng.uniform(0.3, 1.0))
+    k = int(rng.integers(2, 7))
+    value_grad = obs._l1_value_grad(DOMAIN.eigenfunctions[:k][:, omega],
+                                    DOMAIN.cell_volume)
+    starts = rng.standard_normal((6, k))
+    starts[nan_lane] = np.nan
+    assert_lanes_run_alone(value_grad, starts, iters=80, gtol=1e-20)
+
+
+def test_sphere_descent_all_lanes_non_finite_raises():
+    def value_grad(Y):
+        return np.full(len(Y), np.nan), np.zeros_like(Y)
+
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        obs.sphere_descent(value_grad, np.ones((3, 4, 2)), iters=10,
+                           gtol=1e-24)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        obs.sphere_descent(lambda Y: (np.abs(Y).sum(axis=1), np.sign(Y)),
+                           np.full((2, 5), np.nan), iters=10, gtol=1e-20)
 
 
 # -- equivalence of interpolation forms ----------------------------------
