@@ -168,6 +168,7 @@ class ControlOperator:
         tau = T - region.midpoints            # dual trace times per cell
         self.decay, self.cos, self.sin = mode_factors(domain, params, tau)
         self.at_horizon = mode_factors(domain, params, T)
+        self.observed = np.flatnonzero(region.mask)   # flat (time, cell) indices
 
     def dual_field(self, z: np.ndarray) -> np.ndarray:
         """First component of exp(A * (T - s_i)) z on the grid, (n_time, n_cells)."""
@@ -219,6 +220,13 @@ class ControlOperator:
 # observability constant of the control region
 
 
+# Lanes are observed in blocks of at most this many field values (128 KiB
+# of float64, glibc's default mmap threshold): a block's field stays in cache
+# across the passes over it, and the memory of one evaluation does not grow
+# with the number of lanes.
+_FIELD_BLOCK = 1 << 14
+
+
 def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
     """Observation-to-terminal-norm ratios and coefficient gradients.
 
@@ -232,14 +240,23 @@ def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
     B = len(Y)
     w1 = forward_decay * (forward_cos * Y[:, None, :, 0]
                           + forward_sin * Y[:, None, :, 1])
-    field = w1 @ dom.eigenfunctions                  # (B, n_time, n_cells)
+    blk = min(B, max(1, _FIELD_BLOCK // region.mask.size))
+    field = np.empty((blk,) + region.mask.shape)
+    cells = np.empty((blk, op.observed.size))
+    num = np.empty(B)
+    g1 = np.empty_like(w1)
+    for lo in range(0, B, blk):
+        f, c = field[:B - lo], cells[:B - lo]     # the last block may be short
+        np.matmul(w1[lo:lo + blk], dom.eigenfunctions, out=f)
+        # gathered rows are contiguous, so their sums match a masked sum
+        np.take(f.reshape(len(f), -1), op.observed, axis=1, out=c, mode="clip")
+        num[lo:lo + blk] = np.abs(c, out=c).sum(axis=1)
+        np.sign(f, out=f)
+        f *= region.mask
+        np.matmul(f, dom.eigenfunctions.T, out=g1[lo:lo + blk])
     wgt = dom.cell_volume * region.dt
-    cells = np.take(field.reshape(B, region.mask.size),
-                    np.flatnonzero(region.mask), axis=1)
-    num = np.abs(cells, out=cells).sum(axis=1) * wgt
-    np.sign(field, out=field)
-    field *= region.mask
-    g1 = (field @ dom.eigenfunctions.T) * wgt
+    num *= wgt
+    g1 *= wgt
     g_num = np.stack([(forward_decay * forward_cos * g1).sum(axis=1),
                       (forward_decay * forward_sin * g1).sum(axis=1)], axis=-1)
     # denominator: norm of exp(A T) y0, diagonal per mode
@@ -247,9 +264,11 @@ def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
     den = lane_norms(yT)[:, None, None]
     g_den = propagate(op.at_horizon, yT, transpose=True) / den
     num = num[:, None, None]
-    # square through Python float power (libm pow), which differs from
-    # numpy's x * x in the last bit on about 0.1% of inputs; this keeps
-    # each lane's L_hat identical to a descent run one start at a time
+    # square through Python float power, i.e. the C library's pow, as the
+    # per-start loop this batch replaced did: glibc's pow(x, 2) differs from
+    # x * x in the last bit on about 0.1% of inputs, and x * x moves one of
+    # 15 sampled L_hat values by 3e-15 relative.  Identity with that loop
+    # holds only where the same libm is used.
     den2 = (den.astype(object) ** 2).astype(float)
     grad = (g_num * den - num * g_den) / den2
     return (num / den).reshape(B), grad

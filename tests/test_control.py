@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from obslab import control as ctl
 from obslab.errors import ConvergenceError, InfeasibleError
 from obslab.geometry import SpaceTimeSet
-from obslab.semigroup import SpectralState, evolve
+from obslab.semigroup import SpectralState, evolve, mode_factors
 from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
@@ -155,6 +156,41 @@ def test_estimate_l_raises_when_ratio_collapses(monkeypatch):
                                                 np.zeros_like(Y)))
     with pytest.raises(ArithmeticError, match="collapsed to zero"):
         ctl.estimate_L(null_problem(), restarts=4)
+
+
+def ratio_case(n_cells, n_time, lanes):
+    dom = interval(PI, n_modes=8, n_cells=n_cells)
+    rng = np.random.default_rng(0)
+    region = SpaceTimeSet.random(dom, 1.0, n_time, rng, fill=0.6,
+                                 min_measure_fraction=0.1)
+    op = ctl.ControlOperator(dom, PARAMS, region)
+    forward = mode_factors(dom, PARAMS, region.midpoints)
+    return op, forward, rng.standard_normal((lanes, 8, 2))
+
+
+def test_ratio_and_grad_lanes_do_not_depend_on_blocks(monkeypatch):
+    op, forward, Y = ratio_case(32, 16, 7)
+    val, grad = ctl._ratio_and_grad(op, forward, Y)     # one block
+    for i in range(len(Y)):
+        v1, g1 = ctl._ratio_and_grad(op, forward, Y[i:i + 1])
+        assert v1[0] == val[i] and np.array_equal(g1[0], grad[i])
+    # blocks of 3 lanes (the last one short) and of 1 lane
+    for lanes_per_block in (3, 1):
+        monkeypatch.setattr(ctl, "_FIELD_BLOCK", lanes_per_block * 16 * 32)
+        v, g = ctl._ratio_and_grad(op, forward, Y)
+        assert np.array_equal(v, val) and np.array_equal(g, grad)
+
+
+def test_ratio_and_grad_memory_does_not_grow_with_lanes():
+    op, forward, Y = ratio_case(1024, 16, 65)
+    all_lanes_field = len(Y) * op.region.mask.size * 8      # bytes
+    tracemalloc.start()
+    try:
+        ctl._ratio_and_grad(op, forward, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_lanes_field / 8
 
 
 def test_estimate_l_single_mode_brute_force():
