@@ -1,8 +1,8 @@
 """Command-line entry point: experiment orchestration and artifacts.
 
-Exit codes: 0 all asserted properties held; 2 config/usage errors;
+Exit codes: 0 all checked properties held; 2 config/usage errors;
 3 numerical or convergence failures (partial report still written);
-4 a verified property was violated.
+4 a verified property was violated (report status: violation).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from . import control, geometry, observability, trigpoly
 from .config import ExperimentConfig
 from .errors import (ConfigError, ContainmentError, ConvergenceError,
                      InfeasibleError, InsufficientTruncationError,
-                     ResolutionError)
+                     PropertyViolation, ResolutionError)
 from .geometry import SpaceTimeSet
 from .report import RunReport
 from .semigroup import (ObservationSelector, SpectralState, mode_factors,
@@ -244,24 +243,27 @@ def _run_telescope(cfg, rng, report) -> bool:
 
 
 def _run_sweep_all(cfg, rng, report) -> bool:
-    ok = _run_remez(cfg, rng, report)
+    with report.timed("sweep-all.remez"):
+        ok = _run_remez(cfg, rng, report)
     # sine-integral lower bound
     violations = 0
-    for _ in range(cfg.sine_cases):
-        res = trigpoly.sine_integral_bound(trigpoly.SineBoundCase.random(rng))
-        violations += not res.holds
+    with report.timed("sweep-all.sine"):
+        for _ in range(cfg.sine_cases):
+            res = trigpoly.sine_integral_bound(trigpoly.SineBoundCase.random(rng))
+            violations += not res.holds
     report.add("sine_sweep", cases=cfg.sine_cases, violations=violations)
     ok = ok and violations == 0
     # slice-geometry sweep: the good-time-set bounds hold for random sets
     domain = cfg.build_domain()
     center, radius = observability.covering_ball(domain)
     geo_fail = 0
-    for _ in range(cfg.geometry_cases):
-        D = SpaceTimeSet.random(domain, cfg.horizon, 32, rng, fill=0.2)
-        try:
-            geometry.good_time_set(D, center, radius)
-        except AssertionError:
-            geo_fail += 1
+    with report.timed("sweep-all.geometry"):
+        for _ in range(cfg.geometry_cases):
+            D = SpaceTimeSet.random(domain, cfg.horizon, 32, rng, fill=0.2)
+            try:
+                geometry.good_time_set(D, center, radius)
+            except PropertyViolation:
+                geo_fail += 1
     report.add("geometry_sweep", cases=cfg.geometry_cases, failures=geo_fail)
     return ok and geo_fail == 0
 
@@ -287,6 +289,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.time is not None and args.time < 0:
+            parser.error("--time must be nonnegative")
+        if args.multi < 1:
+            parser.error("--multi must be at least 1")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
@@ -313,23 +319,22 @@ def main(argv=None) -> int:
     report = RunReport(experiment_id=cfg.experiment_id(),
                        subcommand=args.subcommand, seed=cfg.seed)
     out_dir = f"{args.out}/{args.subcommand}-{cfg.experiment_id()}"
-    start = time.perf_counter()
     try:
-        if args.subcommand == "counterexample":
-            ok = _run_counterexample(cfg, rng, report, multi=args.multi,
-                                     single=args.time)
-        else:
-            ok = _HANDLERS[args.subcommand](cfg, rng, report)
-    except _NUMERICAL_ERRORS as exc:
-        report.status = "convergence-failure"
+        with report.timed(args.subcommand):
+            if args.subcommand == "counterexample":
+                ok = _run_counterexample(cfg, rng, report, multi=args.multi,
+                                         single=args.time)
+            else:
+                ok = _HANDLERS[args.subcommand](cfg, rng, report)
+    except (*_NUMERICAL_ERRORS, PropertyViolation) as exc:
+        violated = isinstance(exc, PropertyViolation)
+        report.status = "violation" if violated else "convergence-failure"
         report.add("failure", error=type(exc).__name__, message=str(exc))
-        report.timings[args.subcommand] = time.perf_counter() - start
         try:
             report.write(out_dir)
         except OSError:
             pass
-        return 3
-    report.timings[args.subcommand] = time.perf_counter() - start
+        return 4 if violated else 3
     if not ok:
         report.status = "violation"
     try:

@@ -119,8 +119,8 @@ class ExperimentConfig:
             bad("interpolation", "depth", "need depth >= 2")
         if not self.nu1 < self.nu2:
             bad("control", "nu1", "bounds must satisfy nu1 < nu2")
-        if self.radius < 0:
-            bad("control", "radius", "target radius must be nonnegative")
+        if self.radius <= 0:
+            bad("control", "radius", "target radius must be positive")
         if not 1e-6 < self.tol < 1e-1:
             bad("control", "tol", "must lie in (1e-6, 1e-1)")
         for key in ("remez_cases", "sine_cases", "geometry_cases",

@@ -29,6 +29,10 @@ class InfeasibleError(ObsLabError):
     """A feasibility problem has no admissible solution at the given horizon."""
 
 
+class PropertyViolation(ObsLabError):
+    """A property the laboratory verifies on every call failed to hold."""
+
+
 class ConfigError(ObsLabError):
     """A configuration file failed validation; carries the offending field."""
 

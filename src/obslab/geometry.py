@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContainmentError, ResolutionError
+from .errors import ContainmentError, PropertyViolation, ResolutionError
 from .spectral import SpectralDomain
 
 
@@ -203,7 +203,7 @@ class GoodTimeSet:
 
 
 def good_time_set(D: SpaceTimeSet, ball_center, ball_radius: float) -> GoodTimeSet:
-    """Times t with |D_t| >= |D|/(2T), with the measure lower bound asserted.
+    """Times t with |D_t| >= |D|/(2T), with the measure lower bound checked.
 
     The supplied ball must contain D's spatial support (cell centers) and
     every slice must fit in it, which is what the |E| lower bound needs.
@@ -224,9 +224,11 @@ def good_time_set(D: SpaceTimeSet, ball_center, ball_radius: float) -> GoodTimeS
         )
     threshold = measure / (2.0 * D.horizon)
     E = TimeSet(slice_measures >= threshold, D.horizon)
-    # both slice-set conclusions, asserted on every call
-    assert E.measure() >= measure / (2.0 * vol_ball) - 1e-12
-    assert np.all(E.mask[:, None] & D.mask <= D.mask)
+    # both slice-set conclusions, checked on every call
+    if E.measure() < measure / (2.0 * vol_ball) - 1e-12:
+        raise PropertyViolation("good-time set is below |D| / (2 |ball|)")
+    if not np.all(E.mask[:, None] & D.mask <= D.mask):
+        raise PropertyViolation("good-time slices are not contained in D")
     return GoodTimeSet(times=E, threshold=threshold, ball_volume=vol_ball)
 
 

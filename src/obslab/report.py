@@ -10,6 +10,8 @@ files.
 from __future__ import annotations
 
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,15 @@ class RunReport:
 
     def add(self, name: str, **records) -> None:
         self.sections.append((name, records))
+
+    @contextmanager
+    def timed(self, name: str):
+        """Record the wall time of the block as `time_<name>`, even if it raises."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - start
 
     def add_series(self, name: str, header: str, rows) -> None:
         """A figure-worthy CSV series; rows are tuples matching the header."""

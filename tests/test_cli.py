@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import obslab
 from obslab import cli, control, trigpoly
 from obslab.config import ExperimentConfig
-from obslab.errors import ConfigError
+from obslab.errors import ConfigError, PropertyViolation
 from obslab.report import RunReport, strip_timings
 from obslab.trigpoly import CheckResult
 
@@ -38,6 +42,8 @@ def test_config_field_level_errors():
         ExperimentConfig.from_text("[system]\na = -1.0\n")
     with pytest.raises(ConfigError, match="interpolation.theta"):
         ExperimentConfig.from_text("[interpolation]\ntheta = 1.5\n")
+    with pytest.raises(ConfigError, match="control.radius"):
+        ExperimentConfig.from_text("[control]\nradius = 0\n")
     with pytest.raises(ConfigError, match="unknown"):
         ExperimentConfig.from_text("[system]\nbogus = 1\n")
     with pytest.raises(ConfigError):
@@ -128,6 +134,64 @@ def test_exit_4_on_property_violation(tmp_path, monkeypatch):
     assert run(["remez", "--cases", "3", "--out", str(out)]) == 4
     (report_dir,) = out.iterdir()
     assert "status: violation" in (report_dir / "report.txt").read_text()
+
+
+def test_exit_4_when_a_property_violation_escapes(tmp_path, monkeypatch):
+    def violated(cfg, rng, report):
+        raise PropertyViolation("checked property failed")
+
+    monkeypatch.setitem(cli._HANDLERS, "simulate", violated)
+    out = tmp_path / "out"
+    assert run(["simulate", "--out", str(out)]) == 4
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: violation" in text
+    assert "error: PropertyViolation" in text
+
+
+def test_time_optimal_zero_radius_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[control]\nradius = 0\n")
+    assert run(["time-optimal", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "control.radius" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"]])
+def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
+    assert run(["counterexample", *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and "Traceback" not in err
+
+
+def test_sweep_all_counts_geometry_violations_under_optimize(tmp_path):
+    # under python -O an assert-based check would vanish and report 0 failures
+    script = ("import sys\n"
+              "from obslab import cli, geometry\n"
+              "geometry.TimeSet.measure = lambda self: 0.0\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__)))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "sweep-all",
+                           "--cases", "4", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "section: geometry_sweep\ncases: 4\nfailures: 4\n" in text
+
+
+def test_sweep_all_reports_phase_timings(tmp_path):
+    out = tmp_path / "out"
+    assert run(["sweep-all", "--cases", "5", "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    for phase in ("sweep-all.remez", "sweep-all.sine", "sweep-all.geometry",
+                  "sweep-all"):
+        assert f"time_{phase}: " in text
+    assert "time_" not in strip_timings(text)
 
 
 def test_counterexample_multi_reports_three_times(tmp_path):

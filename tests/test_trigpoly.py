@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obslab.trigpoly import (SineBoundCase, TrigPoly, cell_width,
+from obslab import trigpoly
+from obslab.trigpoly import (SUP_SAMPLES, SineBoundCase, TrigPoly, cell_width,
                              grid_midpoints, intervals_to_mask, mask_measure,
                              random_interval_union, remez_check,
                              sine_integral_bound, sublevel_measure_check,
@@ -126,3 +127,64 @@ def test_sine_case_validation():
 def test_grid_midpoints_symmetric():
     mids = grid_midpoints(16)
     assert np.allclose(mids, -mids[::-1])
+
+
+# -- the cached grid basis --------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=12),
+                          st.sampled_from([16, 1024, 8192])),
+                min_size=1, max_size=12))
+def test_grid_evaluation_is_bit_identical_to_call(seed, order):
+    # an empty cache first, so the drawn order exercises both building a
+    # table wider and reading the leading columns of a wider one
+    trigpoly._BASES.clear()
+    rng = np.random.default_rng(seed)
+    for degree, n in order:
+        f = TrigPoly.random(rng, degree)
+        assert np.array_equal(f.on_grid(n), f(grid_midpoints(n)))
+
+
+def _sup_norm_through_call(f):
+    theta = np.linspace(-math.pi, math.pi, SUP_SAMPLES)
+    vals = np.abs(f(theta))
+    i = int(np.argmax(vals))
+    lo, hi = theta[max(i - 1, 0)], theta[min(i + 1, SUP_SAMPLES - 1)]
+    return max(float(vals[i]),
+               trigpoly._golden_max(lambda t: abs(float(f(t))), lo, hi))
+
+
+def test_sup_norm_matches_the_call_path():
+    rng = np.random.default_rng(7)
+    for degree in [12, *range(13)]:
+        f = TrigPoly.random(rng, degree)
+        assert f.sup_norm == _sup_norm_through_call(f)
+
+
+def test_cached_grid_arrays_are_read_only():
+    f = TrigPoly.random(np.random.default_rng(0), 3)
+    f.on_grid(64)
+    f.on_grid(SUP_SAMPLES, closed=True)
+    cached = [grid_midpoints(64), *trigpoly._basis(64, False, 3),
+              *trigpoly._basis(SUP_SAMPLES, True, 3)]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_remez_sweep_pinned_worst_ratio():
+    # 500 cases drawn as in criterion 01; the worst ratio is the value the
+    # uncached evaluation gave, compared exactly
+    rng = np.random.default_rng(1)
+    worst, violations = 0.0, 0
+    for _ in range(500):
+        f = TrigPoly.random(rng, int(rng.integers(1, 9)))
+        E = random_interval_union(rng)
+        p = float(rng.uniform(1.0, 8.0))
+        res = remez_check(f, E, p)
+        worst = max(worst, res.lhs / res.rhs)
+        violations += not res.holds
+    assert violations == 0
+    assert worst == 9.113294875367841e-05
