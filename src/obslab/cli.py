@@ -289,10 +289,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.time is not None and args.time < 0:
-            parser.error("--time must be nonnegative")
-        if args.multi < 1:
-            parser.error("--multi must be at least 1")
+        if args.subcommand == "counterexample":   # the only reader of both
+            if args.time is not None and args.time < 0:
+                parser.error("--time must be nonnegative")
+            if args.multi < 1:
+                parser.error("--multi must be at least 1")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -6,7 +6,7 @@ over measurable subsets of a window [delta, lambda*b*S + delta].
 
 Subsets of (-pi, pi) are unions of cells of a fixed uniform grid
 (N_CELLS cells); all integrals are midpoint quadrature on that grid.
-Polynomials are evaluated on a grid through its cached sin/cos basis.
+A polynomial called at a cached sample grid reads that grid's sin/cos basis.
 """
 
 from __future__ import annotations
@@ -22,42 +22,54 @@ SUP_SAMPLES = 4096
 
 
 # Sample grids and their sin/cos basis tables, built on first use and kept
-# read-only.  A grid is (n, closed): the midpoints of n uniform cells of
-# (-pi, pi), or with closed, linspace(-pi, pi, n).  Each grid keeps one pair
-# of tables, sin(k theta) and cos(k theta) for k = 0..K; a higher degree
-# rebuilds the pair wider, a lower one reads its leading columns.
-_GRIDS: dict = {}
-_BASES: dict = {}
+# read-only.  A grid is the midpoints of n uniform cells of (-pi, pi), or
+# sup_norm's linspace(-pi, pi, SUP_SAMPLES).  Each cached grid keeps one pair
+# of tables, sin(k theta) and cos(k theta) for k = 0..K, keyed by the grid
+# array's id (cached grids are never freed, so no other array shares it); a
+# higher degree rebuilds the pair wider, a lower one reads its leading columns.
+_GRIDS: dict = {}    # n -> grid_midpoints(n); "sup" -> sup_norm's linspace
+_BASES: dict = {}    # id of a cached grid -> (sin, cos) tables, or None
 
 
-def _sample_points(n: int, closed: bool) -> np.ndarray:
-    theta = _GRIDS.get((n, closed))
-    if theta is None:
-        if closed:
-            theta = np.linspace(-math.pi, math.pi, n)
-        else:
-            h = 2.0 * math.pi / n
-            theta = -math.pi + (np.arange(n) + 0.5) * h
-        theta.flags.writeable = False
-        _GRIDS[n, closed] = theta
+def _cached(theta: np.ndarray) -> np.ndarray:
+    theta.flags.writeable = False
+    _BASES[id(theta)] = None
     return theta
 
 
-def _basis(n: int, closed: bool, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    tables = _BASES.get((n, closed))
+def _basis(theta, degree: int):
+    """The cached tables for k = 0..degree if theta is a cached grid, else None."""
+    key = id(theta)
+    if key not in _BASES:
+        return None
+    tables = _BASES[key]
     if tables is None or tables[0].shape[1] <= degree:
-        arg = np.multiply.outer(_sample_points(n, closed), np.arange(degree + 1))
+        arg = np.multiply.outer(theta, np.arange(degree + 1))
         tables = np.sin(arg), np.cos(arg)
         for table in tables:
             table.flags.writeable = False
-        _BASES[n, closed] = tables
+        _BASES[key] = tables
     sin, cos = tables
     return sin[:, :degree + 1], cos[:, :degree + 1]
 
 
+def _sup_grid() -> np.ndarray:
+    theta = _GRIDS.get("sup")
+    if theta is None:
+        theta = _GRIDS["sup"] = _cached(np.linspace(-math.pi, math.pi, SUP_SAMPLES))
+    return theta
+
+
 def grid_midpoints(n_cells: int = N_CELLS) -> np.ndarray:
-    """Midpoints of the n_cells uniform cells of (-pi, pi); cached, read-only."""
-    return _sample_points(n_cells, closed=False)
+    """Midpoints of the n_cells uniform cells of (-pi, pi); cached, read-only.
+
+    A polynomial called at this array reads the grid's cached basis.
+    """
+    theta = _GRIDS.get(n_cells)
+    if theta is None:
+        h = 2.0 * math.pi / n_cells
+        theta = _GRIDS[n_cells] = _cached(-math.pi + (np.arange(n_cells) + 0.5) * h)
+    return theta
 
 
 def cell_width(n_cells: int = N_CELLS) -> float:
@@ -115,18 +127,12 @@ class TrigPoly:
         return self.sin_coeffs.shape[0] - 1
 
     def __call__(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(self.degree + 1)
-        arg = np.multiply.outer(theta, k)
-        return np.sin(arg) @ self.sin_coeffs + np.cos(arg) @ self.cos_coeffs
-
-    def on_grid(self, n: int = N_CELLS, closed: bool = False) -> np.ndarray:
-        """f at grid_midpoints(n), or with closed at linspace(-pi, pi, n).
-
-        Two matvecs against the grid's cached basis; bit-identical to
-        calling f at those points.
-        """
-        sin, cos = _basis(n, closed, self.degree)
+        basis = _basis(theta, self.degree)
+        if basis is None:
+            theta = np.asarray(theta, dtype=float)
+            arg = np.multiply.outer(theta, np.arange(self.degree + 1))
+            basis = np.sin(arg), np.cos(arg)
+        sin, cos = basis
         return sin @ self.sin_coeffs + cos @ self.cos_coeffs
 
     def is_zero(self) -> bool:
@@ -143,8 +149,8 @@ class TrigPoly:
     @cached_property
     def sup_norm(self) -> float:
         """Sup of |f| on [-pi, pi]: dense sampling plus local golden refinement."""
-        theta = _sample_points(SUP_SAMPLES, closed=True)
-        vals = np.abs(self.on_grid(SUP_SAMPLES, closed=True))
+        theta = _sup_grid()
+        vals = np.abs(self(theta))
         i = int(np.argmax(vals))
         lo = theta[max(i - 1, 0)]
         hi = theta[min(i + 1, SUP_SAMPLES - 1)]
@@ -183,7 +189,7 @@ def remez_check(f: TrigPoly, E: np.ndarray, p: float) -> CheckResult:
     if measure <= 0:
         raise ValueError("the subset E must have positive measure")
     h = cell_width(E.shape[0])
-    powers = np.abs(f.on_grid(E.shape[0])) ** p
+    powers = np.abs(f(grid_midpoints(E.shape[0]))) ** p
     lhs = float(powers.sum() * h) ** (1.0 / p)
     on_E = float(powers[E].sum() * h) ** (1.0 / p)
     const = (64.0 / math.sin(measure / 4.0)) ** (2.0 * (f.degree + 1.0 / p))
@@ -196,7 +202,7 @@ def sup_remez_check(f: TrigPoly, E: np.ndarray) -> CheckResult:
     measure = mask_measure(E)
     if measure <= 0:
         raise ValueError("the subset E must have positive measure")
-    vals = np.abs(f.on_grid(E.shape[0]))
+    vals = np.abs(f(grid_midpoints(E.shape[0])))
     sup_E = float(vals[E].max())
     # refine inside the best cell only; the constant's slack dominates elsewhere
     h = cell_width(E.shape[0])
@@ -221,7 +227,7 @@ def sublevel_measure_check(f: TrigPoly, eps: float) -> tuple[float, bool]:
         raise ValueError("eps must lie in (0, 2*pi)")
     n = max(f.degree, 1)
     threshold = (0.5 * math.sin(eps / 4.0)) ** (2 * n) * f.sup_norm
-    vals = np.abs(f.on_grid())
+    vals = np.abs(f(grid_midpoints()))
     measure = float((vals <= threshold).sum()) * cell_width()
     tol = 16 * cell_width()
     return measure, measure <= eps + tol

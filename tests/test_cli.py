@@ -165,6 +165,12 @@ def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
     assert flags[0] in err and "Traceback" not in err
 
 
+def test_counterexample_flags_do_not_gate_other_subcommands(tmp_path):
+    # --time and --multi are read only by counterexample
+    assert run(["simulate", "--time", "-1", "--multi", "0",
+                "--out", str(tmp_path / "out")]) == 0
+
+
 def test_sweep_all_counts_geometry_violations_under_optimize(tmp_path):
     # under python -O an assert-based check would vanish and report 0 failures
     script = ("import sys\n"

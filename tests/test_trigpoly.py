@@ -140,11 +140,15 @@ def test_grid_midpoints_symmetric():
 def test_grid_evaluation_is_bit_identical_to_call(seed, order):
     # an empty cache first, so the drawn order exercises both building a
     # table wider and reading the leading columns of a wider one
-    trigpoly._BASES.clear()
+    trigpoly._BASES.update(dict.fromkeys(trigpoly._BASES))
     rng = np.random.default_rng(seed)
     for degree, n in order:
         f = TrigPoly.random(rng, degree)
-        assert np.array_equal(f.on_grid(n), f(grid_midpoints(n)))
+        grid = grid_midpoints(n)
+        uncached = np.array(grid)
+        assert np.array_equal(f(grid), f(uncached))
+        assert trigpoly._BASES[id(grid)][0].shape[1] > degree
+        assert trigpoly._basis(uncached, degree) is None
 
 
 def _sup_norm_through_call(f):
@@ -165,10 +169,11 @@ def test_sup_norm_matches_the_call_path():
 
 def test_cached_grid_arrays_are_read_only():
     f = TrigPoly.random(np.random.default_rng(0), 3)
-    f.on_grid(64)
-    f.on_grid(SUP_SAMPLES, closed=True)
-    cached = [grid_midpoints(64), *trigpoly._basis(64, False, 3),
-              *trigpoly._basis(SUP_SAMPLES, True, 3)]
+    f(grid_midpoints(64))
+    f.sup_norm
+    sup_grid = trigpoly._sup_grid()
+    cached = [grid_midpoints(64), *trigpoly._basis(grid_midpoints(64), 3),
+              sup_grid, *trigpoly._basis(sup_grid, 3)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 1.0
