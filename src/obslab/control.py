@@ -14,11 +14,11 @@ is exact by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
 from .observability import lane_norms, sphere_descent
 from .report import write_csv
@@ -54,8 +54,9 @@ class ControlProblem:
         if (self.region is None) == (self.omega is None):
             raise ValueError("give exactly one of region (null control) "
                              "and omega (time-optimal)")
-        if self.region is not None and self.region.measure() <= 0:
-            raise ValueError("control region must have positive measure")
+        if self.region is not None and (self.region.measure() <= 0
+                                        or self.region.horizon != self.horizon):
+            raise ValueError("control region must have positive measure over (0, T)")
         if self.omega is not None:
             om = np.asarray(self.omega, dtype=bool).copy()
             if om.shape != (self.domain.n_cells,):
@@ -72,12 +73,11 @@ class ControlProblem:
             if self.radius > 0 and self.v0.norm() <= self.radius:
                 raise ValueError("initial state must start outside the target ball")
 
-    def region_at(self, T: float, n_time: int | None = None) -> SpaceTimeSet:
+    def region_at(self, T: float) -> SpaceTimeSet:
         """The control region as a space-time set over (0, T)."""
         if self.region is not None:
             return self.region
-        nt = self.n_time if n_time is None else n_time
-        mask = np.broadcast_to(self.omega, (nt, self.domain.n_cells))
+        mask = np.broadcast_to(self.omega, (self.n_time, self.domain.n_cells))
         return SpaceTimeSet(mask, T, self.domain)
 
 
@@ -134,15 +134,23 @@ class DualityCertificate:
     z_star: SpectralState
     dual_value: float
     terminal_norm: float
-    control_bound: float          # L_hat^-1 * ||v0||
     sup_norm: float
     L_hat: float
     tol: float
     v0_norm: float
 
+    @property
+    def control_bound(self) -> float:
+        """The duality bound ||v0|| / L_hat on the control's sup norm."""
+        return self.v0_norm / self.L_hat
+
     def check(self) -> None:
-        assert self.terminal_norm <= self.tol * self.v0_norm + 1e-300
-        assert self.sup_norm <= self.control_bound * (1.0 + 1e-6) + 1e-300
+        """Raise PropertyViolation unless both certified inequalities hold."""
+        target, bound = self.tol * self.v0_norm, self.control_bound * (1.0 + 1e-6)
+        require(self.terminal_norm <= target + 1e-300,
+                f"terminal norm {self.terminal_norm} exceeds the target {target}")
+        require(self.sup_norm <= bound + 1e-300,
+                f"control sup norm {self.sup_norm} exceeds the duality bound {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +211,6 @@ class ControlOperator:
                 return 0.0
             val, y = nrm, y2 / nrm
         return math.sqrt(val)
-
-    def bulk_l1(self, z: np.ndarray) -> float:
-        """Time-integrated L1 norm of the dual field over the region."""
-        W = self.dual_field(z)
-        return float(np.abs(W[self.region.mask]).sum()
-                     * self.domain.cell_volume * self.region.dt)
 
     def terminal(self, v0: SpectralState, u: np.ndarray) -> SpectralState:
         """v(T) under the transposed generator with control u."""
@@ -322,21 +324,12 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, -1.0)
 
 
-def _control_from_dual(op: ControlOperator, z: np.ndarray) -> np.ndarray:
-    M = op.bulk_l1(z)
-    return -M * _sign(op.dual_field(z)) * op.region.mask
-
-
-def _ray_rescale(op: ControlOperator, v0T: np.ndarray, z: np.ndarray):
-    """Scale z along its ray to exact stationarity of the dual functional."""
-    bulk = op.bulk_l1(z)
-    lin = float(np.sum(v0T * propagate(op.at_horizon, z)))
-    if bulk <= 0:
-        return z, 0.0
-    t = lin / bulk ** 2
-    if t < 0:
-        z, t = -z, -t
-    return t * z, t * bulk        # rescaled z and its bulk M*
+def _dual(op: ControlOperator, v0: np.ndarray, z: np.ndarray):
+    """The dual field W of z, its bulk int int_R |W|, and <v0, exp(AT) z>."""
+    W = op.dual_field(z)
+    bulk = float(np.abs(W[op.region.mask]).sum()
+                 * op.domain.cell_volume * op.region.dt)
+    return W, bulk, float(np.sum(v0 * propagate(op.at_horizon, z)))
 
 
 def synthesize_null_control(problem: ControlProblem, tol: float,
@@ -345,10 +338,11 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
                             ) -> tuple[ControlField, DualityCertificate]:
     """Sup-norm-bounded control driving v(T) near zero, via the dual problem.
 
-    Minimizes J(z) = 0.5 * bulk(z)^2 + <v0, exp(AT) z> by subgradient
+    Minimizes J(z) = 0.5 * bulk(z)^2 - <v0, exp(AT) z> by subgradient
     descent (step c/sqrt(k), averaged iterates), rescales the best dual
     state along its ray, and certifies the recovered bang-bang-shaped
-    control by exact forward simulation.
+    control u = -M* sign(W) by exact forward simulation.  Each iterate
+    costs one dual evaluation, which gives J and the next subgradient.
     """
     if not 1e-6 < tol < 1e-1:
         raise ValueError("tol must lie in (1e-6, 1e-1)")
@@ -357,75 +351,69 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
     v0 = problem.v0.coeffs
     v0_norm = problem.v0.norm()
     if v0_norm == 0:
-        field = ControlField.zero(region)
-        cert = DualityCertificate(
-            z_star=SpectralState(np.zeros_like(v0), problem.domain),
-            dual_value=0.0, terminal_norm=0.0, control_bound=0.0,
-            sup_norm=0.0, L_hat=math.inf, tol=tol, v0_norm=0.0)
-        return field, cert
+        zero = SpectralState(np.zeros_like(v0), problem.domain)
+        return ControlField.zero(region), DualityCertificate(
+            zero, dual_value=0.0, terminal_norm=0.0, sup_norm=0.0,
+            L_hat=math.inf, tol=tol, v0_norm=0.0)
 
     # With u = -M* sign(dual field), the terminal state is the negative of
     # this J's gradient, so driving J down drives ||v(T)|| down.
     lin_grad = evolve(problem.v0, problem.params, problem.horizon,
                       transpose=True).coeffs
 
-    def J(z):
-        lin = float(np.sum(v0 * propagate(op.at_horizon, z)))
-        return 0.5 * op.bulk_l1(z) ** 2 - lin
+    def certified(z):    # rescale z along its ray to stationarity of J
+        W, bulk, lin = _dual(op, v0, z)
+        M = 0.0
+        if bulk > 0:
+            t = lin / bulk ** 2
+            z, M = t * z, abs(t) * bulk
+            W, bulk, lin = _dual(op, v0, z)
+        u = -bulk * _sign(W) * region.mask
+        return (op.terminal(problem.v0, u).norm(),
+                (z, M, u, 0.5 * bulk ** 2 - lin))
 
-    def subgrad(z):
-        W = op.dual_field(z)
-        bulk = float(np.abs(W[region.mask]).sum()
-                     * op.domain.cell_volume * region.dt)
-        return bulk * op.apply(np.sign(W)) - lin_grad
-
-    def certified(z):
-        z2, M = _ray_rescale(op, v0, z)
-        u = _control_from_dual(op, z2)
-        vT = op.terminal(problem.v0, u)
-        return z2, M, u, vT.norm()
-
-    if rng is None:
-        rng = np.random.default_rng(0)
     z = np.zeros_like(v0)
-    g0 = subgrad(z)
+    W, bulk, lin = _dual(op, v0, z)
+    g = bulk * op.apply(np.sign(W)) - lin_grad
     # 1-D line probe along the first descent direction to set the step scale
-    d0 = -g0 / np.linalg.norm(g0)
+    d0 = -g / np.linalg.norm(g)
     scales = np.geomspace(1e-4, 1e2, 25)
-    c_step = float(scales[int(np.argmin([J(s * d0) for s in scales]))])
-    best_z, best_J = z, J(z)
+    probe = [_dual(op, v0, s * d0)[1:] for s in scales]
+    c_step = float(scales[int(np.argmin([0.5 * bk ** 2 - ln for bk, ln in probe]))])
+    best_z, best_J = z, 0.5 * bulk ** 2 - lin
     avg = np.zeros_like(z)
-    z_r, M_r, u_r, terminal = certified(z)
-    out = (z_r, M_r, u_r)
+    terminal, out = certified(z)
     for k in range(1, budget + 1):
-        g = subgrad(z)
         gn = np.linalg.norm(g)
         if gn == 0:
             break
         z = z - (c_step / math.sqrt(k)) * g / gn
         avg += z
-        Jz = J(z)
+        W, bulk, lin = _dual(op, v0, z)
+        g = bulk * op.apply(np.sign(W)) - lin_grad
+        Jz = 0.5 * bulk ** 2 - lin
         if Jz < best_J:
             best_J, best_z = Jz, z
         if k % 200 == 0 or k == budget:
             for cand in (best_z, avg / k):
-                z2, M, u, tnorm = certified(cand)
+                tnorm, cand_out = certified(cand)
                 if tnorm < terminal:
-                    terminal, out = tnorm, (z2, M, u)
+                    terminal, out = tnorm, cand_out
             if terminal <= tol * v0_norm:
                 break
-    z_star, M_star, u_vals = out
+    z_star, M_star, u_vals, dual_value = out
     if terminal > tol * v0_norm:
         raise ConvergenceError(
             f"dual descent stalled at terminal norm {terminal:.3e} "
             f"(target {tol * v0_norm:.3e})",
             best=ControlField(u_vals, region))
-    zs = SpectralState(z_star, problem.domain)
-    L_hat = estimate_L(problem, rng=rng,
+    # M* <= ||v0|| / ratio(z*) for the region reflected in time, as W observes
+    # z at T - s; descent from z* only lowers the ratio, so M* <= ||v0|| / L_hat
+    reflected = SpaceTimeSet(region.mask[::-1], region.horizon, region.domain)
+    L_hat = estimate_L(replace(problem, region=reflected), rng=rng,
                        extra_starts=[z_star] if np.linalg.norm(z_star) > 0 else [])
-    cert = DualityCertificate(z_star=zs, dual_value=J(z_star),
-                              terminal_norm=terminal,
-                              control_bound=v0_norm / L_hat,
+    cert = DualityCertificate(z_star=SpectralState(z_star, problem.domain),
+                              dual_value=dual_value, terminal_norm=terminal,
                               sup_norm=M_star, L_hat=L_hat, tol=tol,
                               v0_norm=v0_norm)
     cert.check()
@@ -492,6 +480,11 @@ class TimeOptimalResult:
     terminal_norm: float
     trace: tuple[tuple[float, bool], ...]   # (trial time, feasible) pairs
 
+    def __post_init__(self):
+        thresh = min(t for t, ok in self.trace if ok)
+        require(all(ok for t, ok in self.trace if t >= thresh),
+                f"feasibility drops above the trial time {thresh}: {self.trace}")
+
 
 def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
                      u0: np.ndarray | None = None,
@@ -537,7 +530,7 @@ def solve_time_optimal(problem: ControlProblem, T_max: float,
 
     Bisection over T in (0, T_max]; each trial solves the feasibility
     problem by projected gradient.  Feasibility must be monotone in T
-    along the recorded trace, which is asserted.
+    along the recorded trace, which TimeOptimalResult checks.
     """
     if problem.omega is None:
         raise ValueError("time-optimal problems are posed with a spatial mask")
@@ -565,10 +558,6 @@ def solve_time_optimal(problem: ControlProblem, T_max: float,
             best = (nrm, u, region)
         else:
             lo = mid
-    # feasibility may not drop above a feasible trial time
-    feas_times = [t for t, ok in trace if ok]
-    thresh = min(feas_times)
-    assert all(ok for t, ok in trace if t >= thresh)
     nrm, u, region = best
     field = ControlField(u, region, bounds=problem.bounds)
     return TimeOptimalResult(t_star=hi, control=field, terminal_norm=nrm,

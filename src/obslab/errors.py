@@ -33,6 +33,12 @@ class PropertyViolation(ObsLabError):
     """A property the laboratory verifies on every call failed to hold."""
 
 
+def require(holds, message: str) -> None:
+    """Raise PropertyViolation(message) unless holds; stays on under -O."""
+    if not holds:
+        raise PropertyViolation(message)
+
+
 class ConfigError(ObsLabError):
     """A configuration file failed validation; carries the offending field."""
 

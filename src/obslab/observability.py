@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientTruncationError
+from .errors import InsufficientTruncationError, require
 from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
                         evolve, masked_l1, mode_factors, observe, propagate)
@@ -308,11 +308,12 @@ def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams
             ratios.append(0.0)
             continue
         lhs = evolve(z, params, ip.s2).norm()
-        assert integral > 0, "integral-type observation cancelled for a nonzero state"
+        require(integral > 0, "integral observation cancelled for a nonzero state")
         rhs0 = (integral / meas) ** (1.0 - ip.theta) * zn ** ip.theta
         ratios.append(lhs / rhs0)
     K_hat = float(max(ratios))
-    assert math.isfinite(K_hat)
+    if not math.isfinite(K_hat):
+        raise ArithmeticError(f"interpolation constant is not finite: {K_hat}")
     M_hat = solve_increasing(lambda M: ip.constant_template(M, meas), K_hat)
     return InterpolationReport(K_hat=K_hat, M_hat=M_hat, window_measure=meas,
                                ratios=np.array(ratios), integrals=np.array(integrals))
@@ -478,7 +479,7 @@ def verify_full_observation_pointwise(domain: SpectralDomain,
                 continue
             zt = evolve(z, params, t)
             trace = masked_l1(observe(zt, sel), slice_mask, domain.cell_volume)
-            assert trace > 0, "full observation cancelled for a nonzero state"
+            require(trace > 0, "full observation cancelled for a nonzero state")
             min_trace = min(min_trace, trace)
             target = zt.norm() / (trace ** (1.0 - theta) * zn ** theta)
             need = max(need, target)
@@ -553,7 +554,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     for mIdx in range(n_rings):
         num = L[:, mIdx]
         den = O[:, mIdx] ** (1.0 - theta) * L[:, mIdx + 2] ** theta
-        assert np.all(den > 0), "a ring observation cancelled entirely"
+        require(np.all(den > 0), "a ring observation cancelled entirely")
         ring_constants[mIdx] = float((num / den).max())
 
     # fit C_hat: A_m^(beta+1) <= prefactor * exp(C_hat * mu^(m+2)), anchored at m=1

@@ -10,6 +10,7 @@ import obslab
 from obslab import cli, control, trigpoly
 from obslab.config import ExperimentConfig
 from obslab.errors import ConfigError, PropertyViolation
+from obslab.geometry import SpaceTimeSet
 from obslab.report import RunReport, strip_timings
 from obslab.trigpoly import CheckResult
 
@@ -298,6 +299,90 @@ def test_subcommands_sharing_out_keep_their_reports(tmp_path):
     for name, text in reports.items():
         sub = name.rsplit("-", 1)[0]
         assert f"subcommand: {sub}\n" in text
+
+
+DUAL_CONFIG = ("[domain]\nn_modes = 6\nnx = 48\n"
+               "[observation]\nn_time = 32\nfill = 0.6\n"
+               "[control]\ntol = 0.05\n")
+
+
+def test_null_control_at_horizon_2_holds_its_bound(tmp_path):
+    # the certificate's constant is that of the time-reflected region; with
+    # the region's own constant this seed broke the bound sup <= ||v0||/L
+    cfg = tmp_path / "dual.cfg"
+    cfg.write_text(DUAL_CONFIG + "[system]\nhorizon = 2.0\n")
+    out = tmp_path / "out"
+    assert run(["null-control", "--config", str(cfg), "--seed", "7",
+                "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    values = dict(line.split(": ", 1) for line in text.splitlines()
+                  if ": " in line)
+    assert float(values["sup_norm"]) <= float(values["control_bound"])
+
+
+def test_null_control_certificate_violation_under_optimize(tmp_path):
+    # an assert-based certificate check would vanish under python -O
+    script = ("import sys\n"
+              "from obslab import cli, control\n"
+              "control.estimate_L = lambda *args, **kwargs: 1e6\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    cfg = tmp_path / "dual.cfg"
+    cfg.write_text(DUAL_CONFIG)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__)))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "null-control",
+                           "--config", str(cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: violation" in text
+    assert "error: PropertyViolation" in text
+    assert "exceeds the duality bound" in text
+
+
+def fixture_run(tmp_path, fixture_text, horizon=1.0):
+    """null-control at the dual sizes, its region read from a fixture file."""
+    path = tmp_path / "region.rle"
+    path.write_text(fixture_text)
+    cfg = tmp_path / "fixture.cfg"
+    cfg.write_text(DUAL_CONFIG.replace(
+        "[observation]\n",
+        f"[observation]\ngenerator = fixture\nfixture = {path}\n")
+        + f"[system]\nhorizon = {horizon}\n")
+    out = tmp_path / "out"
+    return run(["null-control", "--config", str(cfg), "--out", str(out)]), out
+
+
+def fixture_rle(n_cells, horizon):
+    dom = ExperimentConfig(nx=n_cells, n_modes=6).build_domain()
+    region = SpaceTimeSet.random(dom, horizon, 32, np.random.default_rng(0),
+                                 fill=0.6)
+    return region.to_rle()
+
+
+def test_fixture_is_read_at_the_config_horizon(tmp_path):
+    code, _ = fixture_run(tmp_path, fixture_rle(48, 2.0), horizon=2.0)
+    assert code == 0
+
+
+@pytest.mark.parametrize("n_cells,fixture_horizon", [(40, 1.0), (48, 2.0)])
+def test_fixture_not_matching_the_config_exits_2(tmp_path, capsys, n_cells,
+                                                 fixture_horizon):
+    # wrong cell count; a region drawn over (0, 2) for a horizon of 1
+    code, out = fixture_run(tmp_path, fixture_rle(n_cells, fixture_horizon))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "observation.fixture" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unparseable_fixture_exits_2(tmp_path, capsys):
+    code, _ = fixture_run(tmp_path, "nt=32 T=1.0\n")
+    assert code == 2
+    assert "observation.fixture" in capsys.readouterr().err
 
 
 def test_estimate_l_exit_3_when_ratio_collapses(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from obslab import control as ctl
-from obslab.errors import ConvergenceError, InfeasibleError
+from obslab.errors import ConvergenceError, InfeasibleError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.semigroup import SpectralState, evolve, mode_factors
 from obslab.spectral import PhysicalParams, interval, rectangle
@@ -19,6 +20,16 @@ FULL = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
 
 def null_problem(region=FULL, v0=V0):
     return ctl.ControlProblem(DOMAIN, PARAMS, v0, 1.0, region=region)
+
+
+def dual_problem(seed, horizon=1.0):
+    """A random region at the sizes of the benchmark's dual workload."""
+    dom = interval(PI, n_modes=6, n_cells=48)
+    region = SpaceTimeSet.random(dom, horizon, 32, np.random.default_rng(seed),
+                                 fill=0.6, min_measure_fraction=0.1)
+    assert not np.array_equal(region.mask, region.mask[::-1])
+    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    return ctl.ControlProblem(dom, PARAMS, v0, horizon, region=region)
 
 
 # -- generator transpose --------------------------------------------------
@@ -72,6 +83,11 @@ def test_problem_validation():
         ctl.ControlProblem(DOMAIN, PARAMS, V0, 1.0,
                            omega=np.ones(DOMAIN.n_cells, dtype=bool),
                            bounds=(-1.0, 1.0), radius=2.0)
+
+
+def test_problem_rejects_region_of_another_horizon():
+    with pytest.raises(ValueError, match=r"over \(0, T\)"):
+        ctl.ControlProblem(DOMAIN, PARAMS, V0, 2.0, region=FULL)
 
 
 def test_control_field_support_check():
@@ -248,6 +264,52 @@ def test_null_control_budget_exhaustion_reports_best():
     assert isinstance(err.value.best, ctl.ControlField)
 
 
+def test_null_control_pinned_certificate():
+    # values of the form of the descent that evaluated the dual field twice
+    # per iterate and three times per certification
+    field, cert = ctl.synthesize_null_control(dual_problem(11), 0.05)
+    assert cert.terminal_norm == 0.045945774706976326
+    assert cert.sup_norm == 1.625843119663945
+    assert cert.dual_value == -1.3216829248792934
+
+
+def test_null_control_one_dual_field_per_iterate(monkeypatch):
+    calls = []
+    dual_field = ctl.ControlOperator.dual_field
+
+    def counted(op, z):
+        calls.append(z)
+        return dual_field(op, z)
+
+    monkeypatch.setattr(ctl.ControlOperator, "dual_field", counted)
+    with pytest.raises(ConvergenceError):
+        ctl.synthesize_null_control(dual_problem(11), tol=1.5e-6, budget=200)
+    assert len(calls) <= 1.2 * 200
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.0])
+def test_null_control_bound_holds_on_asymmetric_regions(horizon):
+    # the dual field observes z at T - s, so the bound rests on the
+    # observability constant of the region reflected in time
+    for seed in range(8):
+        field, cert = ctl.synthesize_null_control(
+            dual_problem(seed, horizon), 0.05, rng=np.random.default_rng(seed))
+        assert field.sup_norm <= cert.control_bound * (1.0 + 1e-6)
+
+
+def test_certificate_check_raises_with_both_numbers():
+    cert = ctl.DualityCertificate(z_star=V0, dual_value=0.0,
+                                  terminal_norm=0.005, sup_norm=2.5,
+                                  L_hat=0.5, tol=0.01, v0_norm=1.0)
+    assert cert.control_bound == 2.0
+    with pytest.raises(PropertyViolation, match=r"2\.5 .* 2\.00000"):
+        cert.check()
+    late = dataclasses.replace(cert, terminal_norm=0.02, sup_norm=1.0)
+    with pytest.raises(PropertyViolation, match=r"0\.02 .* 0\.01"):
+        late.check()
+    dataclasses.replace(late, terminal_norm=0.01).check()
+
+
 def test_least_squares_oracle_reaches_target():
     field, terminal = ctl.least_squares_null_control(null_problem())
     assert terminal <= 1e-8
@@ -286,6 +348,15 @@ def test_time_optimal_feasibility_trace_monotone():
     feas = [t for t, ok in res.trace if ok]
     infeas = [t for t, ok in res.trace if not ok]
     assert not infeas or min(feas) > max(infeas)
+
+
+def test_time_optimal_non_monotone_trace_is_a_violation():
+    field = ctl.ControlField.zero(FULL)
+    ctl.TimeOptimalResult(0.75, field, 0.0,
+                          ((1.0, True), (0.5, False), (0.75, True)))
+    with pytest.raises(PropertyViolation, match="above the trial time 0.5"):
+        ctl.TimeOptimalResult(0.5, field, 0.0,
+                              ((1.0, True), (0.5, True), (0.75, False)))
 
 
 def test_time_optimal_shrinking_radius_increases_t_star():

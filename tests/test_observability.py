@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from obslab import control as ctl
 from obslab import observability as obs
-from obslab.errors import InsufficientTruncationError
+from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
                               mode_factors)
@@ -336,3 +336,46 @@ def test_telescope_full_cylinder():
                                    z_batch=batch(23, 8))
     assert rep.dominated
     assert rep.theta == pytest.approx(2.0 / 3.0)
+
+
+# -- checks that hold under python -O -------------------------------------
+
+
+def zero_profile(state, params, D, sel):
+    return np.zeros(D.n_time)
+
+
+def test_integral_observation_cancelling_is_a_violation(monkeypatch):
+    monkeypatch.setattr(obs, "observation_profile", zero_profile)
+    ip = obs.InterpolationParams(0.5, 0.25, 0.75)
+    with pytest.raises(PropertyViolation, match="integral observation"):
+        obs.verify_integral_interpolation(DOMAIN, PARAMS, random_D(3), ip,
+                                          batch(4, 2))
+
+
+def test_integral_interpolation_non_finite_constant_raises(monkeypatch):
+    class Unbounded:
+        def norm(self):
+            return math.inf
+
+    monkeypatch.setattr(obs, "evolve", lambda z, params, t: Unbounded())
+    ip = obs.InterpolationParams(0.5, 0.25, 0.75)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        obs.verify_integral_interpolation(DOMAIN, PARAMS, random_D(3), ip,
+                                          batch(4, 2))
+
+
+def test_full_observation_cancelling_is_a_violation(monkeypatch):
+    monkeypatch.setattr(obs, "masked_l1", lambda field, mask, cell_volume: 0.0)
+    D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
+    with pytest.raises(PropertyViolation, match="full observation"):
+        obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5, [0.5],
+                                              batch(8, 2))
+
+
+def test_ring_observation_cancelling_is_a_violation(monkeypatch):
+    monkeypatch.setattr(obs, "observation_profile", zero_profile)
+    D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
+    with pytest.raises(PropertyViolation, match="ring observation"):
+        obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=2.0, depth=5,
+                                 z_batch=batch(23, 2))
