@@ -57,6 +57,8 @@ def _observation_set(cfg: ExperimentConfig, domain, rng) -> SpaceTimeSet:
                 D = SpaceTimeSet.from_rle(fh.read(), domain)
             if D.horizon != cfg.horizon:
                 raise ValueError(f"fixture T={D.horizon}, horizon={cfg.horizon}")
+            if D.measure() <= 0:
+                raise ValueError("fixture region has zero measure")
         except (ValueError, KeyError, IndexError) as exc:
             raise ConfigError("observation.fixture", repr(exc)) from exc
         return D
@@ -201,9 +203,10 @@ def _run_null_control(cfg, rng, report) -> bool:
     field, cert = control.synthesize_null_control(problem, cfg.tol, rng=rng)
     defect = control.duality_defect(problem, field, rng=rng)
     report.add("null_control", terminal_norm=cert.terminal_norm,
-               sup_norm=cert.sup_norm, control_bound=cert.control_bound,
-               L_hat=cert.L_hat, dual_value=cert.dual_value,
-               duality_defect=defect)
+               sup_norm=cert.sup_norm, least_sup_lower=cert.least_sup_lower,
+               control_bound=cert.control_bound, L_hat=cert.L_hat,
+               dual_value=cert.dual_value, newton_steps=cert.newton_steps,
+               mu=cert.mu, duality_defect=defect)
     report.add_series("control_field", *field.table())
     return defect <= 1e-8
 

@@ -138,6 +138,9 @@ class DualityCertificate:
     L_hat: float
     tol: float
     v0_norm: float
+    newton_steps: int = 0          # Newton trial points of the dual solve
+    mu: float = 0.0                # smoothing width of its last stage
+    least_sup_lower: float = 0.0   # no exact null control has a smaller sup
 
     @property
     def control_bound(self) -> float:
@@ -145,7 +148,7 @@ class DualityCertificate:
         return self.v0_norm / self.L_hat
 
     def check(self) -> None:
-        """Raise PropertyViolation unless both certified inequalities hold."""
+        """Raise PropertyViolation unless both of its inequalities hold."""
         target, bound = self.tol * self.v0_norm, self.control_bound * (1.0 + 1e-6)
         require(self.terminal_norm <= target + 1e-300,
                 f"terminal norm {self.terminal_norm} exceeds the target {target}")
@@ -155,6 +158,13 @@ class DualityCertificate:
 
 # ---------------------------------------------------------------------------
 # discrete input map
+
+
+# Lanes are observed, and Gram matrices built, in blocks of at most this many
+# field values (128 KiB of float64, glibc's default mmap threshold): a block
+# stays in cache across the passes over it, and the memory of one evaluation
+# does not grow with the number of lanes or time rows.
+_FIELD_BLOCK = 1 << 14
 
 
 class ControlOperator:
@@ -197,20 +207,31 @@ class ControlOperator:
         """Adjoint in the weighted (dt * dx) control inner product."""
         return self.dual_field(y) * self.region.mask
 
-    def norm_estimate(self, iters: int = 60) -> float:
-        """Spectral norm of the weighted map by power iteration."""
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal((self.domain.n_modes, 2))
-        y /= np.linalg.norm(y)
+    def gram(self, weights) -> np.ndarray:
+        """K^T diag(weights) K, a 2 n_modes square, rows ordered as z.ravel().
+
+        K maps a dual state z to its dual field on the region's cells;
+        weights broadcasts to the grid and is dropped off the region.  K is
+        never formed: entry ((k, c), (l, d)) is the sum over time rows i of
+        f_c[i, k] f_d[i, l] sum_j phi_k(x_j) weights[i, j] phi_l(x_j), with
+        f = decay * (cos, sin), built a block of time rows at a time.
+        """
+        phi = self.domain.eigenfunctions
+        n = self.domain.n_modes
+        wt = weights * self.region.mask
+        f = self.decay[..., None] * np.stack([self.cos, self.sin], axis=-1)
+        out = np.zeros((n, 2, n, 2))
+        blk = max(1, _FIELD_BLOCK // phi.size)
+        for lo in range(0, len(wt), blk):
+            rows = slice(lo, lo + blk)
+            P = (phi * wt[rows, None, :]) @ phi.T
+            out += np.einsum("ikc,ild,ikl->kcld", f[rows], f[rows], P)
+        return out.reshape(2 * n, 2 * n)
+
+    def norm_estimate(self) -> float:
+        """Spectral norm of the weighted map, from its Gram's top eigenvalue."""
         w = self.region.dt * self.domain.cell_volume
-        val = 0.0
-        for _ in range(iters):
-            y2 = self.apply(self.adjoint(y)) * w
-            nrm = np.linalg.norm(y2)
-            if nrm == 0:
-                return 0.0
-            val, y = nrm, y2 / nrm
-        return math.sqrt(val)
+        return math.sqrt(np.linalg.eigvalsh(self.gram(w * w))[-1])
 
     def terminal(self, v0: SpectralState, u: np.ndarray) -> SpectralState:
         """v(T) under the transposed generator with control u."""
@@ -220,13 +241,6 @@ class ControlOperator:
 
 # ---------------------------------------------------------------------------
 # observability constant of the control region
-
-
-# Lanes are observed in blocks of at most this many field values (128 KiB
-# of float64, glibc's default mmap threshold): a block's field stays in cache
-# across the passes over it, and the memory of one evaluation does not grow
-# with the number of lanes.
-_FIELD_BLOCK = 1 << 14
 
 
 def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
@@ -319,17 +333,12 @@ def brute_force_single_mode_ratio(problem: ControlProblem,
 # null control by duality
 
 
-def _sign(x: np.ndarray) -> np.ndarray:
-    # ties at exactly zero break to +1 so the control stays extremal
-    return np.where(x >= 0.0, 1.0, -1.0)
-
-
-def _dual(op: ControlOperator, v0: np.ndarray, z: np.ndarray):
-    """The dual field W of z, its bulk int int_R |W|, and <v0, exp(AT) z>."""
-    W = op.dual_field(z)
-    bulk = float(np.abs(W[op.region.mask]).sum()
-                 * op.domain.cell_volume * op.region.dt)
-    return W, bulk, float(np.sum(v0 * propagate(op.at_horizon, z)))
+# The smoothing width mu of |W| ~ sqrt(W^2 + mu^2) falls tenfold per stage
+# over this range.  A Newton step is halved until the Armijo decrease holds,
+# at most _BACKTRACKS times; a step that never decreases ends the stage.
+_MU_STAGES = tuple(10.0 ** -k for k in range(8))
+_ARMIJO = 1e-4
+_BACKTRACKS = 30
 
 
 def synthesize_null_control(problem: ControlProblem, tol: float,
@@ -338,86 +347,81 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
                             ) -> tuple[ControlField, DualityCertificate]:
     """Sup-norm-bounded control driving v(T) near zero, via the dual problem.
 
-    Minimizes J(z) = 0.5 * bulk(z)^2 - <v0, exp(AT) z> by subgradient
-    descent (step c/sqrt(k), averaged iterates), rescales the best dual
-    state along its ray, and certifies the recovered bang-bang-shaped
-    control u = -M* sign(W) by exact forward simulation.  Each iterate
-    costs one dual evaluation, which gives J and the next subgradient.
+    With W the dual field of z on the region R and s = sqrt(W^2 + mu^2),
+    minimizes J_mu(z) = 0.5 * N_mu(z)^2 - <v0, exp(AT) z>, N_mu = int int_R s,
+    by damped Newton in the 2 n_modes unknowns of z, one stage per mu.
+    After each stage it recovers u = -M W / s, M = <v0, exp(AT) z> /
+    int int_R |W|, and stops at the first stage whose terminal norm, by
+    exact forward simulation, meets the target.  Then sup|u| < M, and every
+    exact null control has sup norm at least M.  budget caps the Newton
+    trial points, each of which costs one dual evaluation.
     """
     if not 1e-6 < tol < 1e-1:
         raise ValueError("tol must lie in (1e-6, 1e-1)")
     region = problem.region_at(problem.horizon)
     op = ControlOperator(problem.domain, problem.params, region)
-    v0 = problem.v0.coeffs
     v0_norm = problem.v0.norm()
-    if v0_norm == 0:
-        zero = SpectralState(np.zeros_like(v0), problem.domain)
-        return ControlField.zero(region), DualityCertificate(
-            zero, dual_value=0.0, terminal_norm=0.0, sup_norm=0.0,
-            L_hat=math.inf, tol=tol, v0_norm=0.0)
+    # <v0, exp(AT) z> = <free, z>; the recovered control's terminal state is
+    # near -grad J_mu, so Newton's residual tracks the terminal norm.
+    free = evolve(problem.v0, problem.params, problem.horizon,
+                  transpose=True).coeffs
+    target = tol * v0_norm
+    mask, w = region.mask, region.dt * problem.domain.cell_volume
 
-    # With u = -M* sign(dual field), the terminal state is the negative of
-    # this J's gradient, so driving J down drives ||v(T)|| down.
-    lin_grad = evolve(problem.v0, problem.params, problem.horizon,
-                      transpose=True).coeffs
+    def smoothed(z, mu):    # the dual field W of z, s, N_mu and J_mu
+        W = op.dual_field(z)
+        s = np.sqrt(W * W + mu * mu)
+        N = float(s[mask].sum() * w)
+        return W, s, N, 0.5 * N * N - float(np.sum(free * z))
 
-    def certified(z):    # rescale z along its ray to stationarity of J
-        W, bulk, lin = _dual(op, v0, z)
-        M = 0.0
-        if bulk > 0:
-            t = lin / bulk ** 2
-            z, M = t * z, abs(t) * bulk
-            W, bulk, lin = _dual(op, v0, z)
-        u = -bulk * _sign(W) * region.mask
-        return (op.terminal(problem.v0, u).norm(),
-                (z, M, u, 0.5 * bulk ** 2 - lin))
-
-    z = np.zeros_like(v0)
-    W, bulk, lin = _dual(op, v0, z)
-    g = bulk * op.apply(np.sign(W)) - lin_grad
-    # 1-D line probe along the first descent direction to set the step scale
-    d0 = -g / np.linalg.norm(g)
-    scales = np.geomspace(1e-4, 1e2, 25)
-    probe = [_dual(op, v0, s * d0)[1:] for s in scales]
-    c_step = float(scales[int(np.argmin([0.5 * bk ** 2 - ln for bk, ln in probe]))])
-    best_z, best_J = z, 0.5 * bulk ** 2 - lin
-    avg = np.zeros_like(z)
-    terminal, out = certified(z)
-    for k in range(1, budget + 1):
-        gn = np.linalg.norm(g)
-        if gn == 0:
-            break
-        z = z - (c_step / math.sqrt(k)) * g / gn
-        avg += z
-        W, bulk, lin = _dual(op, v0, z)
-        g = bulk * op.apply(np.sign(W)) - lin_grad
-        Jz = 0.5 * bulk ** 2 - lin
-        if Jz < best_J:
-            best_J, best_z = Jz, z
-        if k % 200 == 0 or k == budget:
-            for cand in (best_z, avg / k):
-                tnorm, cand_out = certified(cand)
-                if tnorm < terminal:
-                    terminal, out = tnorm, cand_out
-            if terminal <= tol * v0_norm:
+    z, steps = np.zeros_like(free), 0
+    for mu in _MU_STAGES:
+        W, s, N, J = smoothed(z, mu)
+        while steps < budget:
+            grad_N = op.apply(W / s)
+            g = N * grad_N - free
+            if np.linalg.norm(g) <= 0.5 * target:
                 break
-    z_star, M_star, u_vals, dual_value = out
-    if terminal > tol * v0_norm:
+            H = np.outer(grad_N, grad_N) + N * op.gram(w * (mu / s) ** 2 / s)
+            d = np.linalg.lstsq(H, -g.ravel())[0].reshape(z.shape)
+            slope = float(np.sum(g * d))
+            for k in range(min(_BACKTRACKS, budget - steps)):
+                steps += 1
+                trial = z + 0.5 ** k * d
+                W_t, s_t, N_t, J_t = smoothed(trial, mu)
+                if J_t <= J + _ARMIJO * 0.5 ** k * slope:
+                    z, W, s, N, J = trial, W_t, s_t, N_t, J_t
+                    break
+            else:
+                break
+        bulk = float(np.abs(W[mask]).sum() * w)
+        lin = float(np.sum(free * z))
+        M = lin / bulk if bulk > 0 else 0.0
+        u = -M * (W / s) * mask
+        terminal = op.terminal(problem.v0, u).norm()
+        if terminal <= target or steps == budget:
+            break
+    if terminal > target:
         raise ConvergenceError(
-            f"dual descent stalled at terminal norm {terminal:.3e} "
-            f"(target {tol * v0_norm:.3e})",
-            best=ControlField(u_vals, region))
-    # M* <= ||v0|| / ratio(z*) for the region reflected in time, as W observes
-    # z at T - s; descent from z* only lowers the ratio, so M* <= ||v0|| / L_hat
-    reflected = SpaceTimeSet(region.mask[::-1], region.horizon, region.domain)
-    L_hat = estimate_L(replace(problem, region=reflected), rng=rng,
-                       extra_starts=[z_star] if np.linalg.norm(z_star) > 0 else [])
-    cert = DualityCertificate(z_star=SpectralState(z_star, problem.domain),
-                              dual_value=dual_value, terminal_norm=terminal,
-                              sup_norm=M_star, L_hat=L_hat, tol=tol,
-                              v0_norm=v0_norm)
+            f"dual Newton stopped at terminal norm {terminal:.3e} "
+            f"(target {target:.3e}) after {steps} trial points, mu {mu:.0e}",
+            best=ControlField(u, region))
+    # M <= ||v0|| / ratio(z) for the region reflected in time, as W observes
+    # z at T - s; descent from z only lowers the ratio, so M <= ||v0|| / L_hat
+    L_hat = math.inf                    # u = 0 needs no bound
+    if bulk > 0:
+        reflected = SpaceTimeSet(region.mask[::-1], region.horizon,
+                                 region.domain)
+        L_hat = estimate_L(replace(problem, region=reflected), rng=rng,
+                           extra_starts=[z])
+    field = ControlField(u, region)
+    cert = DualityCertificate(z_star=SpectralState(z, problem.domain),
+                              dual_value=0.5 * bulk ** 2 - lin,
+                              terminal_norm=terminal, sup_norm=field.sup_norm,
+                              L_hat=L_hat, tol=tol, v0_norm=v0_norm,
+                              newton_steps=steps, mu=mu, least_sup_lower=M)
     cert.check()
-    return ControlField(u_vals, region), cert
+    return field, cert
 
 
 def duality_defect(problem: ControlProblem, field: ControlField,
@@ -453,17 +457,11 @@ def least_squares_null_control(problem: ControlProblem,
     """
     region = problem.region_at(problem.horizon)
     op = ControlOperator(problem.domain, problem.params, region)
-    n = problem.domain.n_modes
     wgt = region.dt * problem.domain.cell_volume
-    # Gram matrix of the weighted input map on coefficient space
-    gram = np.empty((2 * n, 2 * n))
-    for i in range(2 * n):
-        e = np.zeros((n, 2))
-        e[i // 2, i % 2] = 1.0
-        gram[:, i] = (op.apply(op.adjoint(e)) * wgt).ravel()
+    gram = op.gram(wgt * wgt)     # of the weighted input map
     free = evolve(problem.v0, problem.params, problem.horizon,
                   transpose=True).coeffs
-    y = (np.linalg.pinv(gram, rcond=rcond) @ (-free.ravel())).reshape(n, 2)
+    y = (np.linalg.pinv(gram, rcond=rcond) @ (-free.ravel())).reshape(free.shape)
     u = op.adjoint(y) * wgt
     terminal = op.terminal(problem.v0, u).norm()
     return ControlField(u, region), terminal

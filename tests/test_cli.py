@@ -321,6 +321,20 @@ def test_null_control_at_horizon_2_holds_its_bound(tmp_path):
     assert float(values["sup_norm"]) <= float(values["control_bound"])
 
 
+def test_null_control_default_config_meets_its_target(tmp_path):
+    # a region of the default config on which subgradient descent on the
+    # nonsmooth dual stalls above tol
+    out = tmp_path / "out"
+    assert run(["null-control", "--seed", "2", "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    values = dict(line.split(": ", 1) for line in text.splitlines()
+                  if ": " in line)
+    assert float(values["terminal_norm"]) <= 0.01
+    assert (float(values["sup_norm"]) <= float(values["least_sup_lower"])
+            <= float(values["control_bound"]))
+
+
 def test_null_control_certificate_violation_under_optimize(tmp_path):
     # an assert-based certificate check would vanish under python -O
     script = ("import sys\n"
@@ -343,8 +357,8 @@ def test_null_control_certificate_violation_under_optimize(tmp_path):
     assert "exceeds the duality bound" in text
 
 
-def fixture_run(tmp_path, fixture_text, horizon=1.0):
-    """null-control at the dual sizes, its region read from a fixture file."""
+def fixture_run(tmp_path, fixture_text, horizon=1.0, sub="null-control"):
+    """A subcommand at the dual sizes, its region read from a fixture file."""
     path = tmp_path / "region.rle"
     path.write_text(fixture_text)
     cfg = tmp_path / "fixture.cfg"
@@ -353,7 +367,7 @@ def fixture_run(tmp_path, fixture_text, horizon=1.0):
         f"[observation]\ngenerator = fixture\nfixture = {path}\n")
         + f"[system]\nhorizon = {horizon}\n")
     out = tmp_path / "out"
-    return run(["null-control", "--config", str(cfg), "--out", str(out)]), out
+    return run([sub, "--config", str(cfg), "--out", str(out)]), out
 
 
 def fixture_rle(n_cells, horizon):
@@ -376,6 +390,16 @@ def test_fixture_not_matching_the_config_exits_2(tmp_path, capsys, n_cells,
     assert code == 2
     err = capsys.readouterr().err
     assert "observation.fixture" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["null-control", "interp", "telescope",
+                                 "estimate-L"])
+def test_fixture_of_zero_measure_exits_2(tmp_path, capsys, sub):
+    code, out = fixture_run(tmp_path, "nt=4 nx=48 T=1.0\n" + "\n" * 4, sub=sub)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "observation.fixture" in err and "zero measure" in err
     assert not out.exists()
 
 
