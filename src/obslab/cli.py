@@ -220,10 +220,14 @@ def _run_time_optimal(cfg, rng, report) -> bool:
                                      radius=cfg.radius, n_time=cfg.n_time)
     result = control.solve_time_optimal(problem, cfg.horizon)
     fraction, holds = control.verify_bang_bang(result.control)
+    polish = result.polish
     report.add("time_optimal", t_star=result.t_star,
                terminal_norm=result.terminal_norm,
                interior_fraction=fraction, bang_bang=holds,
-               trials=len(result.trace))
+               trials=len(result.trace), stalled_trials=result.stalled_trials,
+               polish_iterations=polish.iterations,
+               gap=polish.upper - polish.lower)
+    report.add_series("time_optimal_trials", *result.trial_table())
     return holds
 
 

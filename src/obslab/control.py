@@ -3,7 +3,8 @@
 Estimates the observability constant of the control region, builds
 sup-norm-bounded null controls by minimizing the dual functional, and
 solves the time-optimal problem by bisection over the horizon with a
-box-constrained feasibility solve at each trial time.
+box-constrained feasibility solve at each trial time, each decided by a
+feasible control or a weak-duality bound.
 
 The controlled system runs under the transposed generator,
 ``evolve(..., transpose=True)``: each mode's 2x2 evolution block is the
@@ -472,25 +473,87 @@ def least_squares_null_control(problem: ControlProblem,
 
 
 @dataclass(frozen=True)
+class Trial:
+    """One feasibility solve at horizon time, bracketed from both sides.
+
+    lower <= min ||v(time; u)|| over admissible u <= upper, the norm of the
+    returned control.  stop says how the solve ended: "reached" (upper
+    within the radius), "certified" (lower beyond it), "stalled" or
+    "budget" (neither bound decided, so the trial counts as infeasible).
+    """
+
+    time: float
+    lower: float
+    upper: float
+    iterations: int
+    stop: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.stop == "reached"
+
+    def describe(self) -> str:
+        if self.stop == "certified":
+            return (f"certified infeasible, distance >= {self.lower:.6e} "
+                    f"after {self.iterations} iterations")
+        return (f"{self.stop} after {self.iterations} iterations at norm "
+                f"{self.upper:.6e}, lower bound {self.lower:.6e}, uncertified")
+
+
+@dataclass(frozen=True)
 class TimeOptimalResult:
     t_star: float
     control: ControlField
     terminal_norm: float
     trace: tuple[tuple[float, bool], ...]   # (trial time, feasible) pairs
+    trials: tuple[Trial, ...] = ()          # the same trials, with their bounds
+    polish: Trial | None = None             # the minimisation behind control
 
     def __post_init__(self):
         thresh = min(t for t, ok in self.trace if ok)
         require(all(ok for t, ok in self.trace if t >= thresh),
                 f"feasibility drops above the trial time {thresh}: {self.trace}")
 
+    @property
+    def stalled_trials(self) -> int:
+        """Trials that ended without either bound deciding them."""
+        return sum(t.stop in ("stalled", "budget") for t in self.trials)
+
+    def trial_table(self) -> tuple[str, list]:
+        """CSV header and one row per bisection trial, in solve order."""
+        return ("trial,time,feasible,stop,lower,upper,iterations",
+                [(i, t.time, t.feasible, t.stop, t.lower, t.upper, t.iterations)
+                 for i, t in enumerate(self.trials)])
+
+
+def _dual_bound(free: np.ndarray, resid: np.ndarray, grad: np.ndarray,
+                bounds: tuple[float, float]) -> float:
+    """Weak-duality lower bound on ||free + G u|| over the box, from any resid.
+
+    grad = G^T resid.  For admissible u and y = resid / ||resid||,
+    ||free + G u|| >= <free + G u, y> >= <free + G u*, y>, where the
+    bang-bang u* = nu1 where grad > 0, nu2 elsewhere, minimises <u, grad>.
+    """
+    nu1, nu2 = bounds
+    size = float(np.linalg.norm(resid))
+    if size == 0.0:
+        return 0.0
+    corner = np.where(grad > 0.0, nu1, nu2)
+    return (float(np.sum(free * resid)) + float(np.sum(corner * grad))) / size
+
 
 def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
                      u0: np.ndarray | None = None,
-                     ) -> tuple[float, np.ndarray, SpaceTimeSet]:
+                     radius: float | None = None,
+                     ) -> tuple[Trial, np.ndarray, SpaceTimeSet]:
     """Min of ||v(T; u)|| over box-constrained u, by projected gradient.
 
-    Accelerated (momentum) iteration with step 1/||map||^2; an optional
-    warm start and a stall cutoff keep repeated scans cheap.
+    Accelerated (momentum) iteration with step 1/||map||^2 from an optional
+    warm start; G y is carried linearly through the momentum step, so each
+    iteration costs one apply and one adjoint.  With a radius, the solve
+    stops once the best norm is within it, or once the weak-duality bound
+    at the momentum point's residual exceeds it.  Otherwise, and after
+    iters steps or 150 steps without progress, it returns its best control.
     """
     region = problem.region_at(T)
     op = ControlOperator(problem.domain, problem.params, region)
@@ -499,36 +562,67 @@ def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
     lip = max(op.norm_estimate() ** 2, 1e-30)
     step = 1.0 / lip
     free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
+    reach = -math.inf if radius is None else radius * (1.0 - 1e-9)
     u = np.zeros(region.mask.shape) if u0 is None else u0 * region.mask
-    y, t_acc = u, 1.0
-    best_norm, best_u = math.inf, u
+    Gu = op.apply(u)
+    y, Gy, t_acc = u, Gu, 1.0
+    best_norm, best_u = float(np.linalg.norm(free + Gu)), u
+    lower, steps = 0.0, 0
     stall_ref, stall_at = math.inf, 0
-    for k in range(iters):
-        resid = free + op.apply(y)
+    while True:
+        if best_norm <= reach:
+            stop = "reached"
+            break
+        if steps - stall_at > 150:
+            stop = "stalled"
+            break
+        if steps == iters:
+            stop = "budget"
+            break
+        resid = free + Gy
         grad = op.adjoint(resid) * wgt
+        if radius is not None:
+            lower = max(lower, _dual_bound(free, resid, grad, problem.bounds))
+            if lower > radius * (1.0 + 1e-9):
+                stop = "certified"
+                break
         u_next = np.clip(y - step * grad, nu1, nu2) * region.mask
+        Gu_next = op.apply(u_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y = u_next + ((t_acc - 1.0) / t_next) * (u_next - u)
-        u, t_acc = u_next, t_next
-        nrm = float(np.linalg.norm(free + op.apply(u)))
+        beta = (t_acc - 1.0) / t_next
+        y = u_next + beta * (u_next - u)
+        Gy = Gu_next + beta * (Gu_next - Gu)
+        u, Gu, t_acc = u_next, Gu_next, t_next
+        steps += 1
+        nrm = float(np.linalg.norm(free + Gu))
         if nrm < best_norm:
             best_norm, best_u = nrm, u
-        if nrm <= problem.radius * (1.0 - 1e-9):
-            break
         if best_norm < stall_ref * (1.0 - 1e-10):
-            stall_ref, stall_at = best_norm, k
-        elif k - stall_at > 150:
-            break
-    return best_norm, best_u, region
+            stall_ref, stall_at = best_norm, steps
+    return Trial(T, lower, best_norm, steps, stop), best_u, region
+
+
+def _polished_lower(problem: ControlProblem, u: np.ndarray,
+                    region: SpaceTimeSet) -> float:
+    """The weak-duality bound at the residual of u itself."""
+    op = ControlOperator(problem.domain, problem.params, region)
+    free = evolve(problem.v0, problem.params, region.horizon,
+                  transpose=True).coeffs
+    resid = free + op.apply(u)
+    grad = op.adjoint(resid) * (region.dt * problem.domain.cell_volume)
+    return _dual_bound(free, resid, grad, problem.bounds)
 
 
 def solve_time_optimal(problem: ControlProblem, T_max: float,
                        tol_T: float | None = None) -> TimeOptimalResult:
     """Smallest horizon whose box-constrained reachable set meets the target.
 
-    Bisection over T in (0, T_max]; each trial solves the feasibility
-    problem by projected gradient.  Feasibility must be monotone in T
-    along the recorded trace, which TimeOptimalResult checks.
+    Bisection over T in (0, T_max]; each trial is decided by an admissible
+    control within the radius or by a weak-duality bound beyond it, and
+    counts as infeasible, uncertified, if its solve stalls first.  The
+    reported control then minimises the terminal norm at t_star, warm
+    started from the last feasible trial.  Feasibility must be monotone in
+    T along the recorded trace, which TimeOptimalResult checks.
     """
     if problem.omega is None:
         raise ValueError("time-optimal problems are posed with a spatial mask")
@@ -536,40 +630,43 @@ def solve_time_optimal(problem: ControlProblem, T_max: float,
         raise ValueError("target radius must be positive")
     if tol_T is None:
         tol_T = 1e-3 * T_max
-    trace = []
-    norm_max, u_max, region_max = _feasibility_min(problem, T_max)
-    trace.append((T_max, norm_max <= problem.radius))
-    if norm_max > problem.radius:
+    first, best_u, _ = _feasibility_min(problem, T_max, radius=problem.radius)
+    if not first.feasible:
         raise InfeasibleError(
-            f"target ball unreachable at T_max={T_max} (norm {norm_max:.3e})")
+            f"target ball (radius {problem.radius}) unreachable at "
+            f"T_max={T_max}: {first.describe()}")
+    trials = [first]
     lo, hi = 0.0, T_max
-    best = (norm_max, u_max, region_max)
-    warm = u_max
+    warm = best_u
     while hi - lo > tol_T:
         mid = 0.5 * (lo + hi)
-        nrm, u, region = _feasibility_min(problem, mid, u0=warm)
-        feasible = nrm <= problem.radius
-        trace.append((mid, feasible))
-        warm = u
-        if feasible:
-            hi = mid
-            best = (nrm, u, region)
+        trial, warm, _ = _feasibility_min(problem, mid, u0=warm,
+                                          radius=problem.radius)
+        trials.append(trial)
+        if trial.feasible:
+            hi, best_u = mid, warm
         else:
             lo = mid
-    nrm, u, region = best
+    polish, u, region = _feasibility_min(problem, hi, u0=best_u)
+    polish = replace(polish, lower=_polished_lower(problem, u, region))
     field = ControlField(u, region, bounds=problem.bounds)
-    return TimeOptimalResult(t_star=hi, control=field, terminal_norm=nrm,
-                             trace=tuple(trace))
+    return TimeOptimalResult(t_star=hi, control=field,
+                             terminal_norm=polish.upper,
+                             trace=tuple((t.time, t.feasible) for t in trials),
+                             trials=tuple(trials), polish=polish)
 
 
 def grid_scan_time_optimal(problem: ControlProblem, T_max: float,
                            n_grid: int = 200) -> float:
-    """Dense-scan oracle: smallest feasible horizon on a uniform T grid."""
+    """Dense-scan oracle: smallest feasible horizon on a uniform T grid.
+
+    Each grid time runs the plain minimisation, with no radius stop and no
+    dual bound, and compares its best norm with the radius.
+    """
     warm = None
     for T in np.linspace(T_max / n_grid, T_max, n_grid):
-        nrm, u, _ = _feasibility_min(problem, float(T), u0=warm)
-        warm = u
-        if nrm <= problem.radius:
+        trial, warm, _ = _feasibility_min(problem, float(T), u0=warm)
+        if trial.upper <= problem.radius:
             return float(T)
     raise InfeasibleError(f"no horizon on the grid up to {T_max} is feasible")
 

@@ -159,6 +159,20 @@ def test_time_optimal_zero_radius_exits_2(tmp_path, capsys):
     assert "control.radius" in err and "Traceback" not in err
 
 
+def test_time_optimal_8x8_rectangle_is_bang_bang(tmp_path):
+    cfg = tmp_path / "rect8.cfg"
+    cfg.write_text("[domain]\nkind = rectangle\nnx = 8\nny = 8\n"
+                   "[control]\nradius = 0.2\n")
+    out = tmp_path / "out"
+    assert run(["time-optimal", "--config", str(cfg), "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "bang_bang: true" in text and "stalled_trials: 0" in text
+    rows = (report_dir / "time_optimal_trials.csv").read_text().split("\n")
+    assert rows[0] == "trial,time,feasible,stop,lower,upper,iterations"
+    assert len(rows) == 1 + 11 + 1                 # header, trials, final newline
+
+
 @pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"]])
 def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
     assert run(["counterexample", *flags, "--out", str(tmp_path / "out")]) == 2

@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obslab import control as ctl
+from obslab.config import ExperimentConfig
 from obslab.errors import ConvergenceError, InfeasibleError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.semigroup import SpectralState, evolve, mode_factors
@@ -409,6 +412,127 @@ def test_time_optimal_infeasible_raises():
     problem = to_problem(radius=1e-4, bounds=(-0.01, 0.01))
     with pytest.raises(InfeasibleError):
         ctl.solve_time_optimal(problem, T_max=0.05)
+
+
+def test_time_optimal_infeasible_names_its_certificate():
+    problem = to_problem(radius=1e-4, bounds=(-0.01, 0.01))
+    with pytest.raises(InfeasibleError, match=r"distance >= \d") as err:
+        ctl.solve_time_optimal(problem, T_max=0.05)
+    assert "inf " not in str(err.value)
+    stalled = ctl.Trial(1.0, 0.0, 0.5, 151, "stalled").describe()
+    assert "uncertified" in stalled and "inf" not in stalled
+
+
+def rect_problem(radius=0.2, bounds=(-1.0, 1.0)):
+    dom = rectangle(PI, PI, n_modes=8, cells=(8, 8))
+    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    return ctl.ControlProblem(dom, PARAMS, v0, 1.0,
+                              omega=np.ones(dom.n_cells, dtype=bool),
+                              bounds=bounds, radius=radius, n_time=32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rect=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       T=st.floats(0.05, 1.0), nu1=st.floats(-2.0, 0.5),
+       width=st.floats(0.1, 3.0))
+def test_dual_bound_below_every_admissible_norm(rect, seed, T, nu1, width):
+    """Weak duality: the bound from any residual direction is below the
+    terminal norm of every admissible control, bang-bang corners included."""
+    bounds = (nu1, nu1 + width)
+    problem = (rect_problem if rect else to_problem)(bounds=bounds)
+    region = problem.region_at(T)
+    op = ctl.ControlOperator(problem.domain, problem.params, region)
+    free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
+    wgt = region.dt * problem.domain.cell_volume
+    rng = np.random.default_rng(seed)
+    shape = region.mask.shape
+    controls = [rng.uniform(*bounds, shape),
+                np.where(rng.random(shape) < 0.5, *bounds),
+                np.full(shape, bounds[0]), np.full(shape, bounds[1])]
+    directions = [rng.standard_normal(free.shape)]
+    directions += [free + op.apply(u) for u in controls]
+    for r in directions:
+        lower = ctl._dual_bound(free, r, op.adjoint(r) * wgt, bounds)
+        for u in controls:
+            norm = float(np.linalg.norm(free + op.apply(u)))
+            assert lower <= norm * (1.0 + 1e-12) + 1e-15
+
+
+# t* and trial counts of the benchmark's time-optimal cases, as built by the
+# CLI at the default config; the certified trials reach the same decisions
+# as the stall-decided ones did.
+TIMEOPT_PINS = [
+    ({"kind": "interval"}, 0.2, 0.3994140625),
+    ({"kind": "rectangle", "nx": 16, "ny": 16}, 0.2, 0.2509765625),
+    ({"kind": "interval"}, 0.25, 0.359375),
+    ({"kind": "rectangle", "nx": 16, "ny": 16}, 0.25, 0.2197265625),
+]
+
+
+def cli_problem(radius, **domain):
+    cfg = ExperimentConfig().replaced(radius=radius, **domain)
+    dom = cfg.build_domain()
+    return ctl.ControlProblem(dom, cfg.build_params(),
+                              SpectralState.single_mode(dom, 1, (1.0, 0.0)),
+                              cfg.horizon, omega=np.ones(dom.n_cells, dtype=bool),
+                              bounds=(cfg.nu1, cfg.nu2), radius=radius,
+                              n_time=cfg.n_time)
+
+
+@pytest.mark.parametrize("domain,radius,t_star", TIMEOPT_PINS)
+def test_time_optimal_pinned_benchmark_cases(domain, radius, t_star):
+    res = ctl.solve_time_optimal(cli_problem(radius, **domain), T_max=1.0)
+    assert res.t_star == t_star
+    assert len(res.trace) == len(res.trials) == 11
+    assert res.stalled_trials == 0
+    assert res.terminal_norm <= radius
+    assert res.polish.lower <= res.terminal_norm == res.polish.upper
+    assert ctl.verify_bang_bang(res.control)[1]
+
+
+def test_time_optimal_one_apply_per_iteration(monkeypatch):
+    calls = [0]
+    apply = ctl.ControlOperator.apply
+
+    def counted(self, u):
+        calls[0] += 1
+        return apply(self, u)
+
+    solve = ctl._feasibility_min
+    spent = []
+
+    def recorded(*args, **kwargs):
+        before = calls[0]
+        trial, u, region = solve(*args, **kwargs)
+        spent.append((calls[0] - before, trial.iterations))
+        return trial, u, region
+
+    monkeypatch.setattr(ctl.ControlOperator, "apply", counted)
+    monkeypatch.setattr(ctl, "_feasibility_min", recorded)
+    res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
+    assert len(spent) == len(res.trials) + 1          # the trials and the polish
+    assert sum(it for _, it in spent) > len(spent)
+    assert all(applies <= it + 1 for applies, it in spent)
+
+
+def test_grid_scan_never_evaluates_the_dual_bound(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle evaluated the dual bound")
+
+    monkeypatch.setattr(ctl, "_dual_bound", forbidden)
+    oracle = ctl.grid_scan_time_optimal(to_problem(), 1.0, n_grid=20)
+    assert oracle == pytest.approx(0.55)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rect=st.booleans(), r1=st.floats(0.12, 0.34),
+       step=st.floats(0.005, 0.1))
+def test_time_optimal_t_star_monotone_in_random_radii(rect, r1, step):
+    """A larger target ball is reached no later, up to the bisection width."""
+    make = rect_problem if rect else to_problem
+    t1 = ctl.solve_time_optimal(make(radius=r1), T_max=1.0)
+    t2 = ctl.solve_time_optimal(make(radius=r1 + step), T_max=1.0)
+    assert t1.t_star > t2.t_star - 1e-3
 
 
 # -- bang-bang ------------------------------------------------------------
