@@ -552,8 +552,9 @@ def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
     warm start; G y is carried linearly through the momentum step, so each
     iteration costs one apply and one adjoint.  With a radius, the solve
     stops once the best norm is within it, or once the weak-duality bound
-    at the momentum point's residual exceeds it.  Otherwise, and after
-    iters steps or 150 steps without progress, it returns its best control.
+    at the momentum point's residual exceeds it.  It also stops after 150
+    steps without progress or iters steps in all, and returns its best
+    control either way.
     """
     region = problem.region_at(T)
     op = ControlOperator(problem.domain, problem.params, region)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -370,6 +371,14 @@ def to_problem(radius=0.15, bounds=(-1.0, 1.0), n_modes=4):
                               bounds=bounds, radius=radius, n_time=64)
 
 
+def rect_problem(radius=0.2, bounds=(-1.0, 1.0)):
+    dom = rectangle(PI, PI, n_modes=8, cells=(8, 8))
+    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    return ctl.ControlProblem(dom, PARAMS, v0, 1.0,
+                              omega=np.ones(dom.n_cells, dtype=bool),
+                              bounds=bounds, radius=radius, n_time=32)
+
+
 def test_time_optimal_free_decay_case():
     # radius above the free-decay norm at a tiny horizon: T* at most that
     t0 = 0.05
@@ -381,6 +390,13 @@ def test_time_optimal_free_decay_case():
 
 def test_time_optimal_matches_grid_scan():
     problem = to_problem()
+    res = ctl.solve_time_optimal(problem, T_max=1.0)
+    oracle = ctl.grid_scan_time_optimal(problem, 1.0, n_grid=400)
+    assert abs(res.t_star - oracle) <= 2.5e-3
+
+
+def test_time_optimal_matches_grid_scan_on_a_rectangle():
+    problem = rect_problem()
     res = ctl.solve_time_optimal(problem, T_max=1.0)
     oracle = ctl.grid_scan_time_optimal(problem, 1.0, n_grid=400)
     assert abs(res.t_star - oracle) <= 2.5e-3
@@ -418,17 +434,9 @@ def test_time_optimal_infeasible_names_its_certificate():
     problem = to_problem(radius=1e-4, bounds=(-0.01, 0.01))
     with pytest.raises(InfeasibleError, match=r"distance >= \d") as err:
         ctl.solve_time_optimal(problem, T_max=0.05)
-    assert "inf " not in str(err.value)
+    assert not re.search(r"\binf\b", str(err.value))
     stalled = ctl.Trial(1.0, 0.0, 0.5, 151, "stalled").describe()
-    assert "uncertified" in stalled and "inf" not in stalled
-
-
-def rect_problem(radius=0.2, bounds=(-1.0, 1.0)):
-    dom = rectangle(PI, PI, n_modes=8, cells=(8, 8))
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
-    return ctl.ControlProblem(dom, PARAMS, v0, 1.0,
-                              omega=np.ones(dom.n_cells, dtype=bool),
-                              bounds=bounds, radius=radius, n_time=32)
+    assert "uncertified" in stalled and not re.search(r"\binf\b", stalled)
 
 
 @settings(max_examples=40, deadline=None)
