@@ -184,8 +184,7 @@ def _run_estimate_L(cfg, rng, report) -> bool:
                              D.horizon, domain))):
         if not region.mask.any():
             continue
-        problem = control.ControlProblem(domain, params, v0, cfg.horizon,
-                                         region=region)
+        problem = control.ControlProblem(domain, params, v0, region=region)
         L_hat = control.estimate_L(problem, rng=rng)
         ok = ok and L_hat > 0
         rows.append((region.measure(), L_hat))
@@ -199,7 +198,7 @@ def _run_null_control(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
     v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
-    problem = control.ControlProblem(domain, params, v0, cfg.horizon, region=D)
+    problem = control.ControlProblem(domain, params, v0, region=D)
     field, cert = control.synthesize_null_control(problem, cfg.tol, rng=rng)
     defect = control.duality_defect(problem, field, rng=rng)
     report.add("null_control", terminal_norm=cert.terminal_norm,
@@ -215,9 +214,12 @@ def _run_time_optimal(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     omega = np.ones(domain.n_cells, dtype=bool)
     v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
-    problem = control.ControlProblem(domain, params, v0, cfg.horizon,
-                                     omega=omega, bounds=(cfg.nu1, cfg.nu2),
-                                     radius=cfg.radius, n_time=cfg.n_time)
+    try:        # the radius is checked against ||v0||, which config cannot see
+        problem = control.ControlProblem(domain, params, v0, omega=omega,
+                                         bounds=(cfg.nu1, cfg.nu2),
+                                         radius=cfg.radius, n_time=cfg.n_time)
+    except ValueError as exc:
+        raise ConfigError("control.radius", str(exc)) from exc
     result = control.solve_time_optimal(problem, cfg.horizon)
     fraction, holds = control.verify_bang_bang(result.control)
     polish = result.polish

@@ -7,9 +7,9 @@ box-constrained feasibility solve at each trial time, each decided by a
 feasible control or a weak-duality bound.
 
 The controlled system runs under the transposed generator,
-``evolve(..., transpose=True)``: each mode's 2x2 evolution block is the
-transpose of the observation-side block, so the discrete duality pairing
-is exact by construction.
+``ControlOperator.free`` and ``apply``: each mode's 2x2 evolution block is
+the transpose of the observation-side block, so the discrete duality
+pairing is exact by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
 from .observability import lane_norms, sphere_descent
 from .report import write_csv
-from .semigroup import SpectralState, evolve, mode_factors, propagate
+from .semigroup import SpectralState, mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -35,14 +35,14 @@ from .spectral import PhysicalParams, SpectralDomain
 class ControlProblem:
     """Null-control (space-time region) or time-optimal (spatial mask) setup.
 
-    Exactly one of ``region`` and ``omega`` must be given.  ``bounds``,
-    ``radius`` and ``n_time`` only apply to the time-optimal variant.
+    Exactly one of ``region`` and ``omega`` must be given.  A null control
+    acts over the region's horizon.  ``bounds``, ``radius`` and ``n_time``
+    only apply to the time-optimal variant, whose horizon is each trial's.
     """
 
     domain: SpectralDomain
     params: PhysicalParams
     v0: SpectralState
-    horizon: float
     region: SpaceTimeSet | None = None
     omega: np.ndarray | None = None
     bounds: tuple[float, float] | None = None
@@ -50,14 +50,11 @@ class ControlProblem:
     n_time: int = 64
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         if (self.region is None) == (self.omega is None):
             raise ValueError("give exactly one of region (null control) "
                              "and omega (time-optimal)")
-        if self.region is not None and (self.region.measure() <= 0
-                                        or self.region.horizon != self.horizon):
-            raise ValueError("control region must have positive measure over (0, T)")
+        if self.region is not None and self.region.measure() <= 0:
+            raise ValueError("control region must have positive measure")
         if self.omega is not None:
             om = np.asarray(self.omega, dtype=bool).copy()
             if om.shape != (self.domain.n_cells,):
@@ -75,9 +72,7 @@ class ControlProblem:
                 raise ValueError("initial state must start outside the target ball")
 
     def region_at(self, T: float) -> SpaceTimeSet:
-        """The control region as a space-time set over (0, T)."""
-        if self.region is not None:
-            return self.region
+        """The time-optimal control region omega x (0, T)."""
         mask = np.broadcast_to(self.omega, (self.n_time, self.domain.n_cells))
         return SpaceTimeSet(mask, T, self.domain)
 
@@ -175,19 +170,24 @@ class ControlOperator:
     coefficient increment  sum_i dt * Estar(T - s_i) P(chi_i B^T u_i),
     with P the quadrature projection onto the eigenbasis.  The adjoint
     evaluates the observed dual field (B exp(A(T - s_i)) z)(x) on the
-    region, so the duality pairing is exact on the grid.
+    region, so the duality pairing is exact on the grid.  weight is the
+    quadrature weight dt * dx of one region cell.
     """
 
     def __init__(self, domain: SpectralDomain, params: PhysicalParams,
                  region: SpaceTimeSet):
         self.domain = domain
-        self.params = params
         self.region = region
         T = region.horizon
         tau = T - region.midpoints            # dual trace times per cell
         self.decay, self.cos, self.sin = mode_factors(domain, params, tau)
         self.at_horizon = mode_factors(domain, params, T)
         self.observed = np.flatnonzero(region.mask)   # flat (time, cell) indices
+        self.weight = region.dt * domain.cell_volume
+
+    def free(self, v0: SpectralState) -> np.ndarray:
+        """Coefficients of the uncontrolled terminal state exp(A^T T) v0."""
+        return propagate(self.at_horizon, v0.coeffs, transpose=True)
 
     def dual_field(self, z: np.ndarray) -> np.ndarray:
         """First component of exp(A * (T - s_i)) z on the grid, (n_time, n_cells)."""
@@ -231,13 +231,7 @@ class ControlOperator:
 
     def norm_estimate(self) -> float:
         """Spectral norm of the weighted map, from its Gram's top eigenvalue."""
-        w = self.region.dt * self.domain.cell_volume
-        return math.sqrt(np.linalg.eigvalsh(self.gram(w * w))[-1])
-
-    def terminal(self, v0: SpectralState, u: np.ndarray) -> SpectralState:
-        """v(T) under the transposed generator with control u."""
-        free = evolve(v0, self.params, self.region.horizon, transpose=True)
-        return SpectralState(free.coeffs + self.apply(u), self.domain)
+        return math.sqrt(np.linalg.eigvalsh(self.gram(self.weight * self.weight))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +265,8 @@ def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
         np.sign(f, out=f)
         f *= region.mask
         np.matmul(f, dom.eigenfunctions.T, out=g1[lo:lo + blk])
-    wgt = dom.cell_volume * region.dt
-    num *= wgt
-    g1 *= wgt
+    num *= op.weight
+    g1 *= op.weight
     g_num = np.stack([(forward_decay * forward_cos * g1).sum(axis=1),
                       (forward_decay * forward_sin * g1).sum(axis=1)], axis=-1)
     # denominator: norm of exp(A T) y0, diagonal per mode
@@ -303,7 +296,7 @@ def estimate_L(problem: ControlProblem, restarts: int = 64,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    region = problem.region_at(problem.horizon)
+    region = problem.region
     op = ControlOperator(problem.domain, problem.params, region)
     forward = mode_factors(problem.domain, problem.params, region.midpoints)
     n = problem.domain.n_modes
@@ -316,18 +309,24 @@ def estimate_L(problem: ControlProblem, restarts: int = 64,
     return best
 
 
-def brute_force_single_mode_ratio(problem: ControlProblem,
-                                  n_phases: int = 3600) -> float:
-    """Oracle for single-mode truncation: scan the initial phase circle."""
-    region = problem.region_at(problem.horizon)
-    op = ControlOperator(problem.domain, problem.params, region)
-    forward = mode_factors(problem.domain, problem.params, region.midpoints)
-    best = math.inf
-    for phase in np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False):
-        y0 = np.array([[[math.cos(phase), math.sin(phase)]]])
-        val, _ = _ratio_and_grad(op, forward, y0)
-        best = min(best, float(val[0]))
-    return best
+def brute_force_single_mode_ratio(problem: ControlProblem) -> float:
+    """Oracle for single-mode truncation: scan 3600 phases of the unit circle.
+
+    In closed form, sharing no code with the kernel estimate_L descends on:
+    from y0 = (cos p, sin p) the observed field at time s is
+    exp(-a lam s) cos(lam b s - p) phi_1(x), and ||exp(AT) y0|| is
+    exp(-a lam T), so the ratio is
+    sum_i dt exp(-a lam s_i) |cos(lam b s_i - p)| m_i / exp(-a lam T),
+    with m_i the integral of |phi_1| over the region's slice at s_i.
+    """
+    region, dom, params = problem.region, problem.domain, problem.params
+    lam = float(dom.eigenvalues[0])
+    s = region.midpoints
+    m = region.mask @ np.abs(dom.eigenfunctions[0]) * dom.cell_volume
+    p = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)[:, None]
+    trace = np.exp(-params.a * lam * s) * np.abs(np.cos(lam * params.b * s - p))
+    ratios = (trace * m).sum(axis=1) * region.dt
+    return float(ratios.min()) / math.exp(-params.a * lam * region.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +358,14 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
     """
     if not 1e-6 < tol < 1e-1:
         raise ValueError("tol must lie in (1e-6, 1e-1)")
-    region = problem.region_at(problem.horizon)
+    region = problem.region
     op = ControlOperator(problem.domain, problem.params, region)
     v0_norm = problem.v0.norm()
     # <v0, exp(AT) z> = <free, z>; the recovered control's terminal state is
     # near -grad J_mu, so Newton's residual tracks the terminal norm.
-    free = evolve(problem.v0, problem.params, problem.horizon,
-                  transpose=True).coeffs
+    free = op.free(problem.v0)
     target = tol * v0_norm
-    mask, w = region.mask, region.dt * problem.domain.cell_volume
+    mask, w = region.mask, op.weight
 
     def smoothed(z, mu):    # the dual field W of z, s, N_mu and J_mu
         W = op.dual_field(z)
@@ -399,7 +397,7 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
         lin = float(np.sum(free * z))
         M = lin / bulk if bulk > 0 else 0.0
         u = -M * (W / s) * mask
-        terminal = op.terminal(problem.v0, u).norm()
+        terminal = float(np.linalg.norm(free + op.apply(u)))
         if terminal <= target or steps == budget:
             break
     if terminal > target:
@@ -426,45 +424,43 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
 
 
 def duality_defect(problem: ControlProblem, field: ControlField,
-                   n_probes: int = 100,
                    rng: np.random.Generator | None = None) -> float:
-    """Max relative error of the duality pairing over random dual probes.
+    """Max relative error of the duality pairing over 100 random dual probes.
 
     <v(T), z> = <v0, exp(AT) z> + <u, adjoint trace of z>  for every z.
+    Each probe's error is relative to the sum of the sizes of the two terms
+    on the right, which does not shrink as the control reaches its target.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     op = ControlOperator(problem.domain, problem.params, field.region)
-    vT = op.terminal(problem.v0, field.values).coeffs
     v0 = problem.v0.coeffs
-    wgt = op.domain.cell_volume * field.region.dt
+    vT = op.free(problem.v0) + op.apply(field.values)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(100):
         z = rng.standard_normal(v0.shape)
         lhs = float(np.sum(vT * z))
-        rhs = float(np.sum(v0 * propagate(op.at_horizon, z)))
-        rhs += float(np.sum(field.values * op.adjoint(z)) * wgt)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, abs(lhs - rhs) / scale)
+        free_term = float(np.sum(v0 * propagate(op.at_horizon, z)))
+        control_term = float(np.sum(field.values * op.adjoint(z)) * op.weight)
+        scale = max(abs(free_term) + abs(control_term), 1e-30)
+        worst = max(worst, abs(lhs - (free_term + control_term)) / scale)
     return worst
 
 
-def least_squares_null_control(problem: ControlProblem,
-                               rcond: float = 1e-12) -> tuple[ControlField, float]:
+def least_squares_null_control(problem: ControlProblem) -> tuple[ControlField, float]:
     """Box-free minimal-weighted-L2 control by normal equations (oracle).
 
     Solves u = adjoint(y) with (G G*) y = -free terminal state, using a
-    pseudo-inverse so modes decayed below rcond are left uncontrolled.
+    pseudo-inverse so modes decayed below 1e-12 of the largest singular
+    value are left uncontrolled.
     """
-    region = problem.region_at(problem.horizon)
+    region = problem.region
     op = ControlOperator(problem.domain, problem.params, region)
-    wgt = region.dt * problem.domain.cell_volume
-    gram = op.gram(wgt * wgt)     # of the weighted input map
-    free = evolve(problem.v0, problem.params, problem.horizon,
-                  transpose=True).coeffs
-    y = (np.linalg.pinv(gram, rcond=rcond) @ (-free.ravel())).reshape(free.shape)
-    u = op.adjoint(y) * wgt
-    terminal = op.terminal(problem.v0, u).norm()
+    gram = op.gram(op.weight * op.weight)     # of the weighted input map
+    free = op.free(problem.v0)
+    y = (np.linalg.pinv(gram, rcond=1e-12) @ (-free.ravel())).reshape(free.shape)
+    u = op.adjoint(y) * op.weight
+    terminal = float(np.linalg.norm(free + op.apply(u)))
     return ControlField(u, region), terminal
 
 
@@ -542,10 +538,10 @@ def _dual_bound(free: np.ndarray, resid: np.ndarray, grad: np.ndarray,
     return (float(np.sum(free * resid)) + float(np.sum(corner * grad))) / size
 
 
-def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
+def _feasibility_min(problem: ControlProblem, T: float,
                      u0: np.ndarray | None = None,
                      radius: float | None = None,
-                     ) -> tuple[Trial, np.ndarray, SpaceTimeSet]:
+                     ) -> tuple[Trial, np.ndarray, ControlOperator]:
     """Min of ||v(T; u)|| over box-constrained u, by projected gradient.
 
     Accelerated (momentum) iteration with step 1/||map||^2 from an optional
@@ -553,16 +549,15 @@ def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
     iteration costs one apply and one adjoint.  With a radius, the solve
     stops once the best norm is within it, or once the weak-duality bound
     at the momentum point's residual exceeds it.  It also stops after 150
-    steps without progress or iters steps in all, and returns its best
-    control either way.
+    steps without progress or 5000 steps in all, and returns its best
+    control and its operator either way.
     """
     region = problem.region_at(T)
     op = ControlOperator(problem.domain, problem.params, region)
     nu1, nu2 = problem.bounds
-    wgt = region.dt * problem.domain.cell_volume
     lip = max(op.norm_estimate() ** 2, 1e-30)
     step = 1.0 / lip
-    free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
+    free = op.free(problem.v0)
     reach = -math.inf if radius is None else radius * (1.0 - 1e-9)
     u = np.zeros(region.mask.shape) if u0 is None else u0 * region.mask
     Gu = op.apply(u)
@@ -577,11 +572,11 @@ def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
         if steps - stall_at > 150:
             stop = "stalled"
             break
-        if steps == iters:
+        if steps == 5000:
             stop = "budget"
             break
         resid = free + Gy
-        grad = op.adjoint(resid) * wgt
+        grad = op.adjoint(resid) * op.weight
         if radius is not None:
             lower = max(lower, _dual_bound(free, resid, grad, problem.bounds))
             if lower > radius * (1.0 + 1e-9):
@@ -600,37 +595,25 @@ def _feasibility_min(problem: ControlProblem, T: float, iters: int = 5000,
             best_norm, best_u = nrm, u
         if best_norm < stall_ref * (1.0 - 1e-10):
             stall_ref, stall_at = best_norm, steps
-    return Trial(T, lower, best_norm, steps, stop), best_u, region
+    return Trial(T, lower, best_norm, steps, stop), best_u, op
 
 
-def _polished_lower(problem: ControlProblem, u: np.ndarray,
-                    region: SpaceTimeSet) -> float:
-    """The weak-duality bound at the residual of u itself."""
-    op = ControlOperator(problem.domain, problem.params, region)
-    free = evolve(problem.v0, problem.params, region.horizon,
-                  transpose=True).coeffs
-    resid = free + op.apply(u)
-    grad = op.adjoint(resid) * (region.dt * problem.domain.cell_volume)
-    return _dual_bound(free, resid, grad, problem.bounds)
-
-
-def solve_time_optimal(problem: ControlProblem, T_max: float,
-                       tol_T: float | None = None) -> TimeOptimalResult:
+def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResult:
     """Smallest horizon whose box-constrained reachable set meets the target.
 
-    Bisection over T in (0, T_max]; each trial is decided by an admissible
-    control within the radius or by a weak-duality bound beyond it, and
-    counts as infeasible, uncertified, if its solve stalls first.  The
-    reported control then minimises the terminal norm at t_star, warm
-    started from the last feasible trial.  Feasibility must be monotone in
-    T along the recorded trace, which TimeOptimalResult checks.
+    Bisection over T in (0, T_max] down to a bracket of 1e-3 T_max; each
+    trial is decided by an admissible control within the radius or by a
+    weak-duality bound beyond it, and counts as infeasible, uncertified, if
+    its solve stalls first.  The reported control then minimises the
+    terminal norm at t_star, warm started from the last feasible trial, and
+    its lower bound is the weak-duality bound at its own residual.
+    Feasibility must be monotone in T along the recorded trace, which
+    TimeOptimalResult checks.
     """
     if problem.omega is None:
         raise ValueError("time-optimal problems are posed with a spatial mask")
     if problem.radius <= 0:
         raise ValueError("target radius must be positive")
-    if tol_T is None:
-        tol_T = 1e-3 * T_max
     first, best_u, _ = _feasibility_min(problem, T_max, radius=problem.radius)
     if not first.feasible:
         raise InfeasibleError(
@@ -639,7 +622,7 @@ def solve_time_optimal(problem: ControlProblem, T_max: float,
     trials = [first]
     lo, hi = 0.0, T_max
     warm = best_u
-    while hi - lo > tol_T:
+    while hi - lo > 1e-3 * T_max:
         mid = 0.5 * (lo + hi)
         trial, warm, _ = _feasibility_min(problem, mid, u0=warm,
                                           radius=problem.radius)
@@ -648,9 +631,12 @@ def solve_time_optimal(problem: ControlProblem, T_max: float,
             hi, best_u = mid, warm
         else:
             lo = mid
-    polish, u, region = _feasibility_min(problem, hi, u0=best_u)
-    polish = replace(polish, lower=_polished_lower(problem, u, region))
-    field = ControlField(u, region, bounds=problem.bounds)
+    polish, u, op = _feasibility_min(problem, hi, u0=best_u)
+    free = op.free(problem.v0)
+    resid = free + op.apply(u)
+    polish = replace(polish, lower=_dual_bound(
+        free, resid, op.adjoint(resid) * op.weight, problem.bounds))
+    field = ControlField(u, op.region, bounds=problem.bounds)
     return TimeOptimalResult(t_star=hi, control=field,
                              terminal_norm=polish.upper,
                              trace=tuple((t.time, t.feasible) for t in trials),
@@ -672,21 +658,16 @@ def grid_scan_time_optimal(problem: ControlProblem, T_max: float,
     raise InfeasibleError(f"no horizon on the grid up to {T_max} is feasible")
 
 
-def verify_bang_bang(field: ControlField, eps: float | None = None,
-                     bounds: tuple[float, float] | None = None,
-                     ) -> tuple[float, bool]:
-    """Fraction of region cells with values strictly inside the box.
+def verify_bang_bang(field: ControlField) -> tuple[float, bool]:
+    """Fraction of region cells farther than 5 percent of the box width
+    inside both of the field's bounds.
 
-    holds iff the interior fraction is at most 5 percent; default eps is
-    5 percent of the box width.
+    holds iff that interior fraction is at most 5 percent.
     """
-    if bounds is None:
-        bounds = field.bounds
-    if bounds is None:
+    if field.bounds is None:
         raise ValueError("bang-bang check needs the control bounds")
-    nu1, nu2 = bounds
-    if eps is None:
-        eps = 0.05 * (nu2 - nu1)
+    nu1, nu2 = field.bounds
+    eps = 0.05 * (nu2 - nu1)
     on = field.values[field.region.mask]
     interior = (on > nu1 + eps) & (on < nu2 - eps)
     fraction = float(interior.mean()) if on.size else 0.0

@@ -235,20 +235,20 @@ def good_time_set(D: SpaceTimeSet, ball_center, ball_radius: float) -> GoodTimeS
 DENSITY_RADIUS_DIVISORS = (8, 16, 32, 64)
 
 
-def density_proxy(E: TimeSet, ell: float, radii=None) -> float:
-    """min over the radius ladder of |E cap (ell-r, ell+r)| / (2r)."""
-    if radii is None:
-        radii = [E.horizon / d for d in DENSITY_RADIUS_DIVISORS]
+def density_proxy(E: TimeSet, ell: float) -> float:
+    """min over the radius ladder T/d, d in DENSITY_RADIUS_DIVISORS, of
+    |E cap (ell-r, ell+r)| / (2r)."""
+    radii = [E.horizon / d for d in DENSITY_RADIUS_DIVISORS]
     return min(E.measure_in(ell - r, ell + r) / (2.0 * r) for r in radii)
 
 
-def find_density_point(E: TimeSet, radii=None) -> float:
+def find_density_point(E: TimeSet) -> float:
     """A time in E whose small-radius density proxy is maximal (and >= 1/2)."""
     if E.measure() <= 0:
         raise ValueError("the time set must have positive measure")
     dt = E.dt
     candidates = (np.nonzero(E.mask)[0] + 0.5) * dt
-    proxies = np.array([density_proxy(E, c, radii) for c in candidates])
+    proxies = np.array([density_proxy(E, c) for c in candidates])
     best = int(np.argmax(proxies))
     if proxies[best] < 0.5 - 1e-12:
         raise ResolutionError(

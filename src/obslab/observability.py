@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientTruncationError, require
+from .errors import InsufficientTruncationError, ResolutionError, require
 from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
                         evolve, masked_l1, mode_factors, observe, propagate)
@@ -107,11 +107,11 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
     return float(val[best]), y[best]
 
 
-def solve_increasing(fn, target: float, lo: float = 0.0,
-                     hi: float = 1.0, tol: float = 1e-12) -> float:
-    """Smallest x with fn(x) >= target, fn increasing; bracket grows as needed."""
+def solve_increasing(fn, target: float) -> float:
+    """Smallest x >= 0 with fn(x) >= target, fn increasing, to 1e-12 relative."""
     if target <= 0:
         return 0.0
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         if fn(hi) >= target:
             break
@@ -124,7 +124,7 @@ def solve_increasing(fn, target: float, lo: float = 0.0,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return hi
 
@@ -206,13 +206,12 @@ class EquivalenceResult:
     holds: bool
 
 
-def interp_equivalence(pi1: float, theta: float, F1, F2, F3,
-                       eps_grid=None) -> EquivalenceResult:
+def interp_equivalence(pi1: float, theta: float, F1, F2, F3) -> EquivalenceResult:
     """If F1 <= Pi1*(eps^-gamma F2 + eps F3) for all eps, then
     F1 <= 2*Pi1*F2^(1-theta)*F3^theta, on a finite probe set.
 
-    The eps check runs over a grid plus each probe's optimal eps, which
-    is where the product form is attained.
+    The eps check runs over 64 geometric grid points in (0, 1) plus each
+    probe's optimal eps, which is where the product form is attained.
     """
     F1, F2, F3 = (np.asarray(F, dtype=float) for F in (F1, F2, F3))
     if np.any(F1 > F3 * (1 + 1e-12) + 1e-300):
@@ -220,8 +219,7 @@ def interp_equivalence(pi1: float, theta: float, F1, F2, F3,
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     gamma = theta / (1.0 - theta)
-    if eps_grid is None:
-        eps_grid = np.geomspace(1e-9, 1.0 - 1e-9, 64)
+    eps_grid = np.geomspace(1e-9, 1.0 - 1e-9, 64)
     eps_form = True
     for f1, f2, f3 in zip(F1, F2, F3):
         eps_vals = list(eps_grid)
@@ -296,8 +294,9 @@ def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams
     if gts is None:
         gts = good_time_set(D, *covering_ball(domain))
     window, meas = _window_weights(D, gts.times, ip.s1, ip.s2)
-    if meas <= 0:
-        raise ValueError("E cap [S1, S2] must have positive measure")
+    if meas <= 0:        # depends on the region drawn, not on the inputs alone
+        raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
+                              "measure: the window holds no good time")
     ratios, integrals = [], []
     for z in z_batch:
         profile = observation_profile(z, params, D, sel)
@@ -422,8 +421,7 @@ class DirectionReport:
 
 def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
                                  D: SpaceTimeSet, ip: InterpolationParams,
-                                 mu1: float, mu2: float, z_batch,
-                                 check_times=(0.1, 0.5, 1.0)) -> DirectionReport:
+                                 mu1: float, mu2: float, z_batch) -> DirectionReport:
     """Directional observation reduces to first-component via a state rotation."""
     if abs(mu1) + abs(mu2) == 0:
         raise ValueError("direction must be nonzero")
@@ -435,7 +433,7 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
         phi = direction_transform(z, mu1, mu2)
         amp_defect = max(amp_defect,
                          abs(phi.norm() ** 2 - scale * z.norm() ** 2))
-        for t in check_times:
+        for t in (0.1, 0.5, 1.0):
             a = observe(evolve(phi, params, t), ObservationSelector.first())
             b = observe(evolve(z, params, t), sel)
             field_defect = max(field_defect, float(np.abs(a - b).max()))

@@ -45,11 +45,10 @@ class SpectralState:
         return SpectralState(c, domain)
 
     @staticmethod
-    def random(domain: SpectralDomain, rng: np.random.Generator,
-               unit: bool = True) -> "SpectralState":
+    def random(domain: SpectralDomain, rng: np.random.Generator) -> "SpectralState":
+        """A unit state in a uniformly random direction."""
         c = rng.standard_normal((domain.n_modes, 2))
-        if unit:
-            c /= np.linalg.norm(c)
+        c /= np.linalg.norm(c)
         return SpectralState(c, domain)
 
 

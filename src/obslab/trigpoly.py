@@ -89,19 +89,17 @@ def mask_measure(mask: np.ndarray) -> float:
     return float(mask.sum()) * cell_width(mask.shape[0])
 
 
-def random_interval_union(rng: np.random.Generator, max_intervals: int = 5,
-                          min_measure: float = 0.1,
-                          n_cells: int = N_CELLS) -> np.ndarray:
-    """Union of up to max_intervals random intervals with |E| >= min_measure.
+def random_interval_union(rng: np.random.Generator) -> np.ndarray:
+    """Union of up to 5 random intervals on the N_CELLS grid, with |E| >= 0.1.
 
     Tiny sets are rejected: the Remez constant blows up as |E| -> 0 and
     float precision tests nothing there.
     """
     while True:
-        k = int(rng.integers(1, max_intervals + 1))
+        k = int(rng.integers(1, 6))
         ends = rng.uniform(-math.pi, math.pi, size=(k, 2))
-        mask = intervals_to_mask([tuple(sorted(e)) for e in ends], n_cells)
-        if mask_measure(mask) >= min_measure:
+        mask = intervals_to_mask([tuple(sorted(e)) for e in ends])
+        if mask_measure(mask) >= 0.1:
             return mask
 
 
@@ -157,12 +155,13 @@ class TrigPoly:
         return max(float(vals[i]), _golden_max(lambda t: abs(float(self(t))), lo, hi))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Golden-section maximum of f on [lo, hi], to a bracket of 1e-10."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
@@ -264,11 +263,12 @@ class SineBoundCase:
         return float(self.F.sum()) * self.cell
 
     @staticmethod
-    def random(rng: np.random.Generator, max_lbs: float = 100.0,
-               n_cells: int = 1024) -> "SineBoundCase":
+    def random(rng: np.random.Generator) -> "SineBoundCase":
+        """A case with window length lam*b*S below 100, F on 1024 cells."""
+        n_cells = 1024
         lam = float(rng.uniform(0.5, 10.0))
         b = float(rng.uniform(0.1, 5.0))
-        S = float(rng.uniform(0.05, max_lbs / (lam * b)))
+        S = float(rng.uniform(0.05, 100.0 / (lam * b)))
         delta = float(rng.uniform(-math.pi / 2, math.pi / 2))
         while True:
             mask = np.zeros(n_cells, dtype=bool)

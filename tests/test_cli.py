@@ -173,6 +173,34 @@ def test_time_optimal_8x8_rectangle_is_bang_bang(tmp_path):
     assert len(rows) == 1 + 11 + 1                 # header, trials, final newline
 
 
+def test_time_optimal_radius_holding_the_initial_state_exits_2(tmp_path,
+                                                               capsys):
+    # ||v0|| = 1 already lies in a target ball of radius 1.5
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[control]\nradius = 1.5\n")
+    out = tmp_path / "out"
+    assert run(["time-optimal", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "control.radius" in err and "Traceback" not in err
+    assert not out.exists()
+    # only time-optimal reads the radius
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_interp_window_without_good_times_exits_3(tmp_path):
+    # a sparse region whose good-time set misses [0.97, 1.0] at seed 0
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("[observation]\nfill = 0.05\nmin_fraction = 0.0\n"
+                   "[interpolation]\ns1 = 0.97\ns2 = 1.0\n")
+    out = tmp_path / "out"
+    assert run(["interp", "--config", str(cfg), "--seed", "0",
+                "--out", str(out)]) == 3
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: convergence-failure" in text
+    assert "error: ResolutionError" in text and "[0.97, 1.0]" in text
+
+
 @pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"]])
 def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
     assert run(["counterexample", *flags, "--out", str(tmp_path / "out")]) == 2
@@ -225,15 +253,31 @@ def test_counterexample_multi_reports_three_times(tmp_path):
     assert len(rows.strip().split("\n")) == 4
 
 
-def test_determinism_same_seed_same_report(tmp_path):
-    texts = []
+def tiny_config(tmp_path, kind):
+    """Every subcommand at a few cells, modes and cases."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(f"[domain]\nkind = {kind}\nnx = 8\nny = 8\nn_modes = 4\n"
+                   "[observation]\nn_time = 16\nfill = 0.6\n"
+                   "[control]\ntol = 0.05\nradius = 0.25\n"
+                   "[sweep]\nbatch = 4\n")
+    return cfg
+
+
+@pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_determinism_same_seed_same_report(tmp_path, kind, sub):
+    cfg = tiny_config(tmp_path, kind)
+    runs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert run(["remez", "--cases", "50", "--seed", "9",
-                    "--out", str(out)]) == 0
+        code = run([sub, "--config", str(cfg), "--cases", "5", "--seed", "9",
+                    "--out", str(out)])
         (report_dir,) = out.iterdir()
-        texts.append(strip_timings((report_dir / "report.txt").read_text()))
-    assert texts[0] == texts[1]
+        csvs = sorted(report_dir.glob("*.csv"))
+        runs.append((code,
+                     strip_timings((report_dir / "report.txt").read_text()),
+                     [(p.name, p.read_text()) for p in csvs]))
+    assert runs[0] == runs[1]
 
 
 def test_different_seed_changes_report(tmp_path):
@@ -283,11 +327,7 @@ def test_report_renders_numpy_scalars_plainly():
 
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
 def test_no_report_renders_numpy_reprs(tmp_path, kind):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(f"[domain]\nkind = {kind}\nnx = 8\nny = 8\nn_modes = 4\n"
-                   "[observation]\nn_time = 16\nfill = 0.6\n"
-                   "[control]\ntol = 0.05\nradius = 0.25\n"
-                   "[sweep]\nbatch = 4\n")
+    cfg = tiny_config(tmp_path, kind)
     out = tmp_path / "out"
     for sub in cli.SUBCOMMANDS:
         code = run([sub, "--config", str(cfg), "--cases", "5", "--seed", "0",
@@ -333,6 +373,23 @@ def test_null_control_at_horizon_2_holds_its_bound(tmp_path):
     values = dict(line.split(": ", 1) for line in text.splitlines()
                   if ": " in line)
     assert float(values["sup_norm"]) <= float(values["control_bound"])
+
+
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_null_control_tight_tol_passes_the_duality_check(tmp_path, seed):
+    # the pairing's two sides are near 1e-7 here; measured against their own
+    # size, correct pairings read 8.8e-8 and 3.4e-8 and failed the 1e-8 gate
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(DUAL_CONFIG.replace("tol = 0.05", "tol = 2e-6"))
+    out = tmp_path / "out"
+    assert run(["null-control", "--config", str(cfg), "--seed", seed,
+                "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    values = dict(line.split(": ", 1) for line in text.splitlines()
+                  if ": " in line)
+    assert float(values["terminal_norm"]) <= 2e-6
+    assert float(values["duality_defect"]) <= 1e-8
 
 
 def test_null_control_default_config_meets_its_target(tmp_path):
