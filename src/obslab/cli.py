@@ -199,8 +199,10 @@ def _run_null_control(cfg, rng, report) -> bool:
     D = _observation_set(cfg, domain, rng)
     v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
     problem = control.ControlProblem(domain, params, v0, region=D)
-    field, cert = control.synthesize_null_control(problem, cfg.tol, rng=rng)
-    defect = control.duality_defect(problem, field, rng=rng)
+    with report.timed("null-control.solve"):
+        field, cert = control.synthesize_null_control(problem, cfg.tol, rng=rng)
+    with report.timed("null-control.defect"):
+        defect = control.duality_defect(problem, field, rng=rng)
     report.add("null_control", terminal_norm=cert.terminal_norm,
                sup_norm=cert.sup_norm, least_sup_lower=cert.least_sup_lower,
                control_bound=cert.control_bound, L_hat=cert.L_hat,
@@ -227,7 +229,8 @@ def _run_time_optimal(cfg, rng, report) -> bool:
                terminal_norm=result.terminal_norm,
                interior_fraction=fraction, bang_bang=holds,
                trials=len(result.trace), stalled_trials=result.stalled_trials,
-               polish_iterations=polish.iterations,
+               polish_newton_steps=polish.iterations,
+               polish_mu=result.polish_mu, polish_stop=polish.stop,
                gap=polish.upper - polish.lower)
     report.add_series("time_optimal_trials", *result.trial_table())
     return holds

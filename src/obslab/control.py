@@ -4,7 +4,10 @@ Estimates the observability constant of the control region, builds
 sup-norm-bounded null controls by minimizing the dual functional, and
 solves the time-optimal problem by bisection over the horizon with a
 box-constrained feasibility solve at each trial time, each decided by a
-feasible control or a weak-duality bound.
+feasible control or a weak-duality bound.  Null control and the
+time-optimal control at the optimal horizon are both found by one damped
+Newton engine on a smoothed dual in the 2 n_modes coefficients of a dual
+state.
 
 The controlled system runs under the transposed generator,
 ``ControlOperator.free`` and ``apply``: each mode's 2x2 evolution block is
@@ -330,7 +333,7 @@ def brute_force_single_mode_ratio(problem: ControlProblem) -> float:
 
 
 # ---------------------------------------------------------------------------
-# null control by duality
+# the dual Newton engine; null control by duality
 
 
 # The smoothing width mu of |W| ~ sqrt(W^2 + mu^2) falls tenfold per stage
@@ -339,6 +342,44 @@ def brute_force_single_mode_ratio(problem: ControlProblem) -> float:
 _MU_STAGES = tuple(10.0 ** -k for k in range(8))
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
+
+
+def _newton_stages(op: ControlOperator, x: np.ndarray, value, newton,
+                   budget: int):
+    """Damped Newton on a functional of the dual field W = op.dual_field(x).
+
+    |W| is smoothed to s = sqrt(W^2 + mu^2), one stage per mu of _MU_STAGES.
+    value(x, W, s) is the functional to minimise, and newton(x, W, s, mu, J)
+    gives its gradient and Newton direction at an accepted point, or None
+    once the stage has converged.  Each trial point costs one dual_field;
+    W does not depend on mu, so a stage starts from the last one's.  Yields
+    (mu, x, W, s, steps) after each stage, steps counting the trial points,
+    and stops after the stage that spends the budget.
+    """
+    W, steps = op.dual_field(x), 0
+    for mu in _MU_STAGES:
+        s = np.sqrt(W * W + mu * mu)
+        J = value(x, W, s)
+        while steps < budget:
+            step = newton(x, W, s, mu, J)
+            if step is None:
+                break
+            g, d = step
+            slope = float(np.sum(g * d))
+            for k in range(min(_BACKTRACKS, budget - steps)):
+                steps += 1
+                trial = x + 0.5 ** k * d
+                W_t = op.dual_field(trial)
+                s_t = np.sqrt(W_t * W_t + mu * mu)
+                J_t = value(trial, W_t, s_t)
+                if J_t <= J + _ARMIJO * 0.5 ** k * slope:
+                    x, W, s, J = trial, W_t, s_t, J_t
+                    break
+            else:
+                break
+        yield mu, x, W, s, steps
+        if steps == budget:
+            return
 
 
 def synthesize_null_control(problem: ControlProblem, tol: float,
@@ -367,38 +408,27 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
     target = tol * v0_norm
     mask, w = region.mask, op.weight
 
-    def smoothed(z, mu):    # the dual field W of z, s, N_mu and J_mu
-        W = op.dual_field(z)
-        s = np.sqrt(W * W + mu * mu)
+    def value(z, W, s):
         N = float(s[mask].sum() * w)
-        return W, s, N, 0.5 * N * N - float(np.sum(free * z))
+        return 0.5 * N * N - float(np.sum(free * z))
 
-    z, steps = np.zeros_like(free), 0
-    for mu in _MU_STAGES:
-        W, s, N, J = smoothed(z, mu)
-        while steps < budget:
-            grad_N = op.apply(W / s)
-            g = N * grad_N - free
-            if np.linalg.norm(g) <= 0.5 * target:
-                break
-            H = np.outer(grad_N, grad_N) + N * op.gram(w * (mu / s) ** 2 / s)
-            d = np.linalg.lstsq(H, -g.ravel())[0].reshape(z.shape)
-            slope = float(np.sum(g * d))
-            for k in range(min(_BACKTRACKS, budget - steps)):
-                steps += 1
-                trial = z + 0.5 ** k * d
-                W_t, s_t, N_t, J_t = smoothed(trial, mu)
-                if J_t <= J + _ARMIJO * 0.5 ** k * slope:
-                    z, W, s, N, J = trial, W_t, s_t, N_t, J_t
-                    break
-            else:
-                break
+    def newton(z, W, s, mu, J):
+        N = float(s[mask].sum() * w)
+        grad_N = op.apply(W / s)
+        g = N * grad_N - free
+        if np.linalg.norm(g) <= 0.5 * target:
+            return None
+        H = np.outer(grad_N, grad_N) + N * op.gram(w * (mu / s) ** 2 / s)
+        return g, np.linalg.lstsq(H, -g.ravel())[0].reshape(z.shape)
+
+    for mu, z, W, s, steps in _newton_stages(op, np.zeros_like(free), value,
+                                             newton, budget):
         bulk = float(np.abs(W[mask]).sum() * w)
         lin = float(np.sum(free * z))
         M = lin / bulk if bulk > 0 else 0.0
         u = -M * (W / s) * mask
         terminal = float(np.linalg.norm(free + op.apply(u)))
-        if terminal <= target or steps == budget:
+        if terminal <= target:
             break
     if terminal > target:
         raise ConvergenceError(
@@ -476,6 +506,8 @@ class Trial:
     returned control.  stop says how the solve ended: "reached" (upper
     within the radius), "certified" (lower beyond it), "stalled" or
     "budget" (neither bound decided, so the trial counts as infeasible).
+    The polish at t_star ends "converged" or "budget", and its iterations
+    are Newton trial points.
     """
 
     time: float
@@ -504,6 +536,7 @@ class TimeOptimalResult:
     trace: tuple[tuple[float, bool], ...]   # (trial time, feasible) pairs
     trials: tuple[Trial, ...] = ()          # the same trials, with their bounds
     polish: Trial | None = None             # the minimisation behind control
+    polish_mu: float = 0.0                  # smoothing width of its last stage
 
     def __post_init__(self):
         thresh = min(t for t, ok in self.trace if ok)
@@ -598,6 +631,69 @@ def _feasibility_min(problem: ControlProblem, T: float,
     return Trial(T, lower, best_norm, steps, stop), best_u, op
 
 
+# A polish stage ends once the Newton decrement -<grad, direction> falls to
+# this fraction of the functional: past it, Armijo comparisons reach roundoff.
+# _POLISH_BUDGET caps the polish's Newton trial points.
+_DECREMENT = 1e-14
+_POLISH_BUDGET = 5000
+
+
+def _box_dual(op: ControlOperator, free: np.ndarray,
+              bounds: tuple[float, float], r: np.ndarray, W: np.ndarray,
+              s: np.ndarray) -> float:
+    """<free, r> - ||r||^2 / 2 + w sum_R (m W - h s), W = op.dual_field(r).
+
+    m and h are the box's midpoint and half width.  The minimum of u W over
+    the box is m W - h |W|, so with s = |W| this is the dual D_0 of
+    min ||free + G u||^2 / 2 over admissible u, and with s = sqrt(W^2 + mu^2)
+    it is the smoothed D_mu: D_mu(r) <= D_0(r) <= ||free + G u||^2 / 2.
+    """
+    nu1, nu2 = bounds
+    m, h = 0.5 * (nu1 + nu2), 0.5 * (nu2 - nu1)
+    return (float(np.sum(free * r)) - 0.5 * float(np.sum(r * r))
+            + op.weight * float(np.sum((m * W - h * s)[op.region.mask])))
+
+
+def _polish(problem: ControlProblem, op: ControlOperator, u0: np.ndarray,
+            ) -> tuple[Trial, np.ndarray, float]:
+    """Min of ||free + G u|| over the box at op's horizon, by its dual.
+
+    Maximises _box_dual's D_mu by _newton_stages in the 2 n_modes unknowns
+    of r, from r = free + G u0.  Its gradient is free + G u_mu - r, with
+    u_mu = m - h W / s on the region, and its Hessian is
+    -(I + gram(w h mu^2 / s^3)).  Returns the last stage's u_mu, bracketed
+    by its norm and the weak-duality bound at its own residual, and that
+    stage's mu.
+    """
+    nu1, nu2 = problem.bounds
+    m, h = 0.5 * (nu1 + nu2), 0.5 * (nu2 - nu1)
+    mask, w = op.region.mask, op.weight
+    free = op.free(problem.v0)
+    eye = np.eye(free.size)
+
+    def value(r, W, s):
+        return -_box_dual(op, free, problem.bounds, r, W, s)
+
+    def newton(r, W, s, mu, J):
+        g = r - free - op.apply((m - h * W / s) * mask)
+        H = eye + op.gram(w * h * mu * mu / s ** 3)
+        d = np.linalg.solve(H, -g.ravel()).reshape(r.shape)
+        if -float(np.sum(g * d)) <= _DECREMENT * abs(J):
+            return None
+        return g, d
+
+    for mu, _, W, s, steps in _newton_stages(op, free + op.apply(u0), value,
+                                             newton, _POLISH_BUDGET):
+        pass                # every stage runs; the last one gives the control
+    u = (m - h * W / s) * mask
+    resid = free + op.apply(u)
+    lower = _dual_bound(free, resid, op.adjoint(resid) * w, problem.bounds)
+    stop = "budget" if steps == _POLISH_BUDGET else "converged"
+    trial = Trial(op.region.horizon, lower, float(np.linalg.norm(resid)),
+                  steps, stop)
+    return trial, u, mu
+
+
 def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResult:
     """Smallest horizon whose box-constrained reachable set meets the target.
 
@@ -605,8 +701,9 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     trial is decided by an admissible control within the radius or by a
     weak-duality bound beyond it, and counts as infeasible, uncertified, if
     its solve stalls first.  The reported control then minimises the
-    terminal norm at t_star, warm started from the last feasible trial, and
-    its lower bound is the weak-duality bound at its own residual.
+    terminal norm at t_star by damped Newton on the smoothed dual, warm
+    started from the last feasible trial, and its lower bound is the
+    weak-duality bound at its own residual.
     Feasibility must be monotone in T along the recorded trace, which
     TimeOptimalResult checks.
     """
@@ -614,7 +711,8 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
         raise ValueError("time-optimal problems are posed with a spatial mask")
     if problem.radius <= 0:
         raise ValueError("target radius must be positive")
-    first, best_u, _ = _feasibility_min(problem, T_max, radius=problem.radius)
+    first, best_u, best_op = _feasibility_min(problem, T_max,
+                                              radius=problem.radius)
     if not first.feasible:
         raise InfeasibleError(
             f"target ball (radius {problem.radius}) unreachable at "
@@ -624,23 +722,20 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     warm = best_u
     while hi - lo > 1e-3 * T_max:
         mid = 0.5 * (lo + hi)
-        trial, warm, _ = _feasibility_min(problem, mid, u0=warm,
-                                          radius=problem.radius)
+        trial, warm, op = _feasibility_min(problem, mid, u0=warm,
+                                           radius=problem.radius)
         trials.append(trial)
         if trial.feasible:
-            hi, best_u = mid, warm
+            hi, best_u, best_op = mid, warm, op
         else:
             lo = mid
-    polish, u, op = _feasibility_min(problem, hi, u0=best_u)
-    free = op.free(problem.v0)
-    resid = free + op.apply(u)
-    polish = replace(polish, lower=_dual_bound(
-        free, resid, op.adjoint(resid) * op.weight, problem.bounds))
-    field = ControlField(u, op.region, bounds=problem.bounds)
+    polish, u, mu = _polish(problem, best_op, best_u)
+    field = ControlField(u, best_op.region, bounds=problem.bounds)
     return TimeOptimalResult(t_star=hi, control=field,
                              terminal_norm=polish.upper,
                              trace=tuple((t.time, t.feasible) for t in trials),
-                             trials=tuple(trials), polish=polish)
+                             trials=tuple(trials), polish=polish,
+                             polish_mu=mu)
 
 
 def grid_scan_time_optimal(problem: ControlProblem, T_max: float,

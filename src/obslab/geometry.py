@@ -144,20 +144,25 @@ class SpaceTimeSet:
 
         Boxes are drawn until the occupied fraction reaches ``fill``;
         the result is rejected and redrawn while its measure is below
-        ``min_measure_fraction`` of the full cylinder.
+        ``min_measure_fraction`` of the full cylinder, at most 1000 times.
         """
         total = n_time * domain.n_cells
         for _ in range(1000):
             mask = np.zeros((n_time, domain.n_cells), dtype=bool)
-            while mask.sum() < fill * total:
+            occupied = 0
+            while occupied < fill * total:
                 t0 = rng.integers(0, n_time)
                 t1 = rng.integers(t0 + 1, n_time + 1)
                 x0 = rng.integers(0, domain.n_cells)
                 x1 = rng.integers(x0 + 1, domain.n_cells + 1)
-                mask[t0:t1, x0:x1] = True
-            if mask.sum() >= min_measure_fraction * total:
+                box = mask[t0:t1, x0:x1]
+                occupied += box.size - int(np.count_nonzero(box))
+                box[...] = True
+            if occupied >= min_measure_fraction * total:
                 return SpaceTimeSet(mask, horizon, domain)
-        raise RuntimeError("failed to draw a random set of the requested measure")
+        raise ResolutionError(
+            f"observation.min_fraction: no random set of fill {fill} covered "
+            f"{min_measure_fraction} of the cylinder in 1000 draws")
 
     # -- serialization ------------------------------------------------
 

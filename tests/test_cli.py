@@ -201,6 +201,52 @@ def test_interp_window_without_good_times_exits_3(tmp_path):
     assert "error: ResolutionError" in text and "[0.97, 1.0]" in text
 
 
+@pytest.mark.parametrize("sub", ["estimate-L", "null-control"])
+def test_unreachable_min_fraction_exits_3(tmp_path, sub):
+    # boxes stop at 5% fill, so a region covering all cells is never drawn
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text("[domain]\nnx = 16\nn_modes = 4\n"
+                   "[observation]\nfill = 0.05\nmin_fraction = 1.0\n")
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: convergence-failure" in text
+    assert "error: ResolutionError" in text
+    assert "observation.min_fraction" in text and "1000 draws" in text
+
+
+def test_time_optimal_reports_its_newton_polish(tmp_path):
+    cfg = tmp_path / "rect8.cfg"
+    cfg.write_text("[domain]\nkind = rectangle\nnx = 8\nny = 8\n"
+                   "[control]\nradius = 0.2\n")
+    out = tmp_path / "out"
+    assert run(["time-optimal", "--config", str(cfg), "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    values = dict(line.split(": ", 1) for line in text.splitlines()
+                  if ": " in line)
+    assert int(values["polish_newton_steps"]) > 0
+    assert values["polish_mu"] == "1e-07"
+    assert values["polish_stop"] == "converged"
+    assert 0.0 <= float(values["gap"]) <= 1e-8
+    assert "polish_iterations" not in values
+
+
+def test_null_control_reports_solve_and_defect_times(tmp_path):
+    cfg = tmp_path / "dual.cfg"
+    cfg.write_text("[domain]\nn_modes = 6\nnx = 48\n"
+                   "[observation]\nn_time = 32\nfill = 0.6\n"
+                   "[control]\ntol = 0.05\n")
+    out = tmp_path / "out"
+    assert run(["null-control", "--config", str(cfg), "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    for phase in ("solve", "defect"):
+        assert f"time_null-control.{phase}: " in text
+    assert "time_" not in strip_timings(text)
+
+
 @pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"]])
 def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
     assert run(["counterexample", *flags, "--out", str(tmp_path / "out")]) == 2

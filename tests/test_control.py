@@ -541,9 +541,97 @@ def test_time_optimal_one_apply_per_iteration(monkeypatch):
     monkeypatch.setattr(ctl.ControlOperator, "apply", counted)
     monkeypatch.setattr(ctl, "_feasibility_min", recorded)
     res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
-    assert len(spent) == len(res.trials) + 1          # the trials and the polish
+    assert len(spent) == len(res.trials)              # the polish is Newton's
     assert sum(it for _, it in spent) > len(spent)
     assert all(applies <= it + 1 for applies, it in spent)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rect=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       T=st.floats(0.05, 1.0), nu1=st.floats(-2.0, 0.5),
+       width=st.floats(0.1, 3.0), mu=st.floats(1e-8, 1.0))
+def test_polish_dual_below_every_admissible_norm(rect, seed, T, nu1, width,
+                                                 mu):
+    """Weak duality of the polish's functional: D_mu(r) <= D_0(r) <=
+    ||free + G u||^2 / 2 for admissible u, bang-bang corners included, at
+    random dual points and at the residual of the plain minimisation."""
+    bounds = (nu1, nu1 + width)
+    problem = (rect_problem if rect else to_problem)(bounds=bounds)
+    region = problem.region_at(T)
+    op = ctl.ControlOperator(problem.domain, problem.params, region)
+    free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
+    rng = np.random.default_rng(seed)
+    shape = region.mask.shape
+    controls = [rng.uniform(*bounds, shape),
+                np.where(rng.random(shape) < 0.5, *bounds),
+                np.full(shape, bounds[0]), np.full(shape, bounds[1])]
+    controls.append(ctl._feasibility_min(problem, T, u0=controls[0])[1])
+    points = [rng.standard_normal(free.shape)]
+    points += [free + op.apply(u) for u in controls]
+    for r in points:
+        W = op.dual_field(r)
+        smoothed = ctl._box_dual(op, free, bounds, r, W,
+                                 np.sqrt(W * W + mu * mu))
+        exact = ctl._box_dual(op, free, bounds, r, W, np.abs(W))
+        assert smoothed <= exact
+        for u in controls:
+            half_sq = 0.5 * float(np.sum((free + op.apply(u)) ** 2))
+            assert exact <= half_sq * (1.0 + 1e-12) + 1e-15
+
+
+@pytest.mark.parametrize("domain,radius",
+                         [(d, r) for d, r, _ in TIMEOPT_PINS]
+                         + [({"kind": "interval", "n_modes": 8}, 0.15)])
+def test_time_optimal_polish_brackets_the_plain_minimum(domain, radius):
+    """The Newton polish and the independent projected-gradient minimisation
+    at t_star bracket the same minimum norm."""
+    problem = cli_problem(radius, **domain)
+    res = ctl.solve_time_optimal(problem, T_max=1.0)
+    polish = res.polish
+    assert polish.stop == "converged"
+    assert 0.0 <= polish.upper - polish.lower <= 1e-8
+    plain, u, op = ctl._feasibility_min(problem, res.t_star)
+    free = op.free(problem.v0)
+    resid = free + op.apply(u)
+    lower = ctl._dual_bound(free, resid, op.adjoint(resid) * op.weight,
+                            problem.bounds)
+    assert polish.lower <= plain.upper * (1.0 + 1e-12)
+    assert lower <= polish.upper * (1.0 + 1e-12)
+
+
+def test_time_optimal_polish_one_dual_field_per_trial_point(monkeypatch):
+    calls = [0]
+    dual_field = ctl.ControlOperator.dual_field
+
+    def counted(self, z):
+        calls[0] += 1
+        return dual_field(self, z)
+
+    polish = ctl._polish
+    spent = []
+
+    def recorded(*args):
+        before = calls[0]
+        out = polish(*args)
+        spent.append((calls[0] - before, out[0]))
+        return out
+
+    monkeypatch.setattr(ctl.ControlOperator, "dual_field", counted)
+    monkeypatch.setattr(ctl, "_polish", recorded)
+    res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
+    ((fields, trial),) = spent
+    assert trial is res.polish and trial.stop == "converged"
+    assert trial.iterations > len(ctl._MU_STAGES)
+    assert fields <= trial.iterations + len(ctl._MU_STAGES)
+    assert res.polish_mu == ctl._MU_STAGES[-1]
+
+
+def test_time_optimal_polish_budget_is_reported(monkeypatch):
+    monkeypatch.setattr(ctl, "_POLISH_BUDGET", 5)
+    res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
+    assert res.polish.stop == "budget" and res.polish.iterations == 5
+    assert res.polish.lower <= res.polish.upper == res.terminal_norm
+    assert res.control.is_admissible()
 
 
 def test_grid_scan_never_evaluates_the_dual_bound(monkeypatch):

@@ -169,3 +169,41 @@ def test_random_set_respects_minimum_measure():
     D = SpaceTimeSet.random(DOMAIN, 1.0, 32, rng, fill=0.3,
                             min_measure_fraction=0.25)
     assert D.measure() >= 0.25 * PI
+
+
+def recounted_random_mask(n_time, n_cells, rng, fill, min_fraction):
+    """Reference draw loop: recounts the whole mask after every box."""
+    total = n_time * n_cells
+    for _ in range(1000):
+        mask = np.zeros((n_time, n_cells), dtype=bool)
+        while mask.sum() < fill * total:
+            t0 = rng.integers(0, n_time)
+            t1 = rng.integers(t0 + 1, n_time + 1)
+            x0 = rng.integers(0, n_cells)
+            x1 = rng.integers(x0 + 1, n_cells + 1)
+            mask[t0:t1, x0:x1] = True
+        if mask.sum() >= min_fraction * total:
+            return mask
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rect=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       n_time=st.integers(1, 40), fill=st.floats(0.01, 0.9),
+       min_fraction=st.floats(0.0, 1.0))
+def test_random_set_matches_the_recounting_draw_loop(rect, seed, n_time, fill,
+                                                      min_fraction):
+    """Same mask, or the same failure, and the same random stream after."""
+    domain = rectangle(PI, PI, n_modes=4, cells=(8, 8)) if rect else DOMAIN
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = recounted_random_mask(n_time, domain.n_cells, ref, fill,
+                                     min_fraction)
+    if expected is None:
+        with pytest.raises(ResolutionError, match="observation.min_fraction"):
+            SpaceTimeSet.random(domain, 1.0, n_time, ours, fill=fill,
+                                min_measure_fraction=min_fraction)
+    else:
+        D = SpaceTimeSet.random(domain, 1.0, n_time, ours, fill=fill,
+                                min_measure_fraction=min_fraction)
+        assert np.array_equal(D.mask, expected)
+    assert ours.integers(2**62) == ref.integers(2**62)
