@@ -20,8 +20,8 @@ from .errors import (ConfigError, ContainmentError, ConvergenceError,
                      PropertyViolation, ResolutionError)
 from .geometry import SpaceTimeSet
 from .report import RunReport
-from .semigroup import (ObservationSelector, SpectralState, mode_factors,
-                        propagate)
+from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
+                        mode_factors, propagate)
 
 SUBCOMMANDS = ("simulate", "remez", "interp", "counterexample", "estimate-L",
                "null-control", "time-optimal", "telescope", "sweep-all")
@@ -65,14 +65,6 @@ def _observation_set(cfg: ExperimentConfig, domain, rng) -> SpaceTimeSet:
     return SpaceTimeSet.random(domain, cfg.horizon, cfg.n_time, rng,
                                fill=cfg.fill,
                                min_measure_fraction=cfg.min_fraction)
-
-
-def _selector(cfg: ExperimentConfig) -> ObservationSelector:
-    if cfg.selector == "first":
-        return ObservationSelector.first()
-    if cfg.selector == "direction":
-        return ObservationSelector.direction(cfg.mu1, cfg.mu2)
-    return ObservationSelector.full()
 
 
 def _state_batch(domain, rng, n):
@@ -121,8 +113,10 @@ def _run_interp(cfg, rng, report) -> bool:
     D = _observation_set(cfg, domain, rng)
     ip = observability.InterpolationParams(cfg.theta, cfg.s1, cfg.s2)
     batch = _state_batch(domain, rng, cfg.batch)
-    rep = observability.verify_integral_interpolation(
-        domain, params, D, ip, batch, sel=_selector(cfg))
+    sel = ObservationSelector(SelectorKind(cfg.selector), cfg.mu1, cfg.mu2)
+    with report.timed("interp.integral"):
+        rep = observability.verify_integral_interpolation(domain, params, D,
+                                                          ip, batch, sel=sel)
     ok = math.isfinite(rep.K_hat) and rep.K_hat > 0
     report.add("integral_interpolation", K_hat=rep.K_hat, M_hat=rep.M_hat,
                window_measure=rep.window_measure,
@@ -132,20 +126,21 @@ def _run_interp(cfg, rng, report) -> bool:
                        in enumerate(zip(rep.ratios, rep.integrals))])
     # functional-triple equivalence sweep
     failures = 0
-    for _ in range(cfg.equivalence_cases):
-        theta = float(rng.uniform(0.1, 0.9))
-        pi1 = float(rng.uniform(0.5, 10.0))
-        F3 = rng.uniform(0.1, 10.0, size=8)
-        F2 = rng.uniform(0.0, 1.0, size=8) * F3
-        gamma = theta / (1.0 - theta)
-        # tight admissible F1: the eps-form envelope, shrunk and capped by F3
-        best = np.minimum.reduce([
-            pi1 * (e ** -gamma * F2 + e * F3)
-            for e in np.geomspace(1e-9, 1 - 1e-9, 128)
-        ])
-        F1 = np.minimum(0.9 * best, F3)
-        res = observability.interp_equivalence(pi1, theta, F1, F2, F3)
-        failures += not (res.eps_form_passed and res.holds)
+    with report.timed("interp.equivalence"):
+        for _ in range(cfg.equivalence_cases):
+            theta = float(rng.uniform(0.1, 0.9))
+            pi1 = float(rng.uniform(0.5, 10.0))
+            F3 = rng.uniform(0.1, 10.0, size=8)
+            F2 = rng.uniform(0.0, 1.0, size=8) * F3
+            gamma = theta / (1.0 - theta)
+            # tight admissible F1: the eps-form envelope, shrunk, capped by F3
+            best = np.minimum.reduce([
+                pi1 * (e ** -gamma * F2 + e * F3)
+                for e in np.geomspace(1e-9, 1 - 1e-9, 128)
+            ])
+            F1 = np.minimum(0.9 * best, F3)
+            res = observability.interp_equivalence(pi1, theta, F1, F2, F3)
+            failures += not (res.eps_form_passed and res.holds)
     report.add("equivalence_sweep", cases=cfg.equivalence_cases,
                failures=failures)
     return ok and failures == 0
@@ -233,7 +228,7 @@ def _run_time_optimal(cfg, rng, report) -> bool:
                polish_mu=result.polish_mu, polish_stop=polish.stop,
                gap=polish.upper - polish.lower)
     report.add_series("time_optimal_trials", *result.trial_table())
-    return holds
+    return holds and result.terminal_norm <= problem.radius
 
 
 def _run_telescope(cfg, rng, report) -> bool:

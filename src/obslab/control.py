@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
-from .observability import lane_norms, sphere_descent
+from .observability import _FIELD_BLOCK, lane_norms, sphere_descent
 from .report import write_csv
 from .semigroup import SpectralState, mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
@@ -157,13 +157,6 @@ class DualityCertificate:
 
 # ---------------------------------------------------------------------------
 # discrete input map
-
-
-# Lanes are observed, and Gram matrices built, in blocks of at most this many
-# field values (128 KiB of float64, glibc's default mmap threshold): a block
-# stays in cache across the passes over it, and the memory of one evaluation
-# does not grow with the number of lanes or time rows.
-_FIELD_BLOCK = 1 << 14
 
 
 class ControlOperator:
@@ -533,8 +526,7 @@ class TimeOptimalResult:
     t_star: float
     control: ControlField
     terminal_norm: float
-    trace: tuple[tuple[float, bool], ...]   # (trial time, feasible) pairs
-    trials: tuple[Trial, ...] = ()          # the same trials, with their bounds
+    trials: tuple[Trial, ...]               # bisection trials, in solve order
     polish: Trial | None = None             # the minimisation behind control
     polish_mu: float = 0.0                  # smoothing width of its last stage
 
@@ -542,6 +534,11 @@ class TimeOptimalResult:
         thresh = min(t for t, ok in self.trace if ok)
         require(all(ok for t, ok in self.trace if t >= thresh),
                 f"feasibility drops above the trial time {thresh}: {self.trace}")
+
+    @property
+    def trace(self) -> tuple[tuple[float, bool], ...]:
+        """(trial time, feasible) pairs, in solve order."""
+        return tuple((t.time, t.feasible) for t in self.trials)
 
     @property
     def stalled_trials(self) -> int:
@@ -578,12 +575,13 @@ def _feasibility_min(problem: ControlProblem, T: float,
     """Min of ||v(T; u)|| over box-constrained u, by projected gradient.
 
     Accelerated (momentum) iteration with step 1/||map||^2 from an optional
-    warm start; G y is carried linearly through the momentum step, so each
-    iteration costs one apply and one adjoint.  With a radius, the solve
-    stops once the best norm is within it, or once the weak-duality bound
-    at the momentum point's residual exceeds it.  It also stops after 150
-    steps without progress or 5000 steps in all, and returns its best
-    control and its operator either way.
+    warm start, else from the admissible control nearest 0; G y is carried
+    linearly through the momentum step, so each iteration costs one apply
+    and one adjoint.  With a radius, the solve stops once the best norm is
+    within it, or once the weak-duality bound at the momentum point's
+    residual exceeds it.  It also stops after 150 steps without progress or
+    5000 steps in all, and returns its best control and its operator
+    either way.
     """
     region = problem.region_at(T)
     op = ControlOperator(problem.domain, problem.params, region)
@@ -592,7 +590,7 @@ def _feasibility_min(problem: ControlProblem, T: float,
     step = 1.0 / lip
     free = op.free(problem.v0)
     reach = -math.inf if radius is None else radius * (1.0 - 1e-9)
-    u = np.zeros(region.mask.shape) if u0 is None else u0 * region.mask
+    u = (np.clip(0.0, nu1, nu2) if u0 is None else u0) * region.mask
     Gu = op.apply(u)
     y, Gy, t_acc = u, Gu, 1.0
     best_norm, best_u = float(np.linalg.norm(free + Gu)), u
@@ -733,7 +731,6 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     field = ControlField(u, best_op.region, bounds=problem.bounds)
     return TimeOptimalResult(t_star=hi, control=field,
                              terminal_norm=polish.upper,
-                             trace=tuple((t.time, t.feasible) for t in trials),
                              trials=tuple(trials), polish=polish,
                              polish_mu=mu)
 

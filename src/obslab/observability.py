@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InsufficientTruncationError, ResolutionError, require
 from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
-                        evolve, masked_l1, mode_factors, observe, propagate)
+                        evolve, mode_factors, propagate)
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -32,23 +32,51 @@ def covering_ball(domain: SpectralDomain):
     return half, float(np.linalg.norm(half))
 
 
-def observation_profile(state: SpectralState, params: PhysicalParams,
-                        D: SpaceTimeSet, sel: ObservationSelector) -> np.ndarray:
-    """t_i -> L1 norm over the slice D_{t_i} of the observed field.
+# Lanes are observed, and Gram matrices built, in blocks of at most this many
+# field values (128 KiB of float64, glibc's default mmap threshold): a block
+# stays in cache across the passes over it, and the memory of one evaluation
+# does not grow with the number of lanes or time rows.
+_FIELD_BLOCK = 1 << 14
 
-    Evaluated at the midpoints of D's time cells; multiplying by dt and
-    summing gives the time-integrated observation.
+
+def observed_fields(traces: np.ndarray, eig: np.ndarray,
+                    sel: ObservationSelector) -> tuple:
+    """Signed grid fields of coefficient traces (..., n_modes, 2) under sel.
+
+    One field (..., n_cells) for FIRST and DIRECTION, both components for
+    FULL.
     """
-    traces = propagate(mode_factors(state.domain, params, D.midpoints),
-                       state.coeffs)
-    eig = state.domain.eigenfunctions
     if sel.kind is SelectorKind.FIRST:
-        mag = np.abs(traces[:, :, 0] @ eig)
-    elif sel.kind is SelectorKind.DIRECTION:
-        mag = np.abs((sel.mu1 * traces[:, :, 0] + sel.mu2 * traces[:, :, 1]) @ eig)
-    else:
-        mag = np.hypot(traces[:, :, 0] @ eig, traces[:, :, 1] @ eig)
-    return (mag * D.mask).sum(axis=1) * D.domain.cell_volume
+        return (traces[..., 0] @ eig,)
+    if sel.kind is SelectorKind.DIRECTION:
+        return ((sel.mu1 * traces[..., 0] + sel.mu2 * traces[..., 1]) @ eig,)
+    return traces[..., 0] @ eig, traces[..., 1] @ eig
+
+
+def observation_profile(domain: SpectralDomain, params: PhysicalParams,
+                        lanes: np.ndarray, times, mask: np.ndarray,
+                        sel: ObservationSelector) -> np.ndarray:
+    """L1 norms of the observed fields of lanes at times, over mask's rows.
+
+    lanes stacks coefficient pairs (B, n_modes, 2), and row i of mask
+    (n_times, n_cells) is the spatial set observed at times[i]; a FULL
+    observation is measured by its pointwise Euclidean magnitude.  Returns
+    (B, n_times).  Lanes are evaluated a block at a time, at most
+    _FIELD_BLOCK field values but at least one lane per block, so memory
+    does not grow with B and a lane's norms do not depend on the blocks.
+    """
+    factors = mode_factors(domain, params, times)
+    out = np.empty((len(lanes), len(mask)))
+    blk = max(1, _FIELD_BLOCK // mask.size)
+    for lo in range(0, len(lanes), blk):
+        f = observed_fields(propagate(factors, lanes[lo:lo + blk, None]),
+                            domain.eigenfunctions, sel)
+        # measured in place: one lane's field can take a megabyte
+        mag = np.hypot(*f, out=f[0]) if len(f) == 2 else np.abs(f[0], out=f[0])
+        mag *= mask
+        out[lo:lo + blk] = mag.sum(axis=-1)
+        del f, mag      # else two blocks' fields coexist while the next is built
+    return out * domain.cell_volume
 
 
 def lane_norms(x: np.ndarray) -> np.ndarray:
@@ -271,6 +299,27 @@ class InterpolationReport:
     integrals: np.ndarray
 
 
+def _lanes(z_batch) -> np.ndarray:
+    """Coefficient lanes (B, n_modes, 2) of a batch of states."""
+    return np.stack([z.coeffs for z in z_batch])
+
+
+def _evolved_norms(z_batch, params: PhysicalParams, times) -> np.ndarray:
+    """||exp(A t) z|| by evolve, one row per state and a column per time."""
+    return np.fromiter((evolve(z, params, t).norm()
+                        for z in z_batch for t in times),
+                       float).reshape(-1, len(times))
+
+
+def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum of each lane's profile over the selected time cells.
+
+    Reduces a C-ordered copy: profiles[:, cols] comes back Fortran-ordered,
+    and its row sums differ in the last bits from a single lane's sum.
+    """
+    return np.ascontiguousarray(profiles[:, cols]).sum(axis=1)
+
+
 def _window_weights(D: SpaceTimeSet, E: TimeSet, s1: float, s2: float):
     """Time-cell selection for integrals of chi_E over [s1, s2]."""
     mids = D.midpoints
@@ -297,11 +346,11 @@ def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams
     if meas <= 0:        # depends on the region drawn, not on the inputs alone
         raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
                               "measure: the window holds no good time")
-    ratios, integrals = [], []
-    for z in z_batch:
-        profile = observation_profile(z, params, D, sel)
-        integral = float(profile[window].sum()) * D.dt
-        integrals.append(integral)
+    profiles = observation_profile(domain, params, _lanes(z_batch),
+                                   D.midpoints, D.mask, sel)
+    integrals = _row_sums(profiles, window) * D.dt
+    ratios = []
+    for z, integral in zip(z_batch, integrals.tolist()):
         zn = z.norm()
         if zn == 0:
             ratios.append(0.0)
@@ -315,7 +364,7 @@ def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams
         raise ArithmeticError(f"interpolation constant is not finite: {K_hat}")
     M_hat = solve_increasing(lambda M: ip.constant_template(M, meas), K_hat)
     return InterpolationReport(K_hat=K_hat, M_hat=M_hat, window_measure=meas,
-                               ratios=np.array(ratios), integrals=np.array(integrals))
+                               ratios=np.array(ratios), integrals=integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +427,17 @@ def pointwise_failure_demo(domain: SpectralDomain, params: PhysicalParams,
                            m: int | None = None, mode: int = 1,
                            ) -> PointwiseFailureReport:
     """Build the vanishing state and measure its traces on the full domain."""
-    from .semigroup import observed_trace_L1
     if S is not None:
         cex = single_time_counterexample(domain, params, S, mode)
     elif horizon is not None and m is not None:
         cex = multi_time_counterexample(domain, params, horizon, m)
     else:
         raise ValueError("provide either a single time S or (horizon, m)")
-    full_mask = np.ones(domain.n_cells, dtype=bool)
-    first = np.array([
-        observed_trace_L1(cex.state, params, ObservationSelector.first(), t, full_mask)
-        for t in cex.times
-    ])
-    full = np.array([
-        observed_trace_L1(cex.state, params, ObservationSelector.full(), t, full_mask)
-        for t in cex.times
-    ])
+    full_mask = np.ones((len(cex.times), domain.n_cells), dtype=bool)
+    first, full = (observation_profile(domain, params, cex.state.coeffs[None],
+                                       cex.times, full_mask, sel)[0]
+                   for sel in (ObservationSelector.first(),
+                               ObservationSelector.full()))
     lam = domain.eigenvalues[cex.mode - 1]
     floor = 0.1 * math.exp(-params.a * lam * max(cex.times))
     return PointwiseFailureReport(counterexample=cex, first_residuals=first,
@@ -426,17 +470,16 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
     if abs(mu1) + abs(mu2) == 0:
         raise ValueError("direction must be nonzero")
     sel = ObservationSelector.direction(mu1, mu2)
-    amp_defect = 0.0
-    field_defect = 0.0
     scale = mu1 * mu1 + mu2 * mu2
-    for z in z_batch:
-        phi = direction_transform(z, mu1, mu2)
-        amp_defect = max(amp_defect,
-                         abs(phi.norm() ** 2 - scale * z.norm() ** 2))
-        for t in (0.1, 0.5, 1.0):
-            a = observe(evolve(phi, params, t), ObservationSelector.first())
-            b = observe(evolve(z, params, t), sel)
-            field_defect = max(field_defect, float(np.abs(a - b).max()))
+    phis = [direction_transform(z, mu1, mu2) for z in z_batch]
+    amp_defect = max(abs(phi.norm() ** 2 - scale * z.norm() ** 2)
+                     for phi, z in zip(phis, z_batch))
+    factors = mode_factors(domain, params, (0.1, 0.5, 1.0))
+    (a,) = observed_fields(propagate(factors, _lanes(phis)[:, None]),
+                           domain.eigenfunctions, ObservationSelector.first())
+    (b,) = observed_fields(propagate(factors, _lanes(z_batch)[:, None]),
+                           domain.eigenfunctions, sel)
+    field_defect = float(np.abs(a - b).max())
     report = verify_integral_interpolation(domain, params, D, ip, z_batch, sel=sel)
     return DirectionReport(interpolation=report, amplitude_defect=amp_defect,
                            field_defect=field_defect)
@@ -462,30 +505,25 @@ def verify_full_observation_pointwise(domain: SpectralDomain,
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     gts = good_time_set(D, *covering_ball(domain))
-    M_hats, min_traces = [], []
-    sel = ObservationSelector.full()
-    for t in t_list:
+    times = np.asarray(t_list, dtype=float)
+    for t in times:
         if not gts.times.contains_time(t):
             raise ValueError(f"time {t} is not in the good-time set E")
-        slice_mask, _ = D.slice_at(t)
-        expo = t / (1.0 - theta) + 1.0 / (theta * t)
-        need = 0.0
-        min_trace = math.inf
-        for z in z_batch:
-            zn = z.norm()
-            if zn == 0:
-                continue
-            zt = evolve(z, params, t)
-            trace = masked_l1(observe(zt, sel), slice_mask, domain.cell_volume)
-            require(trace > 0, "full observation cancelled for a nonzero state")
-            min_trace = min(min_trace, trace)
-            target = zt.norm() / (trace ** (1.0 - theta) * zn ** theta)
-            need = max(need, target)
-        M_hats.append(solve_increasing(lambda M: M * math.exp(M * expo), need))
-        min_traces.append(min_trace)
-    return FullObservationReport(times=np.asarray(t_list, dtype=float),
-                                 M_hats=np.array(M_hats),
-                                 min_traces=np.array(min_traces))
+    slices = np.array([D.slice_at(t)[0] for t in times])
+    traces = observation_profile(domain, params, _lanes(z_batch), times,
+                                 slices, ObservationSelector.full())
+    norms = _evolved_norms(z_batch, params, times)
+    zn = np.array([z.norm() for z in z_batch])
+    live = zn > 0
+    traces, norms, zn = traces[live], norms[live], zn[live, None]
+    require(np.all(traces > 0),
+            "full observation cancelled for a nonzero state")
+    need = norms / (traces ** (1.0 - theta) * zn ** theta)
+    expo = times / (1.0 - theta) + 1.0 / (theta * times)
+    M_hats = [solve_increasing(lambda M: M * math.exp(M * e), n)
+              for e, n in zip(expo, need.max(axis=0, initial=0.0))]
+    return FullObservationReport(times=times, M_hats=np.array(M_hats),
+                                 min_traces=traces.min(axis=0, initial=math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +568,17 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     mu = seq.mu
     theta = beta / (beta + 1.0)
     terms = seq.terms
-    sel = ObservationSelector.first()
     n_rings = depth - 2
 
     # per-z norms at the sequence times and ring observations
-    L = np.empty((len(z_batch), depth))
-    O = np.empty((len(z_batch), depth - 1))
-    totals = np.empty(len(z_batch))
     mids = D.midpoints
-    for i, z in enumerate(z_batch):
-        profile = observation_profile(z, params, D, sel)
-        totals[i] = float(profile.sum()) * D.dt
-        for mIdx in range(depth):
-            L[i, mIdx] = evolve(z, params, terms[mIdx]).norm()
-        for mIdx in range(depth - 1):
-            ring = E.mask & (mids > terms[mIdx + 1]) & (mids < terms[mIdx])
-            O[i, mIdx] = float(profile[ring].sum()) * D.dt
+    profiles = observation_profile(domain, params, _lanes(z_batch), mids,
+                                   D.mask, ObservationSelector.first())
+    totals = profiles.sum(axis=1) * D.dt
+    L = _evolved_norms(z_batch, params, terms)
+    O = np.column_stack([
+        _row_sums(profiles, E.mask & (mids > terms[m + 1]) & (mids < terms[m]))
+        for m in range(depth - 1)]) * D.dt
 
     # ring interpolation constants A_m: L_m <= A_m * O_m^(1-theta) * L_{m+2}^theta
     ring_constants = np.empty(n_rings)

@@ -1,4 +1,4 @@
-"""Mode-wise semigroup evolution and observation of two-component states.
+"""Exact mode-wise evolution of two-component states; observation selectors.
 
 A state is a finite vector of Fourier coefficient pairs (v1_j, v2_j).
 The generator acts diagonally on modes; each pair evolves by the factor
@@ -116,41 +116,3 @@ def evolve(state: SpectralState, params: PhysicalParams, t: float,
         raise ValueError("evolution time must be nonnegative")
     factors = mode_factors(state.domain, params, t)
     return SpectralState(propagate(factors, state.coeffs, transpose), state.domain)
-
-
-def observe(state: SpectralState, sel: ObservationSelector) -> np.ndarray:
-    """Observed scalar field on the grid (or both fields for FULL).
-
-    Returns shape (n_cells,) for FIRST/DIRECTION and (2, n_cells) for FULL.
-    """
-    eig = state.domain.eigenfunctions
-    f1 = state.coeffs[:, 0] @ eig
-    if sel.kind is SelectorKind.FIRST:
-        return f1
-    f2 = state.coeffs[:, 1] @ eig
-    if sel.kind is SelectorKind.DIRECTION:
-        return sel.mu1 * f1 + sel.mu2 * f2
-    return np.stack([f1, f2])
-
-
-def masked_l1(field: np.ndarray, mask: np.ndarray, cell_volume: float) -> float:
-    """Quadrature L1 norm of the field restricted to the spatial mask.
-
-    For a two-component field the pointwise Euclidean magnitude is used.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if field.ndim == 2:
-        mag = np.hypot(field[0], field[1])
-    else:
-        mag = np.abs(field)
-    if mask.shape != mag.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match grid {mag.shape}")
-    return float(mag[mask].sum() * cell_volume)
-
-
-def observed_trace_L1(state: SpectralState, params: PhysicalParams,
-                      sel: ObservationSelector, t: float,
-                      spatial_mask: np.ndarray) -> float:
-    """L1 norm over the mask of the observed field at time t."""
-    return masked_l1(observe(evolve(state, params, t), sel), spatial_mask,
-                     state.domain.cell_volume)

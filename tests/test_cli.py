@@ -233,6 +233,54 @@ def test_time_optimal_reports_its_newton_polish(tmp_path):
     assert "polish_iterations" not in values
 
 
+def report_values(out):
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    return text, dict(line.split(": ", 1) for line in text.splitlines()
+                      if ": " in line)
+
+
+def test_time_optimal_box_without_zero_starts_admissible(tmp_path):
+    # from u = 0, outside [0.5, 1.5], the first trial "reached" the free
+    # decay's norm and the run exited 0 with terminal_norm 0.875 > 0.5
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("[control]\nnu1 = 0.5\nnu2 = 1.5\nradius = 0.5\n")
+    out = tmp_path / "out"
+    assert run(["time-optimal", "--config", str(cfg), "--out", str(out)]) == 3
+    text, values = report_values(out)
+    assert "status: convergence-failure" in text
+    assert values["error"] == "InfeasibleError"
+    assert "certified infeasible, distance >= 8.17" in values["message"]
+
+
+def test_time_optimal_control_outside_the_ball_is_a_violation(tmp_path,
+                                                             monkeypatch):
+    def corner(problem, op, u0):      # bang-bang, but far from the target
+        u = problem.bounds[1] * op.region.mask
+        norm = float(np.linalg.norm(op.free(problem.v0) + op.apply(u)))
+        trial = control.Trial(op.region.horizon, 0.0, norm, 0, "converged")
+        return trial, u, 1e-7
+
+    monkeypatch.setattr(control, "_polish", corner)
+    out = tmp_path / "out"
+    assert run(["time-optimal", "--out", str(out)]) == 4
+    text, values = report_values(out)
+    assert "status: violation" in text
+    assert values["bang_bang"] == "true"
+    assert float(values["terminal_norm"]) > ExperimentConfig().radius
+
+
+def test_interp_times_its_two_phases(tmp_path):
+    cfg = tiny_config(tmp_path, "interval")
+    out = tmp_path / "out"
+    assert run(["interp", "--config", str(cfg), "--cases", "5",
+                "--out", str(out)]) == 0
+    text, values = report_values(out)
+    for phase in ("interp", "interp.integral", "interp.equivalence"):
+        assert float(values[f"time_{phase}"]) >= 0.0
+    assert "time_" not in strip_timings(text)
+
+
 def test_null_control_reports_solve_and_defect_times(tmp_path):
     cfg = tmp_path / "dual.cfg"
     cfg.write_text("[domain]\nn_modes = 6\nnx = 48\n"

@@ -433,12 +433,17 @@ def test_time_optimal_feasibility_trace_monotone():
 
 
 def test_time_optimal_non_monotone_trace_is_a_violation():
+    def trials(*pairs):
+        return tuple(ctl.Trial(t, 0.0, 0.0, 0, "reached" if ok else "certified")
+                     for t, ok in pairs)
+
     field = ctl.ControlField.zero(FULL)
-    ctl.TimeOptimalResult(0.75, field, 0.0,
-                          ((1.0, True), (0.5, False), (0.75, True)))
+    ok = ctl.TimeOptimalResult(0.75, field, 0.0,
+                               trials((1.0, True), (0.5, False), (0.75, True)))
+    assert ok.trace == ((1.0, True), (0.5, False), (0.75, True))
     with pytest.raises(PropertyViolation, match="above the trial time 0.5"):
         ctl.TimeOptimalResult(0.5, field, 0.0,
-                              ((1.0, True), (0.5, True), (0.75, False)))
+                              trials((1.0, True), (0.5, True), (0.75, False)))
 
 
 def test_time_optimal_shrinking_radius_increases_t_star():

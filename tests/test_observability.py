@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from obslab import control as ctl
 from obslab import observability as obs
 from obslab.errors import InsufficientTruncationError, PropertyViolation
-from obslab.geometry import SpaceTimeSet
+from obslab.geometry import SpaceTimeSet, good_time_set
 from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
                               mode_factors)
 from obslab.spectral import PhysicalParams, interval, rectangle
@@ -32,16 +33,145 @@ def batch(seed, n=12, domain=DOMAIN):
 # -- shared numerics ------------------------------------------------------
 
 
+def profile(states, times, mask, sel=ObservationSelector.first(),
+            domain=DOMAIN):
+    lanes = np.stack([z.coeffs for z in states])
+    return obs.observation_profile(domain, PARAMS, lanes, np.asarray(times),
+                                   np.asarray(mask), sel)
+
+
 def test_observation_profile_matches_direct_trace():
-    from obslab.semigroup import observed_trace_L1
+    # e_k(x) = sqrt(2/pi) sin(k x), lambda_k = k^2 on (0, pi); each pair
+    # decays by exp(-a k^2 t) and turns by k^2 b t
     D = random_D(0)
-    z = batch(1, 1)[0]
-    profile = obs.observation_profile(z, PARAMS, D, ObservationSelector.first())
-    for i in (3, 17, 40):
-        t = (i + 0.5) * D.dt
-        direct = observed_trace_L1(z, PARAMS, ObservationSelector.first(), t,
-                                   D.mask[i])
-        assert profile[i] == pytest.approx(direct, rel=1e-12, abs=1e-15)
+    states = batch(1, 3)
+    x = (np.arange(DOMAIN.n_cells) + 0.5) * PI / DOMAIN.n_cells
+    got = {name: profile(states, D.midpoints, D.mask, sel) for name, sel in (
+        ("first", ObservationSelector.first()),
+        ("direction", ObservationSelector.direction(2.0, -1.0)),
+        ("full", ObservationSelector.full()))}
+    for b, z in enumerate(states):
+        for i in (3, 17, 40):
+            t = (i + 0.5) * D.dt
+            v1 = np.zeros(DOMAIN.n_cells)
+            v2 = np.zeros(DOMAIN.n_cells)
+            for k in range(1, DOMAIN.n_modes + 1):
+                c1, c2 = z.coeffs[k - 1]
+                rot = k * k * PARAMS.b * t
+                decay = math.exp(-PARAMS.a * k * k * t)
+                e_k = math.sqrt(2.0 / PI) * np.sin(k * x)
+                v1 += decay * (math.cos(rot) * c1 + math.sin(rot) * c2) * e_k
+                v2 += decay * (-math.sin(rot) * c1 + math.cos(rot) * c2) * e_k
+            on = D.mask[i]
+            dx = PI / DOMAIN.n_cells
+            for name, mag in (("first", np.abs(v1)),
+                              ("direction", np.abs(2.0 * v1 - v2)),
+                              ("full", np.hypot(v1, v2))):
+                assert got[name][b, i] == pytest.approx(
+                    mag[on].sum() * dx, rel=1e-12, abs=1e-15)
+
+
+def test_observation_profile_selectors_consistent():
+    # signed fields: the direction field is mu1 v1 + mu2 v2
+    z = SpectralState.random(DOMAIN, np.random.default_rng(5))
+    eig = DOMAIN.eigenfunctions
+    (f1,) = obs.observed_fields(z.coeffs, eig, ObservationSelector.first())
+    full = obs.observed_fields(z.coeffs, eig, ObservationSelector.full())
+    (mu,) = obs.observed_fields(z.coeffs, eig,
+                                ObservationSelector.direction(2.0, -1.0))
+    assert len(full) == 2 and full[0].shape == (DOMAIN.n_cells,)
+    assert np.allclose(f1, full[0])
+    assert np.allclose(mu, 2.0 * full[0] - full[1])
+    # the full-observation magnitude dominates any single component
+    D = random_D(6)
+    first = profile([z], D.midpoints, D.mask)
+    both = profile([z], D.midpoints, D.mask, ObservationSelector.full())
+    assert np.all(both >= first - 1e-15)
+
+
+def test_observation_profile_monotone_in_mask():
+    z = SpectralState.random(DOMAIN, np.random.default_rng(7))
+    small = np.zeros((1, DOMAIN.n_cells), dtype=bool)
+    small[:, :128] = True
+    big = np.zeros((1, DOMAIN.n_cells), dtype=bool)
+    big[:, :384] = True
+    for sel in (ObservationSelector.first(), ObservationSelector.full()):
+        assert profile([z], [0.0], small, sel) <= profile([z], [0.0], big, sel)
+
+
+def test_observation_profile_full_uses_euclidean_magnitude():
+    z = SpectralState.single_mode(DOMAIN, 1, (3.0, 4.0))
+    full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
+    v = profile([z], [0.0], full_mask, ObservationSelector.full())
+    # |(3, 4) e_1(x)| = 5 |e_1(x)|; ||e_1||_L1 = 2 sqrt(2/pi) on (0, pi)
+    # midpoint quadrature of |sin| carries O(h^2) error
+    assert v.shape == (1, 1)
+    assert v[0, 0] == pytest.approx(5.0 * 2.0 * math.sqrt(2.0 / PI), rel=1e-4)
+
+
+def test_observation_profile_at_zero_time():
+    z = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
+    full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
+    v = profile([z], [0.0], full_mask)
+    assert v[0, 0] == pytest.approx(2.0 * math.sqrt(2.0 / PI), rel=1e-4)
+
+
+@pytest.mark.parametrize("sel", [ObservationSelector.first(),
+                                 ObservationSelector.direction(0.6, -0.8),
+                                 ObservationSelector.full()],
+                         ids=lambda sel: sel.kind.value)
+def test_observation_profile_lanes_do_not_depend_on_blocks(monkeypatch, sel):
+    D = random_D(11, n_time=16)
+    states = batch(12, 7)
+    whole = profile(states, D.midpoints, D.mask, sel)      # one block
+    assert whole.shape == (7, 16)
+    for i, z in enumerate(states):
+        assert np.array_equal(profile([z], D.midpoints, D.mask, sel)[0],
+                              whole[i])
+    # blocks of 3 lanes (the last one short) and of 1 lane
+    for lanes_per_block in (3, 1):
+        monkeypatch.setattr(obs, "_FIELD_BLOCK", lanes_per_block * D.mask.size)
+        assert np.array_equal(profile(states, D.midpoints, D.mask, sel), whole)
+
+
+def test_observation_profile_memory_does_not_grow_with_lanes():
+    dom = interval(PI, n_modes=8, n_cells=1024)
+    rng = np.random.default_rng(0)
+    mask = rng.random((16, dom.n_cells)) < 0.5
+    lanes = rng.standard_normal((65, 8, 2))
+    times = np.linspace(0.05, 1.0, 16)
+    sel = ObservationSelector.full()
+    obs.observation_profile(dom, PARAMS, lanes[:1], times, mask, sel)  # tables
+    all_lanes_field = len(lanes) * mask.size * 8      # bytes
+    tracemalloc.start()
+    try:
+        obs.observation_profile(dom, PARAMS, lanes, times, mask, sel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_lanes_field / 8
+
+
+MIRROR_DOMAIN = interval(PI, n_modes=8, n_cells=64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["first", "direction", "full"]))
+def test_observation_profile_is_invariant_under_a_spatial_mirror(seed, kind):
+    # e_k(pi - x) = (-1)^(k+1) e_k(x): mirroring the region and flipping
+    # mode k by (-1)^(k+1) leaves every observed norm unchanged
+    rng = np.random.default_rng(seed)
+    dom = MIRROR_DOMAIN
+    lanes = rng.standard_normal((3, dom.n_modes, 2))
+    mask = rng.random((5, dom.n_cells)) < rng.uniform(0.1, 0.9)
+    times = np.sort(rng.uniform(0.0, 1.0, 5))
+    sel = ObservationSelector(obs.SelectorKind(kind), *rng.standard_normal(2))
+    flip = (-1.0) ** np.arange(dom.n_modes)[:, None]
+    direct = obs.observation_profile(dom, PARAMS, lanes, times, mask, sel)
+    mirrored = obs.observation_profile(dom, PARAMS, lanes * flip, times,
+                                       mask[:, ::-1], sel)
+    assert np.allclose(mirrored, direct, rtol=1e-12, atol=1e-15)
 
 
 def test_solve_increasing_inverts():
@@ -225,6 +355,19 @@ def test_integral_interpolation_constants():
     assert ip.constant_template(rep.M_hat, rep.window_measure) >= rep.K_hat * (1 - 1e-9)
 
 
+def test_integral_interpolation_sums_each_lane_as_alone():
+    # the batch's window sums equal each state's own profile sum, bit for bit
+    D = random_D(3)
+    ip = obs.InterpolationParams(0.5, 0.25, 0.75)
+    states = batch(4, 32)
+    rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, states)
+    E = good_time_set(D, *obs.covering_ball(DOMAIN)).times
+    window = E.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
+    for z, integral in zip(states, rep.integrals):
+        alone = profile([z], D.midpoints, D.mask)[0]
+        assert integral == float(alone[window].sum()) * D.dt
+
+
 def test_integral_interpolation_adversarial_states_do_not_cancel():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
@@ -341,8 +484,8 @@ def test_telescope_full_cylinder():
 # -- checks that hold under python -O -------------------------------------
 
 
-def zero_profile(state, params, D, sel):
-    return np.zeros(D.n_time)
+def zero_profile(domain, params, lanes, times, mask, sel):
+    return np.zeros((len(lanes), len(mask)))
 
 
 def test_integral_observation_cancelling_is_a_violation(monkeypatch):
@@ -366,7 +509,7 @@ def test_integral_interpolation_non_finite_constant_raises(monkeypatch):
 
 
 def test_full_observation_cancelling_is_a_violation(monkeypatch):
-    monkeypatch.setattr(obs, "masked_l1", lambda field, mask, cell_volume: 0.0)
+    monkeypatch.setattr(obs, "observation_profile", zero_profile)
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
     with pytest.raises(PropertyViolation, match="full observation"):
         obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5, [0.5],

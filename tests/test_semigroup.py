@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              masked_l1, mode_factors, observe,
-                              observed_trace_L1, propagate)
+                              mode_factors, propagate)
 from obslab.spectral import PhysicalParams, interval
 
 PI = math.pi
@@ -107,48 +106,6 @@ def test_mode_trace_matches_evolved_coefficient():
     for t in (0.05, 0.3):
         tr = propagate(mode_factors(DOMAIN, PARAMS, t), z.coeffs)[3, 0]
         assert evolve(z, PARAMS, t).coeffs[3, 0] == pytest.approx(float(tr))
-
-
-def test_observe_selectors_consistent():
-    rng = np.random.default_rng(5)
-    z = SpectralState.random(DOMAIN, rng)
-    f1 = observe(z, ObservationSelector.first())
-    full = observe(z, ObservationSelector.full())
-    mu = observe(z, ObservationSelector.direction(2.0, -1.0))
-    assert full.shape == (2, DOMAIN.n_cells)
-    assert np.allclose(f1, full[0])
-    assert np.allclose(mu, 2.0 * full[0] - full[1])
-    # the full-observation magnitude dominates any single component
-    assert np.all(np.hypot(full[0], full[1]) >= np.abs(f1) - 1e-15)
-
-
-def test_masked_l1_monotone_in_mask():
-    rng = np.random.default_rng(7)
-    z = SpectralState.random(DOMAIN, rng)
-    f = observe(z, ObservationSelector.first())
-    small = np.zeros(DOMAIN.n_cells, dtype=bool)
-    small[:64] = True
-    big = np.zeros(DOMAIN.n_cells, dtype=bool)
-    big[:192] = True
-    assert masked_l1(f, small, DOMAIN.cell_volume) <= masked_l1(
-        f, big, DOMAIN.cell_volume)
-
-
-def test_masked_l1_full_observation_uses_euclidean_magnitude():
-    z = SpectralState.single_mode(DOMAIN, 1, (3.0, 4.0))
-    full_mask = np.ones(DOMAIN.n_cells, dtype=bool)
-    v = masked_l1(observe(z, ObservationSelector.full()), full_mask,
-                  DOMAIN.cell_volume)
-    # |(3, 4) e_1(x)| = 5 |e_1(x)|; ||e_1||_L1 = 2 sqrt(2/pi) on (0, pi)
-    # midpoint quadrature of |sin| carries O(h^2) error
-    assert v == pytest.approx(5.0 * 2.0 * math.sqrt(2.0 / PI), rel=1e-4)
-
-
-def test_observed_trace_l1_at_zero_time():
-    z = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
-    full_mask = np.ones(DOMAIN.n_cells, dtype=bool)
-    v = observed_trace_L1(z, PARAMS, ObservationSelector.first(), 0.0, full_mask)
-    assert v == pytest.approx(2.0 * math.sqrt(2.0 / PI), rel=1e-4)
 
 
 def test_state_validation():
