@@ -132,12 +132,9 @@ def _run_interp(cfg, rng, report) -> bool:
             pi1 = float(rng.uniform(0.5, 10.0))
             F3 = rng.uniform(0.1, 10.0, size=8)
             F2 = rng.uniform(0.0, 1.0, size=8) * F3
-            gamma = theta / (1.0 - theta)
             # tight admissible F1: the eps-form envelope, shrunk, capped by F3
-            best = np.minimum.reduce([
-                pi1 * (e ** -gamma * F2 + e * F3)
-                for e in np.geomspace(1e-9, 1 - 1e-9, 128)
-            ])
+            e = np.geomspace(1e-9, 1 - 1e-9, 128)[:, None]
+            best = (pi1 * (e ** (-theta / (1.0 - theta)) * F2 + e * F3)).min(axis=0)
             F1 = np.minimum(0.9 * best, F3)
             res = observability.interp_equivalence(pi1, theta, F1, F2, F3)
             failures += not (res.eps_form_passed and res.holds)
@@ -238,11 +235,9 @@ def _run_telescope(cfg, rng, report) -> bool:
     rep = observability.telescope_chain_demo(domain, params, D, cfg.beta,
                                              cfg.depth, batch)
     # time measure |E cap ring| per level, plus running partial sums
-    rows = []
-    partial = 0.0
-    for m, (ell_m, ring) in enumerate(zip(rep.terms, [*rep.ring_measures, 0.0])):
-        partial += ring
-        rows.append((m + 1, float(ell_m), float(ring), float(partial)))
+    rings = np.append(rep.ring_measures, 0.0)
+    rows = [(m + 1, float(ell), float(ring), float(part)) for m, (ell, ring, part)
+            in enumerate(zip(rep.terms, rings, np.cumsum(rings)))]
     report.add("telescope", ell=rep.ell, ell1=rep.ell1, mu=rep.mu,
                theta=rep.theta, C_hat=rep.C_hat, prefactor=rep.prefactor,
                domination_margin=rep.domination_margin, N_hat=rep.N_hat,

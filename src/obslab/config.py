@@ -115,8 +115,9 @@ class ExperimentConfig:
             bad("interpolation", "s1", "require 0 < s1 < s2")
         if self.s2 > self.horizon:
             bad("interpolation", "s2", "must not exceed the horizon")
-        if self.depth < 2:
-            bad("interpolation", "depth", "need depth >= 2")
+        if self.depth < 4:
+            bad("interpolation", "depth", "need depth >= 4: the telescoping "
+                "chain's first ring observation term is ring m = 2")
         if not self.nu1 < self.nu2:
             bad("control", "nu1", "bounds must satisfy nu1 < nu2")
         if self.radius <= 0:
@@ -127,6 +128,8 @@ class ExperimentConfig:
                     "equivalence_cases", "batch"):
             if getattr(self, key) < 1:
                 bad("sweep", key, "must be a positive integer")
+        if self.seed < 0:
+            bad("run", "seed", "must be a nonnegative integer")
 
     # -- parsing ------------------------------------------------------
 

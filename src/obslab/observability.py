@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTruncationError, ResolutionError, require
-from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
+from .geometry import GoodTimeSet, SpaceTimeSet, good_time_set
+# evolve is unused here, but the benchmark's tracer wraps observability.evolve
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
                         evolve, mode_factors, propagate)
 from .spectral import PhysicalParams, SpectralDomain
@@ -37,6 +38,11 @@ def covering_ball(domain: SpectralDomain):
 # stays in cache across the passes over it, and the memory of one evaluation
 # does not grow with the number of lanes or time rows.
 _FIELD_BLOCK = 1 << 14
+
+
+def lane_block(values_per_lane: int) -> int:
+    """Lanes per block: at most _FIELD_BLOCK field values, at least one lane."""
+    return max(1, _FIELD_BLOCK // values_per_lane)
 
 
 def observed_fields(traces: np.ndarray, eig: np.ndarray,
@@ -67,7 +73,7 @@ def observation_profile(domain: SpectralDomain, params: PhysicalParams,
     """
     factors = mode_factors(domain, params, times)
     out = np.empty((len(lanes), len(mask)))
-    blk = max(1, _FIELD_BLOCK // mask.size)
+    blk = lane_block(mask.size)
     for lo in range(0, len(lanes), blk):
         f = observed_fields(propagate(factors, lanes[lo:lo + blk, None]),
                             domain.eigenfunctions, sel)
@@ -83,6 +89,20 @@ def lane_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each lane of x, as the BLAS dot np.linalg.norm uses."""
     f = x.reshape(len(x), math.prod(x.shape[1:]))
     return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(len(x)))
+
+
+def norms_at(domain: SpectralDomain, params: PhysicalParams,
+             lanes: np.ndarray, times) -> np.ndarray:
+    """||exp(A t) z|| of lanes z (B, n_modes, 2) at times t, (B, n_times), bit
+    for bit as the semigroup evolution of one state and its norm."""
+    x = propagate(mode_factors(domain, params, times), lanes[:, None])
+    return lane_norms(x.reshape(-1, math.prod(x.shape[2:]))).reshape(x.shape[:2])
+
+
+def float_pow(x, p) -> np.ndarray:
+    """x ** p through Python float power, the C library's pow, as scalar code
+    computes it; numpy's vectorised pow can differ from it in the last bit."""
+    return (np.asarray(x, dtype=object) ** p).astype(float)
 
 
 def sphere_descent(value_grad, starts, iters: int, gtol: float):
@@ -247,17 +267,15 @@ def interp_equivalence(pi1: float, theta: float, F1, F2, F3) -> EquivalenceResul
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     gamma = theta / (1.0 - theta)
-    eps_grid = np.geomspace(1e-9, 1.0 - 1e-9, 64)
-    eps_form = True
-    for f1, f2, f3 in zip(F1, F2, F3):
-        eps_vals = list(eps_grid)
-        if f3 > 0 and f2 > 0:
-            eps_star = (f2 / f3) ** (1.0 / (gamma + 1.0))
-            if 0.0 < eps_star < 1.0:
-                eps_vals.append(eps_star)
-        bound = min(pi1 * (e ** -gamma * f2 + e * f3) for e in eps_vals)
-        if f1 > bound * (1 + 1e-12):
-            eps_form = False
+    # one row per probe: the 64 grid points, then its eps*, if it has one
+    eps = np.empty((len(F1), 65))
+    eps[:, :64] = np.geomspace(1e-9, 1.0 - 1e-9, 64)
+    with np.errstate(divide="ignore", invalid="ignore"):   # dropped below
+        eps[:, 64] = (F2 / F3) ** (1.0 / (gamma + 1.0))
+        bound = pi1 * (eps ** -gamma * F2[:, None] + eps * F3[:, None])
+    star_ok = (F3 > 0) & (F2 > 0) & (eps[:, 64] > 0.0) & (eps[:, 64] < 1.0)
+    bound[~star_ok, 64] = np.inf
+    eps_form = not np.any(F1 > bound.min(axis=1) * (1 + 1e-12))
     pi2 = 2.0 * pi1
     product = pi2 * F2 ** (1.0 - theta) * F3 ** theta
     holds = bool(np.all(F1 <= product * (1 + 1e-9) + 1e-300))
@@ -304,13 +322,6 @@ def _lanes(z_batch) -> np.ndarray:
     return np.stack([z.coeffs for z in z_batch])
 
 
-def _evolved_norms(z_batch, params: PhysicalParams, times) -> np.ndarray:
-    """||exp(A t) z|| by evolve, one row per state and a column per time."""
-    return np.fromiter((evolve(z, params, t).norm()
-                        for z in z_batch for t in times),
-                       float).reshape(-1, len(times))
-
-
 def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum of each lane's profile over the selected time cells.
 
@@ -318,13 +329,6 @@ def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
     and its row sums differ in the last bits from a single lane's sum.
     """
     return np.ascontiguousarray(profiles[:, cols]).sum(axis=1)
-
-
-def _window_weights(D: SpaceTimeSet, E: TimeSet, s1: float, s2: float):
-    """Time-cell selection for integrals of chi_E over [s1, s2]."""
-    mids = D.midpoints
-    sel = E.mask & (mids >= s1) & (mids <= s2)
-    return sel, float(sel.sum()) * D.dt
 
 
 def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams,
@@ -342,29 +346,31 @@ def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams
         sel = ObservationSelector.first()
     if gts is None:
         gts = good_time_set(D, *covering_ball(domain))
-    window, meas = _window_weights(D, gts.times, ip.s1, ip.s2)
+    # the time cells of E cap [S1, S2], and its measure
+    window = gts.times.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
+    meas = float(window.sum()) * D.dt
     if meas <= 0:        # depends on the region drawn, not on the inputs alone
         raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
                               "measure: the window holds no good time")
-    profiles = observation_profile(domain, params, _lanes(z_batch),
-                                   D.midpoints, D.mask, sel)
+    lanes = _lanes(z_batch)
+    profiles = observation_profile(domain, params, lanes, D.midpoints, D.mask,
+                                   sel)
     integrals = _row_sums(profiles, window) * D.dt
-    ratios = []
-    for z, integral in zip(z_batch, integrals.tolist()):
-        zn = z.norm()
-        if zn == 0:
-            ratios.append(0.0)
-            continue
-        lhs = evolve(z, params, ip.s2).norm()
-        require(integral > 0, "integral observation cancelled for a nonzero state")
-        rhs0 = (integral / meas) ** (1.0 - ip.theta) * zn ** ip.theta
-        ratios.append(lhs / rhs0)
-    K_hat = float(max(ratios))
+    zn = lane_norms(lanes)
+    live = zn != 0                          # a zero state has ratio 0
+    require(np.all(integrals[live] > 0),
+            "integral observation cancelled for a nonzero state")
+    lhs = norms_at(domain, params, lanes, (ip.s2,))[live, 0]
+    rhs0 = (float_pow(integrals[live] / meas, 1.0 - ip.theta)
+            * float_pow(zn[live], ip.theta))
+    ratios = np.zeros(len(lanes))
+    ratios[live] = lhs / rhs0
+    K_hat = float(ratios.max())
     if not math.isfinite(K_hat):
         raise ArithmeticError(f"interpolation constant is not finite: {K_hat}")
     M_hat = solve_increasing(lambda M: ip.constant_template(M, meas), K_hat)
     return InterpolationReport(K_hat=K_hat, M_hat=M_hat, window_measure=meas,
-                               ratios=np.array(ratios), integrals=integrals)
+                               ratios=ratios, integrals=integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +387,7 @@ class CounterexampleState:
 def single_time_counterexample(domain: SpectralDomain, params: PhysicalParams,
                                S: float, mode: int = 1) -> CounterexampleState:
     """Unit state whose first-component observation vanishes at time S."""
-    lam = domain.eigenvalues[mode - 1]
-    phase = lam * params.b * S
+    phase = domain.eigenvalues[mode - 1] * params.b * S
     pair = (-math.sin(phase), math.cos(phase))
     return CounterexampleState(mode=mode, times=(S,),
                                state=SpectralState.single_mode(domain, mode, pair))
@@ -403,11 +408,9 @@ def multi_time_counterexample(domain: SpectralDomain, params: PhysicalParams,
         )
     n = int(np.argmax(ok)) + 1
     lam_n = lam[n - 1]
-    if params.b > 0:
-        times = tuple(2.0 * i * math.pi / (params.b * lam_n) for i in range(1, m + 1))
-    else:
-        times = tuple(horizon + 2.0 * i * math.pi / (params.b * lam_n)
-                      for i in range(1, m + 1))
+    start = 0.0 if params.b > 0 else horizon       # b < 0 turns backwards
+    times = tuple(start + 2.0 * i * math.pi / (params.b * lam_n)
+                  for i in range(1, m + 1))
     phase = lam_n * params.b * times[0]
     pair = (-math.sin(phase), math.cos(phase))
     return CounterexampleState(mode=n, times=times,
@@ -448,12 +451,14 @@ def pointwise_failure_demo(domain: SpectralDomain, params: PhysicalParams,
 # directional and full observation
 
 
-def direction_transform(state: SpectralState, mu1: float, mu2: float
-                        ) -> SpectralState:
-    """phi with B exp(At) phi = (mu1, mu2) . exp(At) z for all t."""
-    z1, z2 = state.coeffs[:, 0], state.coeffs[:, 1]
-    c = np.column_stack([mu1 * z1 + mu2 * z2, mu1 * z2 - mu2 * z1])
-    return SpectralState(c, state.domain)
+def direction_transform(state, mu1: float, mu2: float):
+    """phi with B exp(At) phi = (mu1, mu2) . exp(At) z for all t, for a
+    SpectralState or for lanes (..., n_modes, 2), returned in the same form."""
+    if isinstance(state, SpectralState):
+        return SpectralState(direction_transform(state.coeffs, mu1, mu2),
+                             state.domain)
+    z1, z2 = state[..., 0], state[..., 1]
+    return np.stack([mu1 * z1 + mu2 * z2, mu1 * z2 - mu2 * z1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -471,13 +476,14 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
         raise ValueError("direction must be nonzero")
     sel = ObservationSelector.direction(mu1, mu2)
     scale = mu1 * mu1 + mu2 * mu2
-    phis = [direction_transform(z, mu1, mu2) for z in z_batch]
-    amp_defect = max(abs(phi.norm() ** 2 - scale * z.norm() ** 2)
-                     for phi, z in zip(phis, z_batch))
+    lanes = _lanes(z_batch)
+    phis = direction_transform(lanes, mu1, mu2)
+    amp_defect = float(np.abs(lane_norms(phis) ** 2
+                              - scale * lane_norms(lanes) ** 2).max())
     factors = mode_factors(domain, params, (0.1, 0.5, 1.0))
-    (a,) = observed_fields(propagate(factors, _lanes(phis)[:, None]),
+    (a,) = observed_fields(propagate(factors, phis[:, None]),
                            domain.eigenfunctions, ObservationSelector.first())
-    (b,) = observed_fields(propagate(factors, _lanes(z_batch)[:, None]),
+    (b,) = observed_fields(propagate(factors, lanes[:, None]),
                            domain.eigenfunctions, sel)
     field_defect = float(np.abs(a - b).max())
     report = verify_integral_interpolation(domain, params, D, ip, z_batch, sel=sel)
@@ -510,10 +516,11 @@ def verify_full_observation_pointwise(domain: SpectralDomain,
         if not gts.times.contains_time(t):
             raise ValueError(f"time {t} is not in the good-time set E")
     slices = np.array([D.slice_at(t)[0] for t in times])
-    traces = observation_profile(domain, params, _lanes(z_batch), times,
-                                 slices, ObservationSelector.full())
-    norms = _evolved_norms(z_batch, params, times)
-    zn = np.array([z.norm() for z in z_batch])
+    lanes = _lanes(z_batch)
+    traces = observation_profile(domain, params, lanes, times, slices,
+                                 ObservationSelector.full())
+    norms = norms_at(domain, params, lanes, times)
+    zn = lane_norms(lanes)
     live = zn > 0
     traces, norms, zn = traces[live], norms[live], zn[live, None]
     require(np.all(traces > 0),
@@ -561,32 +568,32 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     end-to-end empirical observability constant.
     """
     from .geometry import find_density_point, telescoping_sequence
-    gts = good_time_set(D, *covering_ball(domain))
-    E = gts.times
+    if depth < 4:
+        raise ValueError("the chain needs depth >= 4: its first ring "
+                         "observation term is ring m = 2")
+    E = good_time_set(D, *covering_ball(domain)).times
     ell = find_density_point(E)
     seq = telescoping_sequence(E, ell, beta, depth)
-    mu = seq.mu
+    mu, terms = seq.mu, seq.terms
     theta = beta / (beta + 1.0)
-    terms = seq.terms
     n_rings = depth - 2
 
-    # per-z norms at the sequence times and ring observations
+    # per-z norms at the sequence times and the horizon; ring observations
+    lanes = _lanes(z_batch)
     mids = D.midpoints
-    profiles = observation_profile(domain, params, _lanes(z_batch), mids,
-                                   D.mask, ObservationSelector.first())
+    profiles = observation_profile(domain, params, lanes, mids, D.mask,
+                                   ObservationSelector.first())
     totals = profiles.sum(axis=1) * D.dt
-    L = _evolved_norms(z_batch, params, terms)
+    norms = norms_at(domain, params, lanes, (*terms, D.horizon))
+    L = norms[:, :depth]
     O = np.column_stack([
         _row_sums(profiles, E.mask & (mids > terms[m + 1]) & (mids < terms[m]))
         for m in range(depth - 1)]) * D.dt
 
     # ring interpolation constants A_m: L_m <= A_m * O_m^(1-theta) * L_{m+2}^theta
-    ring_constants = np.empty(n_rings)
-    for mIdx in range(n_rings):
-        num = L[:, mIdx]
-        den = O[:, mIdx] ** (1.0 - theta) * L[:, mIdx + 2] ** theta
-        require(np.all(den > 0), "a ring observation cancelled entirely")
-        ring_constants[mIdx] = float((num / den).max())
+    den = O[:, :n_rings] ** (1.0 - theta) * L[:, 2:] ** theta
+    require(np.all(den > 0), "a ring observation cancelled entirely")
+    ring_constants = (L[:, :n_rings] / den).max(axis=0)
 
     # fit C_hat: A_m^(beta+1) <= prefactor * exp(C_hat * mu^(m+2)), anchored at m=1
     powered = ring_constants ** (beta + 1.0)
@@ -599,20 +606,16 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
 
     # telescoped chain: weighted ell_2 norm dominated by ring observations
     weight2 = math.exp(-C_hat * (beta + 2.0) * mu ** 2)
-    margin = math.inf
-    for i, z in enumerate(z_batch):
-        zn = z.norm()
-        if zn == 0:
-            continue
-        even = range(1, n_rings, 2)        # rings m = 2, 4, ... (0-based odd)
-        obs_sum = prefactor * sum(O[i, mIdx] for mIdx in even)
-        tail_m = max(even) + 2 if n_rings > 1 else 2
-        tail = math.exp(-C_hat * (beta + 2.0) * mu ** (tail_m + 2)) * zn
-        margin = min(margin, obs_sum + tail - weight2 * L[i, 1])
+    even = range(1, n_rings, 2)            # rings m = 2, 4, ... (0-based odd)
+    obs_sum = prefactor * sum(O[:, mIdx] for mIdx in even)
+    tail_m = max(even) + 2
+    zn = lane_norms(lanes)
+    tail = math.exp(-C_hat * (beta + 2.0) * mu ** (tail_m + 2)) * zn
+    margins = obs_sum + tail - weight2 * L[:, 1]
+    margin = margins[zn != 0].min(initial=math.inf)
 
     finite = totals > 0
-    N_hat = float((np.array([evolve(z, params, D.horizon).norm()
-                             for z in z_batch])[finite] / totals[finite]).max())
+    N_hat = float((norms[finite, -1] / totals[finite]).max())
     return TelescopeReport(ell=ell, ell1=seq.ell1, mu=mu, theta=theta,
                            ring_constants=ring_constants, C_hat=C_hat,
                            prefactor=prefactor, domination_margin=float(margin),

@@ -159,6 +159,29 @@ def test_time_optimal_zero_radius_exits_2(tmp_path, capsys):
     assert "control.radius" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_telescope_depth_below_four_exits_2(tmp_path, capsys, depth):
+    # depth 2 has no ring to fit; depth 3 has no ring observation term
+    cfg = tmp_path / "shallow.cfg"
+    cfg.write_text(f"[interpolation]\ndepth = {depth}\n")
+    out = tmp_path / "out"
+    assert run(["telescope", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "interpolation.depth" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("[run]\nseed = -5\n")
+    out = tmp_path / "out"
+    for argv in (["--config", str(cfg)], ["--seed", "-1"]):
+        assert run(["remez", "--cases", "3", "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "run.seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_time_optimal_8x8_rectangle_is_bang_bang(tmp_path):
     cfg = tmp_path / "rect8.cfg"
     cfg.write_text("[domain]\nkind = rectangle\nnx = 8\nny = 8\n"

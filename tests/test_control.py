@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab import control as ctl
+from obslab import observability as obs
 from obslab.config import ExperimentConfig
 from obslab.errors import ConvergenceError, InfeasibleError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
-from obslab.semigroup import SpectralState, evolve, mode_factors
+from obslab.semigroup import SpectralState, evolve, mode_factors, propagate
 from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
@@ -191,7 +192,7 @@ def test_ratio_and_grad_lanes_do_not_depend_on_blocks(monkeypatch):
         assert v1[0] == val[i] and np.array_equal(g1[0], grad[i])
     # blocks of 3 lanes (the last one short) and of 1 lane
     for lanes_per_block in (3, 1):
-        monkeypatch.setattr(ctl, "_FIELD_BLOCK", lanes_per_block * 16 * 32)
+        monkeypatch.setattr(obs, "_FIELD_BLOCK", lanes_per_block * 16 * 32)
         v, g = ctl._ratio_and_grad(op, forward, Y)
         assert np.array_equal(v, val) and np.array_equal(g, grad)
 
@@ -278,6 +279,67 @@ def test_duality_defect_passes_exact_pairings_and_catches_a_scaled_adjoint(
     monkeypatch.setattr(ctl.ControlOperator, "adjoint",
                         lambda op, y: adjoint(op, y) * (1.0 + 1e-6))
     assert ctl.duality_defect(problem, field) > 1e-8
+
+
+def reference_defect(problem, field, rng):
+    """duality_defect's pairing, one probe at a time."""
+    op = ctl.ControlOperator(problem.domain, problem.params, field.region)
+    v0 = problem.v0.coeffs
+    vT = op.free(problem.v0) + op.apply(field.values)
+    worst = 0.0
+    for _ in range(100):
+        z = rng.standard_normal(v0.shape)
+        lhs = float(np.sum(vT * z))
+        free_term = float(np.sum(v0 * propagate(op.at_horizon, z)))
+        control_term = float(np.sum(field.values * op.adjoint(z)) * op.weight)
+        scale = max(abs(free_term) + abs(control_term), 1e-30)
+        worst = max(worst, abs(lhs - (free_term + control_term)) / scale)
+    return worst
+
+
+def random_control(problem, seed):
+    region = problem.region
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, region.mask.shape)
+    return ctl.ControlField(u * region.mask, region)
+
+
+@pytest.mark.parametrize("rect", [False, True])
+def test_duality_defect_matches_a_probe_loop_at_every_block_size(
+        monkeypatch, rect):
+    if rect:
+        dom = rectangle(PI, PI, n_modes=6, cells=(8, 6))
+        region = SpaceTimeSet.random(dom, 1.0, 16, np.random.default_rng(3),
+                                     fill=0.5, min_measure_fraction=0.1)
+        v0 = SpectralState.random(dom, np.random.default_rng(4))
+        problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
+    else:
+        problem = dual_problem(1)
+    field = random_control(problem, 5)
+    expected = reference_defect(problem, field, np.random.default_rng(7))
+    assert expected > 0.0
+    lane = field.values.size
+    for lanes_per_block in (None, *range(1, 101)):
+        if lanes_per_block is not None:
+            monkeypatch.setattr(obs, "_FIELD_BLOCK", lanes_per_block * lane)
+        got = ctl.duality_defect(problem, field, rng=np.random.default_rng(7))
+        assert got == expected
+
+
+def test_duality_defect_memory_does_not_grow_with_probes():
+    dom = interval(PI, n_modes=8, n_cells=1024)
+    region = SpaceTimeSet.full_cylinder(dom, 1.0, 32)
+    problem = ctl.ControlProblem(dom, PARAMS, SpectralState.single_mode(
+        dom, 1, (1.0, 0.0)), region=region)
+    field = random_control(problem, 0)
+    ctl.duality_defect(problem, field)                  # tables, caches
+    all_probes_field = 100 * field.values.size * 8      # bytes
+    tracemalloc.start()
+    try:
+        ctl.duality_defect(problem, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < all_probes_field / 8
 
 
 def test_null_control_tol_validation():
@@ -425,25 +487,15 @@ def test_time_optimal_matches_grid_scan_on_a_rectangle():
     assert abs(res.t_star - oracle) <= 2.5e-3
 
 
-def test_time_optimal_feasibility_trace_monotone():
-    res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
+@settings(max_examples=8, deadline=None)
+@given(rect=st.booleans(), radius=st.floats(0.12, 0.34))
+def test_time_optimal_feasibility_trace_monotone(rect, radius):
+    """On real solves every infeasible trial time lies below every feasible one."""
+    make = rect_problem if rect else to_problem
+    res = ctl.solve_time_optimal(make(radius=radius), T_max=1.0)
     feas = [t for t, ok in res.trace if ok]
     infeas = [t for t, ok in res.trace if not ok]
-    assert not infeas or min(feas) > max(infeas)
-
-
-def test_time_optimal_non_monotone_trace_is_a_violation():
-    def trials(*pairs):
-        return tuple(ctl.Trial(t, 0.0, 0.0, 0, "reached" if ok else "certified")
-                     for t, ok in pairs)
-
-    field = ctl.ControlField.zero(FULL)
-    ok = ctl.TimeOptimalResult(0.75, field, 0.0,
-                               trials((1.0, True), (0.5, False), (0.75, True)))
-    assert ok.trace == ((1.0, True), (0.5, False), (0.75, True))
-    with pytest.raises(PropertyViolation, match="above the trial time 0.5"):
-        ctl.TimeOptimalResult(0.5, field, 0.0,
-                              trials((1.0, True), (0.5, True), (0.75, False)))
+    assert max(infeas, default=0.0) < min(feas) == res.t_star
 
 
 def test_time_optimal_shrinking_radius_increases_t_star():

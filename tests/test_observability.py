@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,30 @@ def test_observation_profile_is_invariant_under_a_spatial_mirror(seed, kind):
     assert np.allclose(mirrored, direct, rtol=1e-12, atol=1e-15)
 
 
+NORM_DOMAINS = {"interval": interval(PI, n_modes=12, n_cells=64),
+                "rectangle": rectangle(PI, 2.0, n_modes=10, cells=(8, 6))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(sorted(NORM_DOMAINS)))
+def test_norms_at_matches_evolve_bit_for_bit(seed, kind):
+    # one propagate over all lanes and times gives each state's own norm
+    rng = np.random.default_rng(seed)
+    dom = NORM_DOMAINS[kind]
+    params = PhysicalParams(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
+    lanes = rng.standard_normal((5, dom.n_modes, 2)) * rng.uniform(0.1, 10.0)
+    times = np.concatenate([[0.0], rng.uniform(0.0, 2.0, 6)])
+    norms = obs.norms_at(dom, params, lanes, times)
+    assert norms.shape == (5, 7)
+    zn = obs.lane_norms(lanes)
+    for b, coeffs in enumerate(lanes):
+        z = SpectralState(coeffs, dom)
+        assert zn[b] == z.norm()
+        for i, t in enumerate(times):
+            assert norms[b, i] == evolve(z, params, float(t)).norm()
+
+
 def test_solve_increasing_inverts():
     f = lambda x: x * math.exp(2.0 * x)
     x = obs.solve_increasing(f, 5.0)
@@ -325,6 +350,55 @@ def test_interp_equivalence_detects_violation():
     # F1 pushed above the eps-form envelope
     res = obs.interp_equivalence(1.0, 0.5, [0.99], [0.1], [1.0])
     assert not res.eps_form_passed
+
+
+def scalar_equivalence(pi1, theta, F1, F2, F3):
+    """The eps-form and product-form verdicts, one probe and one eps at a time."""
+    gamma = theta / (1.0 - theta)
+    eps_form = True
+    for f1, f2, f3 in zip(F1, F2, F3):
+        eps_vals = list(np.geomspace(1e-9, 1.0 - 1e-9, 64))
+        if f3 > 0 and f2 > 0:
+            eps_star = (f2 / f3) ** (1.0 / (gamma + 1.0))
+            if 0.0 < eps_star < 1.0:
+                eps_vals.append(eps_star)
+        bound = min(pi1 * (e ** -gamma * f2 + e * f3) for e in eps_vals)
+        if f1 > bound * (1 + 1e-12):
+            eps_form = False
+    holds = all(f1 <= 2.0 * pi1 * f2 ** (1.0 - theta) * f3 ** theta
+                * (1 + 1e-9) + 1e-300 for f1, f2, f3 in zip(F1, F2, F3))
+    return eps_form, holds
+
+
+@pytest.mark.parametrize("probes", [1, 3])
+def test_interp_equivalence_matches_a_scalar_reference(probes):
+    # F1 spread around the product form, which the eps-form bound takes at
+    # each probe's eps*: near theta = 1/2 that beats every grid point, so
+    # eps* decides the tight probes
+    rng = np.random.default_rng(probes)
+    verdicts = set()
+    for i in range(400):
+        theta = float(rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(0.45, 0.55))
+        pi1 = float(rng.uniform(0.5, 2.0))
+        F3 = rng.uniform(0.1, 10.0, size=probes)
+        F2 = 10.0 ** rng.uniform(-8.0, 0.5, size=probes) * F3
+        product = 2.0 * pi1 * F2 ** (1.0 - theta) * F3 ** theta
+        F1 = np.minimum(product * rng.uniform(0.99, 1.01, size=probes), F3)
+        res = obs.interp_equivalence(pi1, theta, F1, F2, F3)
+        got = (res.eps_form_passed, res.holds)
+        assert got == scalar_equivalence(pi1, theta, F1, F2, F3)
+        verdicts.add(got)
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+
+
+def test_interp_equivalence_probes_without_optimal_eps_stay_quiet():
+    # F2 = 0 or F3 = 0 leaves a probe no optimal eps, and no numpy warning
+    F1, F2, F3 = [0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = obs.interp_equivalence(1.5, 0.4, F1, F2, F3)
+    assert (res.eps_form_passed, res.holds) == scalar_equivalence(
+        1.5, 0.4, F1, F2, F3)
 
 
 def test_interp_equivalence_requires_f1_below_f3():
@@ -481,6 +555,15 @@ def test_telescope_full_cylinder():
     assert rep.theta == pytest.approx(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_telescope_needs_a_ring_observation_term(depth):
+    # below depth 4 the chain has no ring observation, so nothing to check
+    D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
+    with pytest.raises(ValueError, match="depth >= 4"):
+        obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=1.0, depth=depth,
+                                 z_batch=batch(23, 2))
+
+
 # -- checks that hold under python -O -------------------------------------
 
 
@@ -497,11 +580,10 @@ def test_integral_observation_cancelling_is_a_violation(monkeypatch):
 
 
 def test_integral_interpolation_non_finite_constant_raises(monkeypatch):
-    class Unbounded:
-        def norm(self):
-            return math.inf
+    def unbounded(domain, params, lanes, times):
+        return np.full((len(lanes), len(times)), math.inf)
 
-    monkeypatch.setattr(obs, "evolve", lambda z, params, t: Unbounded())
+    monkeypatch.setattr(obs, "norms_at", unbounded)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
     with pytest.raises(ArithmeticError, match="not finite"):
         obs.verify_integral_interpolation(DOMAIN, PARAMS, random_D(3), ip,
