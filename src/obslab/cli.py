@@ -167,7 +167,6 @@ def _run_counterexample(cfg, rng, report, multi=3, single=None) -> bool:
 def _run_estimate_L(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
-    v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
     rows = []
     ok = True
     for name, region in (("config", D),
@@ -176,8 +175,10 @@ def _run_estimate_L(cfg, rng, report) -> bool:
                              D.horizon, domain))):
         if not region.mask.any():
             continue
-        problem = control.ControlProblem(domain, params, v0, region=region)
-        L_hat = control.estimate_L(problem, rng=rng)
+        # the dual field observes at T - s: reflect to get region's constant
+        reflected = SpaceTimeSet(region.mask[::-1], region.horizon, domain)
+        L_hat = control.estimate_L(
+            control.ControlOperator(domain, params, reflected), rng=rng)
         ok = ok and L_hat > 0
         rows.append((region.measure(), L_hat))
         report.add(f"estimate_L_{name}", region_measure=region.measure(),

@@ -18,13 +18,13 @@ pairing is exact by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
-from .observability import float_pow, lane_block, lane_norms, sphere_descent
+from .observability import lane_block, lane_norms, sphere_descent
 from .report import write_csv
 from .semigroup import SpectralState, mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
@@ -172,8 +172,10 @@ class ControlOperator:
         self.domain = domain
         self.region = region
         T = region.horizon
-        tau = T - region.midpoints            # dual trace times per cell
-        self.decay, self.cos, self.sin = mode_factors(domain, params, tau)
+        # tables at T - s_i; f = decay * (cos, sin) is read by fold and gram
+        self.to_horizon = mode_factors(domain, params, T - region.midpoints)
+        decay, cos, sin = self.to_horizon
+        self.f = decay[..., None] * np.stack([cos, sin], axis=-1)
         self.at_horizon = mode_factors(domain, params, T)
         self.observed = np.flatnonzero(region.mask)   # flat (time, cell) indices
         self.weight = region.dt * domain.cell_volume
@@ -182,24 +184,26 @@ class ControlOperator:
         """Coefficients of the uncontrolled terminal state exp(A^T T) v0."""
         return propagate(self.at_horizon, v0.coeffs, transpose=True)
 
+    def traces(self, z: np.ndarray) -> np.ndarray:
+        """dual_field's mode coefficients, (..., n_time, n_modes)."""
+        decay, cos, sin = self.to_horizon
+        return decay * (cos * z[..., None, :, 0] + sin * z[..., None, :, 1])
+
+    def fold(self, p: np.ndarray) -> np.ndarray:
+        """The dt-weighted transpose of traces, (..., n_modes, 2)."""
+        return np.einsum("...tkc,...tk->...kc", self.f, p) * self.region.dt
+
     def dual_field(self, z: np.ndarray) -> np.ndarray:
         """First component of exp(A * (T - s_i)) z on the grid, (n_time, n_cells).
 
         z is (n_modes, 2), or lanes (..., n_modes, 2) giving (..., n_time, n_cells).
         """
-        w1 = self.decay * (self.cos * z[..., None, :, 0]
-                           + self.sin * z[..., None, :, 1])
-        return w1 @ self.domain.eigenfunctions
+        return self.traces(z) @ self.domain.eigenfunctions
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Terminal coefficient increment of the control, shape (n_modes, 2)."""
         dx = self.domain.cell_volume
-        p1 = (u * self.region.mask) @ self.domain.eigenfunctions.T * dx
-        out = np.empty((self.domain.n_modes, 2))
-        dt = self.region.dt
-        out[:, 0] = (self.decay * self.cos * p1).sum(axis=0) * dt
-        out[:, 1] = (self.decay * self.sin * p1).sum(axis=0) * dt
-        return out
+        return self.fold((u * self.region.mask) @ self.domain.eigenfunctions.T * dx)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Adjoint in the weighted (dt * dx) inner product; lanes as in dual_field."""
@@ -211,13 +215,12 @@ class ControlOperator:
         K maps a dual state z to its dual field on the region's cells;
         weights broadcasts to the grid and is dropped off the region.  K is
         never formed: entry ((k, c), (l, d)) is the sum over time rows i of
-        f_c[i, k] f_d[i, l] sum_j phi_k(x_j) weights[i, j] phi_l(x_j), with
-        f = decay * (cos, sin), built a block of time rows at a time.
+        f[i, k, c] f[i, l, d] sum_j phi_k(x_j) weights[i, j] phi_l(x_j),
+        built a block of time rows at a time.
         """
-        phi = self.domain.eigenfunctions
+        phi, f = self.domain.eigenfunctions, self.f
         n = self.domain.n_modes
         wt = weights * self.region.mask
-        f = self.decay[..., None] * np.stack([self.cos, self.sin], axis=-1)
         out = np.zeros((n, 2, n, 2))
         blk = lane_block(phi.size)
         for lo in range(0, len(wt), blk):
@@ -235,19 +238,15 @@ class ControlOperator:
 # observability constant of the control region
 
 
-def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
-    """Observation-to-terminal-norm ratios and coefficient gradients.
+def _ratio_and_grad(op: ControlOperator, Y: np.ndarray):
+    """estimate_L's ratios and their coefficient gradients.
 
-    Y stacks initial data of shape (n_modes, 2) on a leading lane axis;
-    forward holds the mode_factors tables at the region's time midpoints.
-    Returns ratios (B,) and gradients (B, n_modes, 2).
+    Y stacks points of shape (n_modes, 2) on a leading lane axis.  Returns
+    ratios (B,) and gradients (B, n_modes, 2).
     """
-    # numerator: int over D of |first component of exp(At) y0|
     dom, region = op.domain, op.region
-    forward_decay, forward_cos, forward_sin = forward
     B = len(Y)
-    w1 = forward_decay * (forward_cos * Y[:, None, :, 0]
-                          + forward_sin * Y[:, None, :, 1])
+    w1 = op.traces(Y)
     blk = min(B, lane_block(region.mask.size))
     field = np.empty((blk,) + region.mask.shape)
     cells = np.empty((blk, op.observed.size))
@@ -262,41 +261,34 @@ def _ratio_and_grad(op: ControlOperator, forward, Y: np.ndarray):
         np.sign(f, out=f)
         f *= region.mask
         np.matmul(f, dom.eigenfunctions.T, out=g1[lo:lo + blk])
-    num *= op.weight
-    g1 *= op.weight
-    g_num = np.stack([(forward_decay * forward_cos * g1).sum(axis=1),
-                      (forward_decay * forward_sin * g1).sum(axis=1)], axis=-1)
-    # denominator: norm of exp(A T) y0, diagonal per mode
+    num = num[:, None, None] * op.weight
+    g_num = op.fold(g1) * dom.cell_volume
+    # denominator: norm of exp(A T) y, diagonal per mode
     yT = propagate(op.at_horizon, Y)
     den = lane_norms(yT)[:, None, None]
     g_den = propagate(op.at_horizon, yT, transpose=True) / den
-    num = num[:, None, None]
-    # square by float_pow, as the per-start loop this batch replaced did:
-    # x * x moves one of 15 sampled L_hat values by 3e-15 relative
-    den2 = float_pow(den, 2)
-    grad = (g_num * den - num * g_den) / den2
+    grad = (g_num * den - num * g_den) / (den * den)
     return (num / den).reshape(B), grad
 
 
-def estimate_L(problem: ControlProblem, restarts: int = 64,
+def estimate_L(op: ControlOperator, restarts: int = 64,
                rng: np.random.Generator | None = None,
                extra_starts=()) -> float:
-    """Minimal observation-to-terminal-norm ratio over unit initial data.
+    """Least ratio int int_R |W(y)| / ||exp(AT) y||, W = op.dual_field.
 
+    W observes y at T - s on op's region R, so on a region reflected in
+    time this is the forward observability constant of the region.
     Projected subgradient descent on the coefficient sphere with Armijo
     backtracking from random starts, all run together as lanes of one
-    batched sphere_descent; extra_starts lets callers seed the search
-    with specific directions (e.g. the optimal dual state).
+    batched sphere_descent; extra_starts lets callers seed the search with
+    specific directions (e.g. the optimal dual state).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    region = problem.region
-    op = ControlOperator(problem.domain, problem.params, region)
-    forward = mode_factors(problem.domain, problem.params, region.midpoints)
-    n = problem.domain.n_modes
+    n = op.domain.n_modes
     extra = np.array(extra_starts, dtype=float).reshape(-1, n, 2)
     starts = np.concatenate([extra, rng.standard_normal((restarts, n, 2))])
-    best, _ = sphere_descent(lambda Y: _ratio_and_grad(op, forward, Y),
+    best, _ = sphere_descent(lambda Y: _ratio_and_grad(op, Y),
                              starts, iters=200, gtol=1e-24)
     if best <= 0:
         raise ArithmeticError("observability ratio collapsed to zero")
@@ -426,14 +418,11 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
             f"dual Newton stopped at terminal norm {terminal:.3e} "
             f"(target {target:.3e}) after {steps} trial points, mu {mu:.0e}",
             best=ControlField(u, region))
-    # M <= ||v0|| / ratio(z) for the region reflected in time, as W observes
-    # z at T - s; descent from z only lowers the ratio, so M <= ||v0|| / L_hat
+    # M <= ||v0|| / ratio(z) for op's own ratio; descent from z only
+    # lowers the ratio, so M <= ||v0|| / L_hat
     L_hat = math.inf                    # u = 0 needs no bound
     if bulk > 0:
-        reflected = SpaceTimeSet(region.mask[::-1], region.horizon,
-                                 region.domain)
-        L_hat = estimate_L(replace(problem, region=reflected), rng=rng,
-                           extra_starts=[z])
+        L_hat = estimate_L(op, rng=rng, extra_starts=[z])
     field = ControlField(u, region)
     cert = DualityCertificate(z_star=SpectralState(z, problem.domain),
                               dual_value=0.5 * bulk ** 2 - lin,

@@ -194,6 +194,9 @@ class SpaceTimeSet:
                 continue
             for run in line.split(","):
                 s, n = (int(v) for v in run.split(":"))
+                if not 0 <= s < s + n <= nx:
+                    raise ValueError(
+                        f"row {i}: run {run!r} is not a nonempty run in 0..{nx - 1}")
                 mask[i, s:s + n] = True
         return SpaceTimeSet(mask, horizon, domain)
 

@@ -586,9 +586,14 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     totals = profiles.sum(axis=1) * D.dt
     norms = norms_at(domain, params, lanes, (*terms, D.horizon))
     L = norms[:, :depth]
-    O = np.column_stack([
-        _row_sums(profiles, E.mask & (mids > terms[m + 1]) & (mids < terms[m]))
-        for m in range(depth - 1)]) * D.dt
+    rings = [E.mask & (mids > terms[m + 1]) & (mids < terms[m])
+             for m in range(depth - 1)]
+    for m, ring in enumerate(rings[:n_rings]):
+        if not ring.any():      # E meets it only between time-cell midpoints
+            raise ResolutionError(
+                f"observation.n_time: ring {m + 1}, ({terms[m + 1]:.6g}, "
+                f"{terms[m]:.6g}), holds no time-cell midpoint of E")
+    O = np.column_stack([_row_sums(profiles, ring) for ring in rings]) * D.dt
 
     # ring interpolation constants A_m: L_m <= A_m * O_m^(1-theta) * L_{m+2}^theta
     den = O[:, :n_rings] ** (1.0 - theta) * L[:, 2:] ** theta

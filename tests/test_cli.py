@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from obslab.config import ExperimentConfig
 from obslab.errors import ConfigError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.report import RunReport, strip_timings
+from obslab.semigroup import SpectralState
 from obslab.trigpoly import CheckResult
 
 
@@ -169,6 +171,25 @@ def test_telescope_depth_below_four_exits_2(tmp_path, capsys, depth):
     err = capsys.readouterr().err
     assert "interpolation.depth" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["[interpolation]\ndepth = 40",
+                                     "[interpolation]\nbeta = 100",
+                                     "[observation]\nn_time = 3"])
+def test_telescope_ring_without_a_time_cell_exits_3(tmp_path, setting):
+    # each config has a ring of positive measure in E that holds no time-cell
+    # midpoint, so its observation is empty by discretisation, not by the
+    # property failing
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert run(["telescope", "--config", str(cfg), "--seed", "0",
+                "--out", str(out)]) == 3
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: convergence-failure" in text
+    assert "error: ResolutionError" in text
+    assert re.search(r"observation\.n_time: ring \d+, ", text)
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):
@@ -545,7 +566,8 @@ def test_null_control_certificate_violation_under_optimize(tmp_path):
     assert "exceeds the duality bound" in text
 
 
-def fixture_run(tmp_path, fixture_text, horizon=1.0, sub="null-control"):
+def fixture_run(tmp_path, fixture_text, horizon=1.0, sub="null-control",
+                *args):
     """A subcommand at the dual sizes, its region read from a fixture file."""
     path = tmp_path / "region.rle"
     path.write_text(fixture_text)
@@ -555,7 +577,7 @@ def fixture_run(tmp_path, fixture_text, horizon=1.0, sub="null-control"):
         f"[observation]\ngenerator = fixture\nfixture = {path}\n")
         + f"[system]\nhorizon = {horizon}\n")
     out = tmp_path / "out"
-    return run([sub, "--config", str(cfg), "--out", str(out)]), out
+    return run([sub, "--config", str(cfg), "--out", str(out), *args]), out
 
 
 def fixture_rle(n_cells, horizon):
@@ -591,6 +613,37 @@ def test_fixture_of_zero_measure_exits_2(tmp_path, capsys, sub):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("run_text", ["46:5", "-3:2", "2:0", "1:-1"])
+def test_fixture_run_outside_the_row_exits_2(tmp_path, capsys, run_text):
+    # read unchecked, these were clipped, wrapped or dropped in silence
+    code, out = fixture_run(tmp_path, f"nt=4 nx=48 T=1.0\n0:8\n{run_text}\n",
+                            sub="estimate-L")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "observation.fixture" in err and repr(run_text) in err
+    assert not out.exists()
+
+
+def test_estimate_l_reports_the_constant_of_the_region_as_given(tmp_path):
+    # one mode has a closed-form oracle; on a region asymmetric in time the
+    # constant of the reflected region is 12-34% away from it
+    text = fixture_rle(48, 1.0)
+    dom = ExperimentConfig(nx=48, n_modes=1).build_domain()
+    region = SpaceTimeSet.from_rle(text, dom)
+    assert not np.array_equal(region.mask, region.mask[::-1])
+    code, out = fixture_run(tmp_path, text, 1.0, "estimate-L", "--modes", "1")
+    assert code == 0
+    (report_dir,) = out.iterdir()
+    report = (report_dir / "report.txt").read_text()
+    config = report.split("section: estimate_L_config\n")[1].split("\n\n")[0]
+    L_hat = float(dict(line.split(": ", 1) for line in config.splitlines())["L_hat"])
+    problem = control.ControlProblem(
+        dom, ExperimentConfig().build_params(),
+        SpectralState.single_mode(dom, 1, (1.0, 0.0)), region=region)
+    assert L_hat == pytest.approx(
+        control.brute_force_single_mode_ratio(problem), rel=1e-3)
+
+
 def test_unparseable_fixture_exits_2(tmp_path, capsys):
     code, _ = fixture_run(tmp_path, "nt=32 T=1.0\n")
     assert code == 2
@@ -599,8 +652,7 @@ def test_unparseable_fixture_exits_2(tmp_path, capsys):
 
 def test_estimate_l_exit_3_when_ratio_collapses(tmp_path, monkeypatch):
     monkeypatch.setattr(control, "_ratio_and_grad",
-                        lambda op, forward, Y: (np.zeros(len(Y)),
-                                                np.zeros_like(Y)))
+                        lambda op, Y: (np.zeros(len(Y)), np.zeros_like(Y)))
     cfg = tmp_path / "small.cfg"
     cfg.write_text("[domain]\nnx = 8\nn_modes = 4\n"
                    "[observation]\nn_time = 16\nfill = 0.6\n")

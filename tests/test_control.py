@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obslab import control as ctl
@@ -13,7 +13,8 @@ from obslab import observability as obs
 from obslab.config import ExperimentConfig
 from obslab.errors import ConvergenceError, InfeasibleError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
-from obslab.semigroup import SpectralState, evolve, mode_factors, propagate
+from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
+                              propagate)
 from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
@@ -25,6 +26,19 @@ FULL = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
 
 def null_problem(region=FULL, v0=V0):
     return ctl.ControlProblem(DOMAIN, PARAMS, v0, region=region)
+
+
+def reflected(region):
+    """The region reflected in time, s -> T - s."""
+    return SpaceTimeSet(region.mask[::-1], region.horizon, region.domain)
+
+
+def forward_L(problem, **kwargs):
+    """estimate_L of the operator on the reflected region: the forward
+    constant of the problem's region as given."""
+    op = ctl.ControlOperator(problem.domain, problem.params,
+                             reflected(problem.region))
+    return ctl.estimate_L(op, **kwargs)
 
 
 def dual_problem(seed, horizon=1.0):
@@ -131,12 +145,12 @@ def test_control_field_csv_plain_floats_on_rectangle(tmp_path):
 
 def test_estimate_l_positive_and_monotone_in_region():
     rng = np.random.default_rng(3)
-    L_full = ctl.estimate_L(null_problem(), restarts=12, rng=rng)
+    L_full = forward_L(null_problem(), restarts=12, rng=rng)
     half_mask = FULL.mask.copy()
     half_mask[FULL.n_time // 2:] = False
     half = SpaceTimeSet(half_mask, 1.0, DOMAIN)
-    L_half = ctl.estimate_L(null_problem(half), restarts=12,
-                            rng=np.random.default_rng(3))
+    L_half = forward_L(null_problem(half), restarts=12,
+                       rng=np.random.default_rng(3))
     assert L_full > 0 and L_half > 0
     assert L_half <= L_full + 1e-9
 
@@ -148,30 +162,30 @@ def test_estimate_l_positive_and_monotone_in_region_rectangle():
     half_mask = full.mask.copy()
     half_mask[full.n_time // 2:] = False
     half = SpaceTimeSet(half_mask, 1.0, dom)
-    L = [ctl.estimate_L(ctl.ControlProblem(dom, PARAMS, v0, region=r),
-                        restarts=12, rng=np.random.default_rng(3))
+    L = [forward_L(ctl.ControlProblem(dom, PARAMS, v0, region=r),
+                   restarts=12, rng=np.random.default_rng(3))
          for r in (full, half)]
     assert L[0] > 0 and L[1] > 0
     assert L[1] <= L[0] + 1e-9
 
 
 def test_estimate_l_pinned_value():
-    # reference value of the per-start form of the descent
+    # the descent on the operator's own field of the reflected region; the
+    # forward-table descent on the region read 0.3003544644447294
     dom = interval(PI, n_modes=6, n_cells=48)
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(5),
                                  fill=0.6, min_measure_fraction=0.1)
     v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
     problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
-    L = ctl.estimate_L(problem, restarts=16, rng=np.random.default_rng(7))
-    assert L == pytest.approx(0.3003544644447294, rel=1e-12)
+    L = forward_L(problem, restarts=16, rng=np.random.default_rng(7))
+    assert L == pytest.approx(0.3003544633192025, rel=1e-12)
 
 
 def test_estimate_l_raises_when_ratio_collapses(monkeypatch):
     monkeypatch.setattr(ctl, "_ratio_and_grad",
-                        lambda op, forward, Y: (np.zeros(len(Y)),
-                                                np.zeros_like(Y)))
+                        lambda op, Y: (np.zeros(len(Y)), np.zeros_like(Y)))
     with pytest.raises(ArithmeticError, match="collapsed to zero"):
-        ctl.estimate_L(null_problem(), restarts=4)
+        ctl.estimate_L(ctl.ControlOperator(DOMAIN, PARAMS, FULL), restarts=4)
 
 
 def ratio_case(n_cells, n_time, lanes):
@@ -180,29 +194,28 @@ def ratio_case(n_cells, n_time, lanes):
     region = SpaceTimeSet.random(dom, 1.0, n_time, rng, fill=0.6,
                                  min_measure_fraction=0.1)
     op = ctl.ControlOperator(dom, PARAMS, region)
-    forward = mode_factors(dom, PARAMS, region.midpoints)
-    return op, forward, rng.standard_normal((lanes, 8, 2))
+    return op, rng.standard_normal((lanes, 8, 2))
 
 
 def test_ratio_and_grad_lanes_do_not_depend_on_blocks(monkeypatch):
-    op, forward, Y = ratio_case(32, 16, 7)
-    val, grad = ctl._ratio_and_grad(op, forward, Y)     # one block
+    op, Y = ratio_case(32, 16, 7)
+    val, grad = ctl._ratio_and_grad(op, Y)     # one block
     for i in range(len(Y)):
-        v1, g1 = ctl._ratio_and_grad(op, forward, Y[i:i + 1])
+        v1, g1 = ctl._ratio_and_grad(op, Y[i:i + 1])
         assert v1[0] == val[i] and np.array_equal(g1[0], grad[i])
     # blocks of 3 lanes (the last one short) and of 1 lane
     for lanes_per_block in (3, 1):
         monkeypatch.setattr(obs, "_FIELD_BLOCK", lanes_per_block * 16 * 32)
-        v, g = ctl._ratio_and_grad(op, forward, Y)
+        v, g = ctl._ratio_and_grad(op, Y)
         assert np.array_equal(v, val) and np.array_equal(g, grad)
 
 
 def test_ratio_and_grad_memory_does_not_grow_with_lanes():
-    op, forward, Y = ratio_case(1024, 16, 65)
+    op, Y = ratio_case(1024, 16, 65)
     all_lanes_field = len(Y) * op.region.mask.size * 8      # bytes
     tracemalloc.start()
     try:
-        ctl._ratio_and_grad(op, forward, Y)
+        ctl._ratio_and_grad(op, Y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,23 +227,74 @@ def test_estimate_l_single_mode_brute_force():
     v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
     region = SpaceTimeSet.full_cylinder(dom, 1.0, 64)
     problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
-    L = ctl.estimate_L(problem, restarts=16, rng=np.random.default_rng(4))
+    L = forward_L(problem, restarts=16, rng=np.random.default_rng(4))
     oracle = ctl.brute_force_single_mode_ratio(problem)
     assert L == pytest.approx(oracle, rel=1e-3)
 
 
 def test_estimate_l_single_mode_brute_force_on_a_region_asymmetric_in_time():
-    # the full cylinder is symmetric under s -> T - s, so there a kernel that
-    # evaluates its traces at T - s still matches the oracle
+    # the full cylinder is symmetric under s -> T - s, so there an estimate
+    # on the region as given, not reflected, still matches the oracle
     dom = interval(PI, n_modes=1, n_cells=64)
     v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(3),
                                  fill=0.5)
     assert not np.array_equal(region.mask, region.mask[::-1])
     problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
-    L = ctl.estimate_L(problem, restarts=16, rng=np.random.default_rng(4))
+    L = forward_L(problem, restarts=16, rng=np.random.default_rng(4))
     oracle = ctl.brute_force_single_mode_ratio(problem)
     assert L == pytest.approx(oracle, rel=1e-3)
+
+
+RATIO_DOMAINS = {"interval": interval(PI, n_modes=6, n_cells=40),
+                 "rectangle": rectangle(PI, PI, n_modes=6, cells=(8, 8))}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(sorted(RATIO_DOMAINS)))
+def test_ratio_on_the_reflected_region_is_the_forward_ratio(seed, kind):
+    # the operator's field observes y at T - s, so on the region reflected in
+    # time its ratio is the forward ratio of the region as the observation
+    # kernel reads it; b != 1 and T != 1 keep the rotation, the decay and the
+    # horizon apart
+    dom = RATIO_DOMAINS[kind]
+    rng = np.random.default_rng(seed)
+    params = PhysicalParams(float(rng.uniform(0.5, 1.5)),
+                            float(rng.choice([-1.0, 1.0]) * rng.uniform(1.5, 3.0)))
+    T = float(rng.uniform(1.2, 2.0))
+    region = SpaceTimeSet.random(dom, T, 16, rng, fill=0.5,
+                                 min_measure_fraction=0.1)
+    assume(not np.array_equal(region.mask, region.mask[::-1]))
+    Y = rng.standard_normal((4, dom.n_modes, 2))
+    op = ctl.ControlOperator(dom, params, reflected(region))
+    val, grad = ctl._ratio_and_grad(op, Y)
+    num = obs.observation_profile(dom, params, Y, region.midpoints,
+                                  region.mask, ObservationSelector.first())
+    forward = num.sum(axis=1) * region.dt / obs.norms_at(dom, params, Y, (T,))[:, 0]
+    assert np.all(np.abs(val - forward) <= 1e-12 * forward)
+    h = 1e-6
+    steps = np.eye(Y[0].size).reshape((-1,) + Y[0].shape) * h
+    for y, g in zip(Y, grad):
+        diff = (ctl._ratio_and_grad(op, y + steps)[0]
+                - ctl._ratio_and_grad(op, y - steps)[0]) / (2.0 * h)
+        assert np.linalg.norm(diff - g.ravel()) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_telescope_batch_among_the_starts_bounds_L_hat():
+    # 1 / N_hat is the least forward ratio over telescope's batch, read by the
+    # observation kernel; with that batch among estimate_L's starts on the
+    # reflected region, L_hat cannot exceed it
+    dom = interval(PI, n_modes=8, n_cells=128)
+    rng = np.random.default_rng(21)
+    D = SpaceTimeSet.random(dom, 1.0, 128, rng, fill=0.5,
+                            min_measure_fraction=0.4)
+    batch = [SpectralState.random(dom, rng) for _ in range(12)]
+    rep = obs.telescope_chain_demo(dom, PARAMS, D, beta=1.0, depth=6,
+                                   z_batch=batch)
+    op = ctl.ControlOperator(dom, PARAMS, reflected(D))
+    L_hat = ctl.estimate_L(op, restarts=4, extra_starts=[z.coeffs for z in batch])
+    assert rep.N_hat * L_hat <= 1.0 + 1e-12
 
 
 # -- null control ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ def test_rle_round_trip():
     back = SpaceTimeSet.from_rle(D.to_rle(), DOMAIN)
     assert np.array_equal(back.mask, D.mask)
     assert back.horizon == D.horizon
+
+
+@pytest.mark.parametrize("run", ["6:5", "-3:2", "2:0", "1:-1"])
+def test_rle_run_outside_the_row_is_rejected(run):
+    # unchecked, 6:5 was clipped to cells 6-7, -3:2 wrapped to cells 5-6 and
+    # the empty runs were dropped
+    dom = interval(PI, n_modes=2, n_cells=8)
+    with pytest.raises(ValueError, match=re.escape(repr(run))):
+        SpaceTimeSet.from_rle(f"nt=3 nx=8 T=1.0\n0:8\n{run}\n", dom)
+
+
+def test_rle_missing_trailing_rows_are_empty():
+    dom = interval(PI, n_modes=2, n_cells=8)
+    D = SpaceTimeSet.from_rle("nt=3 nx=8 T=1.0\n6:2\n", dom)
+    assert D.mask.sum(axis=1).tolist() == [2, 0, 0]
+    assert D.mask[0, 6:].all()
 
 
 def test_random_set_respects_minimum_measure():

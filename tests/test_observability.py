@@ -11,8 +11,7 @@ from obslab import control as ctl
 from obslab import observability as obs
 from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet, good_time_set
-from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              mode_factors)
+from obslab.semigroup import ObservationSelector, SpectralState, evolve
 from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
@@ -284,10 +283,9 @@ def test_batched_ratio_descent_matches_single_starts(seed, kind, nan_lane):
     region = SpaceTimeSet.random(dom, 1.0, 16, rng, fill=0.6,
                                  min_measure_fraction=0.1)
     op = ctl.ControlOperator(dom, PARAMS, region)
-    forward = mode_factors(dom, PARAMS, region.midpoints)
     starts = rng.standard_normal((6, dom.n_modes, 2))
     starts[nan_lane] = np.nan
-    assert_lanes_run_alone(lambda Y: ctl._ratio_and_grad(op, forward, Y),
+    assert_lanes_run_alone(lambda Y: ctl._ratio_and_grad(op, Y),
                            starts, iters=60, gtol=1e-24)
 
 
@@ -596,6 +594,16 @@ def test_full_observation_cancelling_is_a_violation(monkeypatch):
     with pytest.raises(PropertyViolation, match="full observation"):
         obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5, [0.5],
                                               batch(8, 2))
+
+
+def test_ring_observation_of_a_zero_state_is_a_violation():
+    # every ring holds time cells, so an empty ring observation is the
+    # state's own and stays a violation, not a resolution failure
+    D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
+    zero = SpectralState(np.zeros((DOMAIN.n_modes, 2)), DOMAIN)
+    with pytest.raises(PropertyViolation, match="ring observation"):
+        obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=2.0, depth=5,
+                                 z_batch=[*batch(23, 2), zero])
 
 
 def test_ring_observation_cancelling_is_a_violation(monkeypatch):
