@@ -177,8 +177,9 @@ def _run_estimate_L(cfg, rng, report) -> bool:
             continue
         # the dual field observes at T - s: reflect to get region's constant
         reflected = SpaceTimeSet(region.mask[::-1], region.horizon, domain)
-        L_hat = control.estimate_L(
-            control.ControlOperator(domain, params, reflected), rng=rng)
+        with report.timed(f"estimate-L.{name}"):
+            L_hat = control.estimate_L(
+                control.ControlOperator(domain, params, reflected), rng=rng)
         ok = ok and L_hat > 0
         rows.append((region.measure(), L_hat))
         report.add(f"estimate_L_{name}", region_measure=region.measure(),

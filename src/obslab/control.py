@@ -212,22 +212,27 @@ class ControlOperator:
     def gram(self, weights) -> np.ndarray:
         """K^T diag(weights) K, a 2 n_modes square, rows ordered as z.ravel().
 
-        K maps a dual state z to its dual field on the region's cells;
-        weights broadcasts to the grid and is dropped off the region.  K is
-        never formed: entry ((k, c), (l, d)) is the sum over time rows i of
-        f[i, k, c] f[i, l, d] sum_j phi_k(x_j) weights[i, j] phi_l(x_j),
-        built a block of time rows at a time.
+        K maps a dual state z to its dual field on the region's cells, and
+        weights broadcasts to the grid.  Entry ((k, c), (l, d)) is
+        sum_i f[i,k,c] f[i,l,d] S[i,k,l], with S[i,k,l] the sum over region
+        cells j of weights[i,j] phi_k(x_j) phi_l(x_j): one GEMM per block of
+        at most _FIELD_BLOCK products phi_k phi_l, k <= l, so the memory of a
+        call does not grow with the number of cells.  Symmetric bit for bit.
         """
-        phi, f = self.domain.eigenfunctions, self.f
-        n = self.domain.n_modes
-        wt = weights * self.region.mask
-        out = np.zeros((n, 2, n, 2))
-        blk = lane_block(phi.size)
-        for lo in range(0, len(wt), blk):
-            rows = slice(lo, lo + blk)
-            P = (phi * wt[rows, None, :]) @ phi.T
-            out += np.einsum("ikc,ild,ikl->kcld", f[rows], f[rows], P)
-        return out.reshape(2 * n, 2 * n)
+        phi, mask = self.domain.eigenfunctions, self.region.mask
+        weights, n = np.broadcast_to(weights, mask.shape), len(phi)
+        k, l = np.triu_indices(n)
+        pair = np.empty((n, n), dtype=np.intp)
+        pair[k, l] = pair[l, k] = np.arange(len(k))
+        S, blk = np.zeros((len(k), len(mask))), lane_block(len(k))
+        for lo in range(0, phi.shape[1], blk):
+            p, cells = phi[:, lo:lo + blk], slice(lo, lo + blk)
+            S += (p[k] * p[l]) @ (weights[:, cells] * mask[:, cells]).T
+        # row (l, d) sums f[i,l,d] f[i,k,c] S[i,k,l] over i, batched over l
+        fT = np.ascontiguousarray(self.f.transpose(1, 2, 0))      # (k, c, i)
+        A = (fT * S[pair][:, :, None]).reshape(n, 2 * n, len(mask))
+        G = (fT @ A.transpose(0, 2, 1)).reshape(2 * n, 2 * n)
+        return 0.5 * (G + G.T)
 
     def norm_estimate(self) -> float:
         """Spectral norm of the weighted map, from its Gram's top eigenvalue."""
@@ -419,10 +424,8 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
             f"(target {target:.3e}) after {steps} trial points, mu {mu:.0e}",
             best=ControlField(u, region))
     # M <= ||v0|| / ratio(z) for op's own ratio; descent from z only
-    # lowers the ratio, so M <= ||v0|| / L_hat
-    L_hat = math.inf                    # u = 0 needs no bound
-    if bulk > 0:
-        L_hat = estimate_L(op, rng=rng, extra_starts=[z])
+    # lowers the ratio, so M <= ||v0|| / L_hat (u = 0 needs no bound)
+    L_hat = estimate_L(op, rng=rng, extra_starts=[z]) if bulk > 0 else math.inf
     field = ControlField(u, region)
     cert = DualityCertificate(z_star=SpectralState(z, problem.domain),
                               dual_value=0.5 * bulk ** 2 - lin,
@@ -469,14 +472,13 @@ def least_squares_null_control(problem: ControlProblem) -> tuple[ControlField, f
     pseudo-inverse so modes decayed below 1e-12 of the largest singular
     value are left uncontrolled.
     """
-    region = problem.region
-    op = ControlOperator(problem.domain, problem.params, region)
+    op = ControlOperator(problem.domain, problem.params, problem.region)
     gram = op.gram(op.weight * op.weight)     # of the weighted input map
     free = op.free(problem.v0)
     y = (np.linalg.pinv(gram, rcond=1e-12) @ (-free.ravel())).reshape(free.shape)
     u = op.adjoint(y) * op.weight
     terminal = float(np.linalg.norm(free + op.apply(u)))
-    return ControlField(u, region), terminal
+    return ControlField(u, op.region), terminal
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +575,7 @@ def _feasibility_min(problem: ControlProblem, T: float,
     region = problem.region_at(T)
     op = ControlOperator(problem.domain, problem.params, region)
     nu1, nu2 = problem.bounds
-    lip = max(op.norm_estimate() ** 2, 1e-30)
-    step = 1.0 / lip
+    step = 1.0 / max(op.norm_estimate() ** 2, 1e-30)
     free = op.free(problem.v0)
     reach = -math.inf if radius is None else radius * (1.0 - 1e-9)
     u = (np.clip(0.0, nu1, nu2) if u0 is None else u0) * region.mask
@@ -702,9 +703,8 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
         raise InfeasibleError(
             f"target ball (radius {problem.radius}) unreachable at "
             f"T_max={T_max}: {first.describe()}")
-    trials = [first]
+    trials, warm = [first], best_u
     lo, hi = 0.0, T_max
-    warm = best_u
     while hi - lo > 1e-3 * T_max:
         mid = 0.5 * (lo + hi)
         trial, warm, op = _feasibility_min(problem, mid, u0=warm,
@@ -716,10 +716,8 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
             lo = mid
     polish, u, mu = _polish(problem, best_op, best_u)
     field = ControlField(u, best_op.region, bounds=problem.bounds)
-    return TimeOptimalResult(t_star=hi, control=field,
-                             terminal_norm=polish.upper,
-                             trials=tuple(trials), polish=polish,
-                             polish_mu=mu)
+    return TimeOptimalResult(t_star=hi, control=field, terminal_norm=polish.upper,
+                             trials=tuple(trials), polish=polish, polish_mu=mu)
 
 
 def grid_scan_time_optimal(problem: ControlProblem, T_max: float,

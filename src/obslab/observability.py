@@ -33,15 +33,16 @@ def covering_ball(domain: SpectralDomain):
     return half, float(np.linalg.norm(half))
 
 
-# Lanes are observed, and Gram matrices built, in blocks of at most this many
-# field values (128 KiB of float64, glibc's default mmap threshold): a block
+# Lanes are observed, and Gram pair tables built, in blocks of at most this
+# many values (128 KiB of float64, glibc's default mmap threshold): a block
 # stays in cache across the passes over it, and the memory of one evaluation
-# does not grow with the number of lanes or time rows.
+# does not grow with the number of lanes or cells.
 _FIELD_BLOCK = 1 << 14
 
 
 def lane_block(values_per_lane: int) -> int:
-    """Lanes per block: at most _FIELD_BLOCK field values, at least one lane."""
+    """Lanes per block: at most _FIELD_BLOCK values, at least one lane.  A lane
+    is a field, or in ControlOperator.gram one cell's pair products."""
     return max(1, _FIELD_BLOCK // values_per_lane)
 
 

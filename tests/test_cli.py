@@ -339,6 +339,16 @@ def test_null_control_reports_solve_and_defect_times(tmp_path):
     assert "time_" not in strip_timings(text)
 
 
+def test_estimate_l_times_each_region(tmp_path):
+    cfg = tiny_config(tmp_path, "interval")
+    out = tmp_path / "out"
+    assert run(["estimate-L", "--config", str(cfg), "--out", str(out)]) == 0
+    text, values = report_values(out)
+    for phase in ("estimate-L", "estimate-L.config", "estimate-L.half"):
+        assert float(values[f"time_{phase}"]) >= 0.0
+    assert "time_" not in strip_timings(text)
+
+
 @pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"]])
 def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
     assert run(["counterexample", *flags, "--out", str(tmp_path / "out")]) == 2

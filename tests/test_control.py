@@ -420,8 +420,8 @@ def test_null_control_budget_exhaustion_reports_best():
 
 def test_null_control_pinned_certificate():
     field, cert = ctl.synthesize_null_control(dual_problem(11), 0.05)
-    assert cert.terminal_norm == 0.0067342317248701026
-    assert cert.sup_norm == 1.6301275067227572
+    assert cert.terminal_norm == 0.006734231724869473
+    assert cert.sup_norm == 1.6301275067227574
     assert cert.least_sup_lower == 1.6307711689758455
     assert cert.dual_value == -1.329508770928693
     assert (cert.newton_steps, cert.mu) == (11, 0.1)
@@ -488,6 +488,70 @@ def test_gram_matches_column_loop(domain):
         loop[:, i] = op.apply(op.adjoint(e) * weights).ravel()
     gram = op.gram(weights) * (region.dt * domain.cell_volume)
     assert np.abs(gram - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
+def column_loop_gram(op, weights):
+    """K^T diag(weights) K one column at a time, from apply and adjoint."""
+    n = op.domain.n_modes
+    loop = np.empty((2 * n, 2 * n))
+    for i in range(2 * n):
+        e = np.zeros((n, 2))
+        e[i // 2, i % 2] = 1.0
+        loop[:, i] = op.apply(op.adjoint(e) * weights).ravel()
+    return loop / op.weight
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       n_modes=st.sampled_from([1, 3, 8]), rect=st.booleans(),
+       cells_per_block=st.integers(min_value=1, max_value=40))
+def test_gram_is_the_column_loop_bit_symmetric_and_block_free(
+        seed, n_modes, rect, cells_per_block):
+    rng = np.random.default_rng(seed)
+    if rect:
+        dom = rectangle(PI, PI, n_modes=n_modes,
+                        cells=tuple(int(c) for c in rng.integers(5, 10, 2)))
+    else:
+        dom = interval(PI, n_modes=n_modes, n_cells=int(rng.integers(20, 90)))
+    params = PhysicalParams(float(rng.uniform(0.5, 1.5)),
+                            float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)))
+    n_time = int(rng.integers(4, 20))
+    mask = rng.random((n_time, dom.n_cells)) < rng.uniform(0.2, 0.8)
+    mask[rng.random(n_time) < 0.3] = False             # empty time rows
+    region = SpaceTimeSet(mask, float(rng.uniform(0.5, 2.0)), dom)
+    op = ctl.ControlOperator(dom, params, region)
+    weights = rng.uniform(0.0, 2.0, mask.shape)
+    weights[rng.random(mask.shape) < 0.2] = 0.0
+    G = op.gram(weights)
+    loop = column_loop_gram(op, weights)
+    scale = max(np.abs(loop).max(), 1e-300)
+    assert np.abs(G - loop).max() <= 1e-12 * scale
+    assert np.array_equal(G, G.T)
+    # cell blocks of cells_per_block cells, most of them not dividing n_cells
+    pairs = n_modes * (n_modes + 1) // 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "_FIELD_BLOCK", pairs * cells_per_block)
+        blocked = op.gram(weights)
+    assert np.abs(blocked - G).max() <= 1e-13 * scale
+    assert np.array_equal(blocked, blocked.T)
+
+
+def test_gram_memory_does_not_grow_with_cells():
+    # besides one masked copy of the weights, a call may hold a few cell
+    # blocks of pair products, whatever the number of cells
+    for n_cells in (2048, 16384):
+        dom = interval(PI, n_modes=8, n_cells=n_cells)
+        op = ctl.ControlOperator(dom, PARAMS,
+                                 SpaceTimeSet.full_cylinder(dom, 1.0, 16))
+        weights = np.random.default_rng(0).uniform(0.5, 2.0, op.region.mask.shape)
+        op.gram(weights)
+        tracemalloc.start()
+        try:
+            op.gram(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights.nbytes + 8 * obs._FIELD_BLOCK * 8
 
 
 def test_certificate_check_raises_with_both_numbers():
