@@ -33,10 +33,10 @@ def covering_ball(domain: SpectralDomain):
     return half, float(np.linalg.norm(half))
 
 
-# Lanes are observed, and Gram pair tables built, in blocks of at most this
-# many values (128 KiB of float64, glibc's default mmap threshold): a block
-# stays in cache across the passes over it, and the memory of one evaluation
-# does not grow with the number of lanes or cells.
+# Lanes are observed (a lane's values are its traces and its field), and Gram
+# pair tables built, in blocks of at most this many values (128 KiB of float64,
+# glibc's default mmap threshold): a block stays in cache across the passes
+# over it, and the memory of one evaluation does not grow with lanes or cells.
 _FIELD_BLOCK = 1 << 14
 
 
@@ -68,21 +68,26 @@ def observation_profile(domain: SpectralDomain, params: PhysicalParams,
     lanes stacks coefficient pairs (B, n_modes, 2), and row i of mask
     (n_times, n_cells) is the spatial set observed at times[i]; a FULL
     observation is measured by its pointwise Euclidean magnitude.  Returns
-    (B, n_times).  Lanes are evaluated a block at a time, at most
-    _FIELD_BLOCK field values but at least one lane per block, so memory
-    does not grow with B and a lane's norms do not depend on the blocks.
+    (B, n_times).  The rows of one pattern, adjacent or not, form a group:
+    one batched matmul over its rows and over mask's cells only (an empty
+    row reads 0), in lane blocks of at most _FIELD_BLOCK trace and field
+    values but one lane at least, so memory does not grow with B and a
+    lane's norms do not depend on the blocks.
     """
     factors = mode_factors(domain, params, times)
-    out = np.empty((len(lanes), len(mask)))
-    blk = lane_block(mask.size)
-    for lo in range(0, len(lanes), blk):
-        f = observed_fields(propagate(factors, lanes[lo:lo + blk, None]),
-                            domain.eigenfunctions, sel)
-        # measured in place: one lane's field can take a megabyte
-        mag = np.hypot(*f, out=f[0]) if len(f) == 2 else np.abs(f[0], out=f[0])
-        mag *= mask
-        out[lo:lo + blk] = mag.sum(axis=-1)
-        del f, mag      # else two blocks' fields coexist while the next is built
+    groups = {}
+    for i in np.flatnonzero(mask.any(axis=1)):
+        groups.setdefault(mask[i].tobytes(), []).append(i)
+    out = np.zeros((len(lanes), len(mask)))
+    for rows in groups.values():
+        fac, eig = [f[rows] for f in factors], domain.eigenfunctions[:, mask[rows[0]]]
+        blk = lane_block(len(rows) * (eig.shape[1] + 2 * domain.n_modes))
+        for lo in range(0, len(lanes), blk):
+            f = observed_fields(propagate(fac, lanes[lo:lo + blk, None]), eig, sel)
+            # measured in place: one lane's field can take a megabyte
+            mag = np.hypot(*f, out=f[0]) if len(f) == 2 else np.abs(f[0], out=f[0])
+            out[lo:lo + blk, rows] = mag.sum(axis=-1)
+            del f, mag      # else two blocks' fields coexist while the next is built
     return out * domain.cell_volume
 
 
@@ -332,19 +337,17 @@ def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(profiles[:, cols]).sum(axis=1)
 
 
-def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams,
-                                  D: SpaceTimeSet, ip: InterpolationParams,
-                                  z_batch, sel: ObservationSelector | None = None,
-                                  gts: GoodTimeSet | None = None,
-                                  ) -> InterpolationReport:
+def verify_integral_interpolation(
+        domain: SpectralDomain, params: PhysicalParams, D: SpaceTimeSet,
+        ip: InterpolationParams, z_batch,
+        sel: ObservationSelector = ObservationSelector.first(),
+        gts: GoodTimeSet | None = None) -> InterpolationReport:
     """Empirical constant of the integral-type interpolation inequality.
 
     For each z:  ||exp(A*S2) z||  vs
     (|E cap [S1,S2]|^-1 int_{S1}^{S2} chi_E ||chi_{D_t} B exp(A*t) z||_L1)^(1-theta)
     * ||z||^theta, with E the good-time set of D.
     """
-    if sel is None:
-        sel = ObservationSelector.first()
     if gts is None:
         gts = good_time_set(D, *covering_ball(domain))
     # the time cells of E cap [S1, S2], and its measure
@@ -354,8 +357,8 @@ def verify_integral_interpolation(domain: SpectralDomain, params: PhysicalParams
         raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
                               "measure: the window holds no good time")
     lanes = _lanes(z_batch)
-    profiles = observation_profile(domain, params, lanes, D.midpoints, D.mask,
-                                   sel)
+    profiles = observation_profile(domain, params, lanes, D.midpoints,
+                                   D.mask & window[:, None], sel)
     integrals = _row_sums(profiles, window) * D.dt
     zn = lane_norms(lanes)
     live = zn != 0                          # a zero state has ratio 0
@@ -408,14 +411,11 @@ def multi_time_counterexample(domain: SpectralDomain, params: PhysicalParams,
             "no stored mode satisfies the multi-time admissibility condition"
         )
     n = int(np.argmax(ok)) + 1
-    lam_n = lam[n - 1]
     start = 0.0 if params.b > 0 else horizon       # b < 0 turns backwards
-    times = tuple(start + 2.0 * i * math.pi / (params.b * lam_n)
+    times = tuple(start + 2.0 * i * math.pi / (params.b * lam[n - 1])
                   for i in range(1, m + 1))
-    phase = lam_n * params.b * times[0]
-    pair = (-math.sin(phase), math.cos(phase))
-    return CounterexampleState(mode=n, times=times,
-                               state=SpectralState.single_mode(domain, n, pair))
+    first = single_time_counterexample(domain, params, times[0], n)
+    return CounterexampleState(mode=n, times=times, state=first.state)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,25 @@
+"""The benchmark's output contract: its last stdout line is one result."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _reject_constant(name):
+    raise ValueError(f"result line holds the non-JSON constant {name}")
+
+
+def test_chain_benchmark_ends_with_a_correct_result_line():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", "chain", "--seconds", "0.01"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = (proc.stdout.splitlines() or [""])[-1]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0

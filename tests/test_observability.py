@@ -128,9 +128,10 @@ def test_observation_profile_lanes_do_not_depend_on_blocks(monkeypatch, sel):
     for i, z in enumerate(states):
         assert np.array_equal(profile([z], D.midpoints, D.mask, sel)[0],
                               whole[i])
-    # blocks of 3 lanes (the last one short) and of 1 lane
-    for lanes_per_block in (3, 1):
-        monkeypatch.setattr(obs, "_FIELD_BLOCK", lanes_per_block * D.mask.size)
+    # blocks of a few lanes, their size set by each row group's cells (the
+    # last block short), and blocks of 1 lane
+    for field_block in (3 * D.mask.shape[1], 1):
+        monkeypatch.setattr(obs, "_FIELD_BLOCK", field_block)
         assert np.array_equal(profile(states, D.midpoints, D.mask, sel), whole)
 
 
@@ -150,6 +151,88 @@ def test_observation_profile_memory_does_not_grow_with_lanes():
     finally:
         tracemalloc.stop()
     assert peak < all_lanes_field / 8
+
+
+def test_observation_profile_memory_of_thin_row_groups():
+    # rows of 3 cells against 64 trace values a row (2 for each of 32 modes):
+    # the lane block must count the traces, or many lanes build them at once
+    dom = interval(PI, n_modes=32, n_cells=256)
+    mask = np.zeros((32, dom.n_cells), dtype=bool)
+    mask[0::2, 10:13] = True
+    mask[1::2, 200:203] = True
+    times = np.linspace(0.05, 1.0, 32)
+    sel = ObservationSelector.full()
+    rng = np.random.default_rng(1)
+    obs.observation_profile(dom, PARAMS, rng.standard_normal((1, 32, 2)),
+                            times, mask, sel)                       # tables
+    for n_lanes in (16, 1024):
+        lanes = rng.standard_normal((n_lanes, 32, 2))
+        outputs = 2 * n_lanes * len(mask) * 8                       # bytes
+        tracemalloc.start()
+        try:
+            obs.observation_profile(dom, PARAMS, lanes, times, mask, sel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs + 8 * obs._FIELD_BLOCK * 8
+
+
+KERNEL_DOMAINS = {"interval": interval(PI, n_modes=8, n_cells=40),
+                  "rectangle": rectangle(PI, 2.0, n_modes=9, cells=(7, 5))}
+
+
+def masked_reference(dom, params, lanes, times, mask, sel):
+    """Each lane's whole field at each time, masked by the time's row; and
+    the same sum over the magnitudes of the field's mode terms."""
+    lam, eig = dom.eigenvalues, dom.eigenfunctions
+    out, scale = np.zeros((2, len(lanes), len(mask)))
+    weight = max(1.0, abs(sel.mu1) + abs(sel.mu2))
+    for i, (t, row) in enumerate(zip(times, mask)):
+        decay = np.exp(-params.a * lam * t)
+        c, s = np.cos(lam * params.b * t), np.sin(lam * params.b * t)
+        for b, (z1, z2) in enumerate(zip(lanes[..., 0], lanes[..., 1])):
+            w1, w2 = decay * (c * z1 + s * z2), decay * (-s * z1 + c * z2)
+            v1, v2 = w1 @ eig, w2 @ eig
+            mag = {"first": np.abs(v1), "full": np.hypot(v1, v2),
+                   "direction": np.abs(sel.mu1 * v1 + sel.mu2 * v2)}
+            out[b, i] = mag[sel.kind.value][row].sum() * dom.cell_volume
+            terms = (np.abs(w1) + np.abs(w2)) @ np.abs(eig) * weight
+            scale[b, i] = terms[row].sum() * dom.cell_volume
+    return out, scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(sorted(KERNEL_DOMAINS)),
+       st.sampled_from(["first", "direction", "full"]))
+def test_observation_profile_matches_a_per_row_masked_loop(seed, kind,
+                                                           sel_kind):
+    rng = np.random.default_rng(seed)
+    dom = KERNEL_DOMAINS[kind]
+    params = PhysicalParams(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
+    sel = ObservationSelector(obs.SelectorKind(sel_kind),
+                              *rng.standard_normal(2))
+    # patterns: empty, one cell, every cell, then random ones; the fixed
+    # tail repeats pattern 3 around another row
+    single = np.arange(dom.n_cells) == rng.integers(dom.n_cells)
+    pool = [np.zeros(dom.n_cells, bool), single, np.ones(dom.n_cells, bool),
+            *(rng.random((3, dom.n_cells)) < rng.uniform(0.1, 0.9))]
+    order = np.concatenate([rng.integers(0, len(pool), rng.integers(0, 10)),
+                            [3, 0, 3, 1, 2]])
+    mask = np.array([pool[j] for j in rng.permutation(order)])
+    times = rng.uniform(0.0, 1.5, len(mask))
+    lanes = rng.standard_normal((int(rng.integers(1, 9)), dom.n_modes, 2))
+    want, scale = masked_reference(dom, params, lanes, times, mask, sel)
+    got = obs.observation_profile(dom, params, lanes, times, mask, sel)
+    # rel 1e-13 of the terms' magnitudes: a one-cell row whose field cancels
+    # among the modes moves by more than that relative to itself with the
+    # order of the sum alone
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.all(got[:, ~mask.any(axis=1)] == 0.0)
+    with pytest.MonkeyPatch.context() as mp:        # blocks of a few lanes
+        mp.setattr(obs, "_FIELD_BLOCK", int(rng.integers(1, 400)))
+        assert np.array_equal(
+            obs.observation_profile(dom, params, lanes, times, mask, sel), got)
 
 
 MIRROR_DOMAIN = interval(PI, n_modes=8, n_cells=64)
@@ -438,6 +521,29 @@ def test_integral_interpolation_sums_each_lane_as_alone():
     for z, integral in zip(states, rep.integrals):
         alone = profile([z], D.midpoints, D.mask)[0]
         assert integral == float(alone[window].sum()) * D.dt
+
+
+def test_integral_interpolation_observes_only_the_window(monkeypatch):
+    D = random_D(3)
+    ip = obs.InterpolationParams(0.5, 0.25, 0.75)
+    states = batch(6, 9)
+    E = good_time_set(D, *obs.covering_ball(DOMAIN)).times
+    window = E.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
+    assert window.any() and D.mask[~window].any()
+    whole = profile(states, D.midpoints, D.mask)
+    masks, kernel = [], obs.observation_profile
+
+    def spy(domain, params, lanes, times, mask, sel):
+        masks.append(mask)
+        return kernel(domain, params, lanes, times, mask, sel)
+
+    monkeypatch.setattr(obs, "observation_profile", spy)
+    rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, states)
+    (mask,) = masks
+    assert not mask[~window].any()
+    assert np.array_equal(mask[window], D.mask[window])
+    assert np.allclose(rep.integrals, whole[:, window].sum(axis=1) * D.dt,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_integral_interpolation_adversarial_states_do_not_cancel():
