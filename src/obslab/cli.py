@@ -115,8 +115,13 @@ def _run_interp(cfg, rng, report) -> bool:
     batch = _state_batch(domain, rng, cfg.batch)
     sel = ObservationSelector(SelectorKind(cfg.selector), cfg.mu1, cfg.mu2)
     with report.timed("interp.integral"):
-        rep = observability.verify_integral_interpolation(domain, params, D,
-                                                          ip, batch, sel=sel)
+        if sel.kind is SelectorKind.DIRECTION:  # the same integral check inside
+            direction = observability.verify_direction_observation(
+                domain, params, D, ip, cfg.mu1, cfg.mu2, batch)
+            rep = direction.interpolation
+        else:
+            rep = observability.verify_integral_interpolation(
+                domain, params, D, ip, batch, sel=sel)
     ok = math.isfinite(rep.K_hat) and rep.K_hat > 0
     report.add("integral_interpolation", K_hat=rep.K_hat, M_hat=rep.M_hat,
                window_measure=rep.window_measure,
@@ -124,6 +129,22 @@ def _run_interp(cfg, rng, report) -> bool:
     report.add_series("interp_ratios", "probe,ratio,integral",
                       [(i, float(r), float(g)) for i, (r, g)
                        in enumerate(zip(rep.ratios, rep.integrals))])
+    if sel.kind is SelectorKind.DIRECTION:
+        scale = cfg.mu1 * cfg.mu1 + cfg.mu2 * cfg.mu2
+        ok = (ok and direction.amplitude_defect <= 1e-12 * scale
+              and direction.field_defect <= 1e-10 * math.sqrt(scale))
+        report.add("direction_reduction", mu1=cfg.mu1, mu2=cfg.mu2,
+                   amplitude_defect=direction.amplitude_defect,
+                   field_defect=direction.field_defect)
+    elif sel.kind is SelectorKind.FULL:
+        # pointwise in time at the midpoints of E cap [S1, S2], all in E
+        with report.timed("interp.full_pointwise"):
+            full = observability.verify_full_observation_pointwise(
+                domain, params, D, cfg.theta, D.midpoints[rep.window], batch)
+        ok = ok and bool(np.isfinite(full.M_hats).all())
+        report.add("full_pointwise", n_times=len(full.times),
+                   max_M_hat=float(full.M_hats.max()),
+                   min_trace=float(full.min_traces.min()))
     # functional-triple equivalence sweep
     failures = 0
     with report.timed("interp.equivalence"):

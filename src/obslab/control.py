@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
 from .observability import lane_block, lane_norms, sphere_descent
-from .report import write_csv
 from .semigroup import SpectralState, mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
 
@@ -102,13 +101,6 @@ class ControlField:
         m = self.region.mask
         return float(np.abs(self.values[m]).max()) if m.any() else 0.0
 
-    def is_admissible(self, nu1: float | None = None,
-                      nu2: float | None = None) -> bool:
-        if nu1 is None:
-            nu1, nu2 = self.bounds
-        on = self.values[self.region.mask]
-        return bool(np.all(on >= nu1 - 1e-12) and np.all(on <= nu2 + 1e-12))
-
     def table(self) -> tuple[str, list]:
         """CSV header and rows (t, x[, y], value) over the region cells."""
         dom = self.region.domain
@@ -116,13 +108,6 @@ class ControlField:
         i, j = np.nonzero(self.region.mask)          # by time row, then cell
         rows = zip(self.region.midpoints[i], dom.points[j], self.values[i, j])
         return header, [(float(t), *map(float, x), float(v)) for t, x, v in rows]
-
-    def to_csv(self, path) -> None:
-        write_csv(path, *self.table())
-
-    @staticmethod
-    def zero(region: SpaceTimeSet) -> "ControlField":
-        return ControlField(np.zeros(region.mask.shape), region)
 
 
 @dataclass(frozen=True)
@@ -300,26 +285,6 @@ def estimate_L(op: ControlOperator, restarts: int = 64,
     return best
 
 
-def brute_force_single_mode_ratio(problem: ControlProblem) -> float:
-    """Oracle for single-mode truncation: scan 3600 phases of the unit circle.
-
-    In closed form, sharing no code with the kernel estimate_L descends on:
-    from y0 = (cos p, sin p) the observed field at time s is
-    exp(-a lam s) cos(lam b s - p) phi_1(x), and ||exp(AT) y0|| is
-    exp(-a lam T), so the ratio is
-    sum_i dt exp(-a lam s_i) |cos(lam b s_i - p)| m_i / exp(-a lam T),
-    with m_i the integral of |phi_1| over the region's slice at s_i.
-    """
-    region, dom, params = problem.region, problem.domain, problem.params
-    lam = float(dom.eigenvalues[0])
-    s = region.midpoints
-    m = region.mask @ np.abs(dom.eigenfunctions[0]) * dom.cell_volume
-    p = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)[:, None]
-    trace = np.exp(-params.a * lam * s) * np.abs(np.cos(lam * params.b * s - p))
-    ratios = (trace * m).sum(axis=1) * region.dt
-    return float(ratios.min()) / math.exp(-params.a * lam * region.horizon)
-
-
 # ---------------------------------------------------------------------------
 # the dual Newton engine; null control by duality
 
@@ -463,22 +428,6 @@ def duality_defect(problem: ControlProblem, field: ControlField,
     control_term *= op.weight
     scale = np.maximum(np.abs(free_term) + np.abs(control_term), 1e-30)
     return float((np.abs(lhs - (free_term + control_term)) / scale).max())
-
-
-def least_squares_null_control(problem: ControlProblem) -> tuple[ControlField, float]:
-    """Box-free minimal-weighted-L2 control by normal equations (oracle).
-
-    Solves u = adjoint(y) with (G G*) y = -free terminal state, using a
-    pseudo-inverse so modes decayed below 1e-12 of the largest singular
-    value are left uncontrolled.
-    """
-    op = ControlOperator(problem.domain, problem.params, problem.region)
-    gram = op.gram(op.weight * op.weight)     # of the weighted input map
-    free = op.free(problem.v0)
-    y = (np.linalg.pinv(gram, rcond=1e-12) @ (-free.ravel())).reshape(free.shape)
-    u = op.adjoint(y) * op.weight
-    terminal = float(np.linalg.norm(free + op.apply(u)))
-    return ControlField(u, op.region), terminal
 
 
 # ---------------------------------------------------------------------------
@@ -718,21 +667,6 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     field = ControlField(u, best_op.region, bounds=problem.bounds)
     return TimeOptimalResult(t_star=hi, control=field, terminal_norm=polish.upper,
                              trials=tuple(trials), polish=polish, polish_mu=mu)
-
-
-def grid_scan_time_optimal(problem: ControlProblem, T_max: float,
-                           n_grid: int = 200) -> float:
-    """Dense-scan oracle: smallest feasible horizon on a uniform T grid.
-
-    Each grid time runs the plain minimisation, with no radius stop and no
-    dual bound, and compares its best norm with the radius.
-    """
-    warm = None
-    for T in np.linspace(T_max / n_grid, T_max, n_grid):
-        trial, warm, _ = _feasibility_min(problem, float(T), u0=warm)
-        if trial.upper <= problem.radius:
-            return float(T)
-    raise InfeasibleError(f"no horizon on the grid up to {T_max} is feasible")
 
 
 def verify_bang_bang(field: ControlField) -> tuple[float, bool]:

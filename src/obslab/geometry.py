@@ -59,21 +59,12 @@ class TimeSet:
         return float(np.clip(hi - lo, 0.0, None).sum())
 
     def contains_time(self, t: float) -> bool:
-        i = int(t / self.dt)
+        i = math.floor(t / self.dt)
         return 0 <= i < self.n_time and bool(self.mask[i])
 
     @staticmethod
     def full(n_time: int, horizon: float) -> "TimeSet":
         return TimeSet(np.ones(n_time, dtype=bool), horizon)
-
-    @staticmethod
-    def from_intervals(intervals, n_time: int, horizon: float) -> "TimeSet":
-        """Cells whose midpoints fall in one of the (a, b) intervals."""
-        mids = (np.arange(n_time) + 0.5) * (horizon / n_time)
-        mask = np.zeros(n_time, dtype=bool)
-        for a, b in intervals:
-            mask |= (mids > a) & (mids < b)
-        return TimeSet(mask, horizon)
 
 
 @dataclass(frozen=True)
@@ -166,22 +157,9 @@ class SpaceTimeSet:
 
     # -- serialization ------------------------------------------------
 
-    def to_rle(self) -> str:
-        """Run-length text: header line, then one 'start:length,...' line per row."""
-        lines = [f"nt={self.n_time} nx={self.domain.n_cells} T={self.horizon!r}"]
-        for row in self.mask:
-            runs = []
-            idx = np.nonzero(row)[0]
-            if idx.size:
-                breaks = np.nonzero(np.diff(idx) > 1)[0]
-                starts = np.concatenate([[idx[0]], idx[breaks + 1]])
-                ends = np.concatenate([idx[breaks], [idx[-1]]])
-                runs = [f"{s}:{e - s + 1}" for s, e in zip(starts, ends)]
-            lines.append(",".join(runs))
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def from_rle(text: str, domain: SpectralDomain) -> "SpaceTimeSet":
+        """Parse 'nt=.. nx=.. T=..', then one 'start:length,...' line per row."""
         lines = text.strip("\n").split("\n")
         header = dict(kv.split("=") for kv in lines[0].split())
         nt, nx = int(header["nt"]), int(header["nx"])

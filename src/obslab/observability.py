@@ -239,16 +239,6 @@ def estimate_spectral_L1_constant(domain: SpectralDomain, lam: float,
                               c_hat=c_hat, minimizer=a)
 
 
-def brute_force_min_l1_2d(domain: SpectralDomain, omega: np.ndarray,
-                          n_angles: int = 3600) -> float:
-    """Oracle for k_lambda = 2: scan the unit circle of coefficients."""
-    omega = np.asarray(omega, dtype=bool)
-    basis = domain.eigenfunctions[:2][:, omega]
-    ang = np.linspace(0.0, math.pi, n_angles, endpoint=False)
-    combos = np.cos(ang)[:, None] * basis[0] + np.sin(ang)[:, None] * basis[1]
-    return float(np.abs(combos).sum(axis=1).min() * domain.cell_volume)
-
-
 # ---------------------------------------------------------------------------
 # epsilon-form / product-form equivalence
 
@@ -319,6 +309,7 @@ class InterpolationReport:
     K_hat: float
     M_hat: float
     window_measure: float
+    window: np.ndarray        # the time cells of E cap [S1, S2]
     ratios: np.ndarray
     integrals: np.ndarray
 
@@ -374,7 +365,7 @@ def verify_integral_interpolation(
         raise ArithmeticError(f"interpolation constant is not finite: {K_hat}")
     M_hat = solve_increasing(lambda M: ip.constant_template(M, meas), K_hat)
     return InterpolationReport(K_hat=K_hat, M_hat=M_hat, window_measure=meas,
-                               ratios=ratios, integrals=integrals)
+                               window=window, ratios=ratios, integrals=integrals)
 
 
 # ---------------------------------------------------------------------------

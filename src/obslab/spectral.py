@@ -126,30 +126,6 @@ class SpectralDomain:
         mat.flags.writeable = False
         return mat
 
-    def eigenfunction(self, j: int):
-        """Evaluator for mode j (1-based); accepts points of shape (m, dim)."""
-        idx = self.mode_indices[j - 1]
-        if self.dim == 1:
-            lx = self.lengths[0]
-            norm = math.sqrt(2.0 / lx)
-            return lambda x: norm * np.sin(idx[0] * math.pi * np.asarray(x) / lx)
-        lx, ly = self.lengths
-
-        def ev(xy):
-            xy = np.atleast_2d(xy)
-            return (
-                2.0 / math.sqrt(lx * ly)
-                * np.sin(idx[0] * math.pi * xy[:, 0] / lx)
-                * np.sin(idx[1] * math.pi * xy[:, 1] / ly)
-            )
-
-        return ev
-
-    def gram_defect(self) -> float:
-        """Max deviation of the grid Gram matrix from the identity."""
-        gram = self.eigenfunctions @ self.eigenfunctions.T * self.cell_volume
-        return float(np.abs(gram - np.eye(self.n_modes)).max())
-
     # -- counting -----------------------------------------------------
 
     def count_below(self, lam: float) -> int:
@@ -163,10 +139,6 @@ class SpectralDomain:
                 f"cannot count exactly at lambda={lam}"
             )
         return int(np.searchsorted(eigs, lam, side="right"))
-
-    def weyl_ratio(self, lam: float) -> float:
-        """count_below(lam) / lam^(d/2); stabilizes for large lam (Weyl)."""
-        return self.count_below(lam) / lam ** (self.dim / 2.0)
 
 
 def interval(length: float, n_modes: int = DEFAULT_INTERVAL_MODES,
@@ -193,7 +165,3 @@ class PhysicalParams:
             raise ValueError("diffusion coefficient a must be positive")
         if self.b == 0:
             raise ValueError("coupling coefficient b must be nonzero")
-
-    @property
-    def coupling_matrix(self) -> np.ndarray:
-        return np.array([[self.a, -self.b], [self.b, self.a]])

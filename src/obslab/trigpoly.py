@@ -1,8 +1,7 @@
 """Trigonometric polynomials and quantitative norm inequalities on (-pi, pi).
 
-Implements the L^p Remez-type bound, its sup-norm form, the sub-level-set
-measure estimate behind it, and the lower bound on integrals of |sin|
-over measurable subsets of a window [delta, lambda*b*S + delta].
+Implements the L^p Remez-type bound and the lower bound on integrals of
+|sin| over measurable subsets of a window [delta, lambda*b*S + delta].
 
 Subsets of (-pi, pi) are unions of cells of a fixed uniform grid
 (N_CELLS cells); all integrals are midpoint quadrature on that grid.
@@ -13,28 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 N_CELLS = 8192
-SUP_SAMPLES = 4096
 
 
 # Sample grids and their sin/cos basis tables, built on first use and kept
-# read-only.  A grid is the midpoints of n uniform cells of (-pi, pi), or
-# sup_norm's linspace(-pi, pi, SUP_SAMPLES).  Each cached grid keeps one pair
-# of tables, sin(k theta) and cos(k theta) for k = 0..K, keyed by the grid
-# array's id (cached grids are never freed, so no other array shares it); a
-# higher degree rebuilds the pair wider, a lower one reads its leading columns.
-_GRIDS: dict = {}    # n -> grid_midpoints(n); "sup" -> sup_norm's linspace
+# read-only.  A grid is the midpoints of n uniform cells of (-pi, pi).  Each
+# cached grid keeps one pair of tables, sin(k theta) and cos(k theta) for
+# k = 0..K, keyed by the grid array's id (cached grids are never freed, so no
+# other array shares it); a higher degree rebuilds the pair wider, a lower one
+# reads its leading columns.
+_GRIDS: dict = {}    # n -> grid_midpoints(n)
 _BASES: dict = {}    # id of a cached grid -> (sin, cos) tables, or None
-
-
-def _cached(theta: np.ndarray) -> np.ndarray:
-    theta.flags.writeable = False
-    _BASES[id(theta)] = None
-    return theta
 
 
 def _basis(theta, degree: int):
@@ -53,13 +44,6 @@ def _basis(theta, degree: int):
     return sin[:, :degree + 1], cos[:, :degree + 1]
 
 
-def _sup_grid() -> np.ndarray:
-    theta = _GRIDS.get("sup")
-    if theta is None:
-        theta = _GRIDS["sup"] = _cached(np.linspace(-math.pi, math.pi, SUP_SAMPLES))
-    return theta
-
-
 def grid_midpoints(n_cells: int = N_CELLS) -> np.ndarray:
     """Midpoints of the n_cells uniform cells of (-pi, pi); cached, read-only.
 
@@ -68,7 +52,9 @@ def grid_midpoints(n_cells: int = N_CELLS) -> np.ndarray:
     theta = _GRIDS.get(n_cells)
     if theta is None:
         h = 2.0 * math.pi / n_cells
-        theta = _GRIDS[n_cells] = _cached(-math.pi + (np.arange(n_cells) + 0.5) * h)
+        theta = _GRIDS[n_cells] = -math.pi + (np.arange(n_cells) + 0.5) * h
+        theta.flags.writeable = False
+        _BASES[id(theta)] = None
     return theta
 
 
@@ -133,45 +119,10 @@ class TrigPoly:
         sin, cos = basis
         return sin @ self.sin_coeffs + cos @ self.cos_coeffs
 
-    def is_zero(self) -> bool:
-        return not (np.any(self.sin_coeffs[1:]) or np.any(self.cos_coeffs))
-
-    def scaled(self, c: float) -> "TrigPoly":
-        return TrigPoly(c * self.sin_coeffs, c * self.cos_coeffs)
-
     @staticmethod
     def random(rng: np.random.Generator, degree: int) -> "TrigPoly":
         return TrigPoly(rng.standard_normal(degree + 1),
                         rng.standard_normal(degree + 1))
-
-    @cached_property
-    def sup_norm(self) -> float:
-        """Sup of |f| on [-pi, pi]: dense sampling plus local golden refinement."""
-        theta = _sup_grid()
-        vals = np.abs(self(theta))
-        i = int(np.argmax(vals))
-        lo = theta[max(i - 1, 0)]
-        hi = theta[min(i + 1, SUP_SAMPLES - 1)]
-        return max(float(vals[i]), _golden_max(lambda t: abs(float(self(t))), lo, hi))
-
-
-def _golden_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximum of f on [lo, hi], to a bracket of 1e-10."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-    return max(fc, fd)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -194,42 +145,6 @@ def remez_check(f: TrigPoly, E: np.ndarray, p: float) -> CheckResult:
     const = (64.0 / math.sin(measure / 4.0)) ** (2.0 * (f.degree + 1.0 / p))
     rhs = const * on_E
     return CheckResult(lhs, rhs, lhs <= rhs * (1.0 + 1e-9))
-
-
-def sup_remez_check(f: TrigPoly, E: np.ndarray) -> CheckResult:
-    """Sup-norm form: ||f||_C <= (2/sin(|E|/4))^(2n) sup_E |f|."""
-    measure = mask_measure(E)
-    if measure <= 0:
-        raise ValueError("the subset E must have positive measure")
-    vals = np.abs(f(grid_midpoints(E.shape[0])))
-    sup_E = float(vals[E].max())
-    # refine inside the best cell only; the constant's slack dominates elsewhere
-    h = cell_width(E.shape[0])
-    best = int(np.nonzero(E)[0][np.argmax(vals[E])])
-    center = grid_midpoints(E.shape[0])[best]
-    sup_E = max(sup_E, _golden_max(lambda t: abs(float(f(t))),
-                                   center - h / 2, center + h / 2))
-    const = (2.0 / math.sin(measure / 4.0)) ** (2.0 * f.degree)
-    rhs = const * sup_E
-    return CheckResult(f.sup_norm, rhs, f.sup_norm <= rhs * (1.0 + 1e-9))
-
-
-def sublevel_measure_check(f: TrigPoly, eps: float) -> tuple[float, bool]:
-    """Measure of {|f| <= (sin(eps/4)/2)^(2n) ||f||_C}; must not exceed eps.
-
-    Degree-0 polynomials are treated as degree 1 (the estimate is stated
-    for degrees >= 1; a constant has an empty sub-level set either way).
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no sub-level estimate")
-    if not 0.0 < eps < 2.0 * math.pi:
-        raise ValueError("eps must lie in (0, 2*pi)")
-    n = max(f.degree, 1)
-    threshold = (0.5 * math.sin(eps / 4.0)) ** (2 * n) * f.sup_norm
-    vals = np.abs(f(grid_midpoints()))
-    measure = float((vals <= threshold).sum()) * cell_width()
-    tol = 16 * cell_width()
-    return measure, measure <= eps + tol
 
 
 @dataclass(frozen=True)

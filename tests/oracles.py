@@ -1,0 +1,111 @@
+"""Brute-force oracles and the fixture writer, kept beside the tests.
+
+Each oracle recomputes by scan or closed form what a solver in
+``obslab`` computes by descent or duality, so no solver can call one.
+``grid_scan_time_optimal`` shares only the plain feasibility minimisation
+``control._feasibility_min``; the bisection, the radius stop and the dual
+bound it checks stay out of its path.
+"""
+
+import math
+
+import numpy as np
+
+from obslab.control import ControlField, ControlOperator, _feasibility_min
+from obslab.errors import InfeasibleError
+
+
+def eigenfunction(domain, j: int):
+    """Evaluator of mode j (1-based) of domain; accepts points (m, dim)."""
+    idx = domain.mode_indices[j - 1]
+    if domain.dim == 1:
+        lx = domain.lengths[0]
+        norm = math.sqrt(2.0 / lx)
+        return lambda x: norm * np.sin(idx[0] * math.pi * np.asarray(x) / lx)
+    lx, ly = domain.lengths
+
+    def ev(xy):
+        xy = np.atleast_2d(xy)
+        return (
+            2.0 / math.sqrt(lx * ly)
+            * np.sin(idx[0] * math.pi * xy[:, 0] / lx)
+            * np.sin(idx[1] * math.pi * xy[:, 1] / ly)
+        )
+
+    return ev
+
+
+def to_rle(region) -> str:
+    """Run-length text of a SpaceTimeSet, as SpaceTimeSet.from_rle reads it:
+    a header line, then one 'start:length,...' line per time row."""
+    lines = [f"nt={region.n_time} nx={region.domain.n_cells} T={region.horizon!r}"]
+    for row in region.mask:
+        runs = []
+        idx = np.nonzero(row)[0]
+        if idx.size:
+            breaks = np.nonzero(np.diff(idx) > 1)[0]
+            starts = np.concatenate([[idx[0]], idx[breaks + 1]])
+            ends = np.concatenate([idx[breaks], [idx[-1]]])
+            runs = [f"{s}:{e - s + 1}" for s, e in zip(starts, ends)]
+        lines.append(",".join(runs))
+    return "\n".join(lines) + "\n"
+
+
+def brute_force_min_l1_2d(domain, omega: np.ndarray,
+                          n_angles: int = 3600) -> float:
+    """Oracle for k_lambda = 2: scan the unit circle of coefficients."""
+    omega = np.asarray(omega, dtype=bool)
+    basis = domain.eigenfunctions[:2][:, omega]
+    ang = np.linspace(0.0, math.pi, n_angles, endpoint=False)
+    combos = np.cos(ang)[:, None] * basis[0] + np.sin(ang)[:, None] * basis[1]
+    return float(np.abs(combos).sum(axis=1).min() * domain.cell_volume)
+
+
+def brute_force_single_mode_ratio(problem) -> float:
+    """Oracle for single-mode truncation: scan 3600 phases of the unit circle.
+
+    In closed form, sharing no code with the kernel estimate_L descends on:
+    from y0 = (cos p, sin p) the observed field at time s is
+    exp(-a lam s) cos(lam b s - p) phi_1(x), and ||exp(AT) y0|| is
+    exp(-a lam T), so the ratio is
+    sum_i dt exp(-a lam s_i) |cos(lam b s_i - p)| m_i / exp(-a lam T),
+    with m_i the integral of |phi_1| over the region's slice at s_i.
+    """
+    region, dom, params = problem.region, problem.domain, problem.params
+    lam = float(dom.eigenvalues[0])
+    s = region.midpoints
+    m = region.mask @ np.abs(dom.eigenfunctions[0]) * dom.cell_volume
+    p = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)[:, None]
+    trace = np.exp(-params.a * lam * s) * np.abs(np.cos(lam * params.b * s - p))
+    ratios = (trace * m).sum(axis=1) * region.dt
+    return float(ratios.min()) / math.exp(-params.a * lam * region.horizon)
+
+
+def least_squares_null_control(problem) -> tuple[ControlField, float]:
+    """Box-free minimal-weighted-L2 control by normal equations.
+
+    Solves u = adjoint(y) with (G G*) y = -free terminal state, using a
+    pseudo-inverse so modes decayed below 1e-12 of the largest singular
+    value are left uncontrolled.
+    """
+    op = ControlOperator(problem.domain, problem.params, problem.region)
+    gram = op.gram(op.weight * op.weight)     # of the weighted input map
+    free = op.free(problem.v0)
+    y = (np.linalg.pinv(gram, rcond=1e-12) @ (-free.ravel())).reshape(free.shape)
+    u = op.adjoint(y) * op.weight
+    terminal = float(np.linalg.norm(free + op.apply(u)))
+    return ControlField(u, op.region), terminal
+
+
+def grid_scan_time_optimal(problem, T_max: float, n_grid: int = 200) -> float:
+    """Dense-scan oracle: smallest feasible horizon on a uniform T grid.
+
+    Each grid time runs the plain minimisation, with no radius stop and no
+    dual bound, and compares its best norm with the radius.
+    """
+    warm = None
+    for T in np.linspace(T_max / n_grid, T_max, n_grid):
+        trial, warm, _ = _feasibility_min(problem, float(T), u0=warm)
+        if trial.upper <= problem.radius:
+            return float(T)
+    raise InfeasibleError(f"no horizon on the grid up to {T_max} is feasible")

@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -8,13 +10,14 @@ import numpy as np
 import pytest
 
 import obslab
-from obslab import cli, control, trigpoly
+from obslab import cli, control, observability, trigpoly
 from obslab.config import ExperimentConfig
 from obslab.errors import ConfigError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.report import RunReport, strip_timings
 from obslab.semigroup import SpectralState
 from obslab.trigpoly import CheckResult
+from oracles import brute_force_single_mode_ratio, to_rle
 
 
 def run(args):
@@ -401,20 +404,28 @@ def test_counterexample_multi_reports_three_times(tmp_path):
     assert len(rows.strip().split("\n")) == 4
 
 
-def tiny_config(tmp_path, kind):
+SELECTORS = {"first": "", "full": "selector = full\n",
+             "direction": "selector = direction\nmu1 = 0.6\nmu2 = -0.8\n"}
+
+
+def tiny_config(tmp_path, kind, selector="first"):
     """Every subcommand at a few cells, modes and cases."""
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(f"[domain]\nkind = {kind}\nnx = 8\nny = 8\nn_modes = 4\n"
                    "[observation]\nn_time = 16\nfill = 0.6\n"
+                   + SELECTORS[selector] +
                    "[control]\ntol = 0.05\nradius = 0.25\n"
                    "[sweep]\nbatch = 4\n")
     return cfg
 
 
-@pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+@pytest.mark.parametrize("sub,selector", [
+    *(pytest.param(sub, "first", id=sub) for sub in cli.SUBCOMMANDS),
+    *(pytest.param("interp", sel, id=f"interp-{sel}")
+      for sel in ("direction", "full"))])
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
-def test_determinism_same_seed_same_report(tmp_path, kind, sub):
-    cfg = tiny_config(tmp_path, kind)
+def test_determinism_same_seed_same_report(tmp_path, kind, sub, selector):
+    cfg = tiny_config(tmp_path, kind, selector)
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -426,6 +437,63 @@ def test_determinism_same_seed_same_report(tmp_path, kind, sub):
                      strip_timings((report_dir / "report.txt").read_text()),
                      [(p.name, p.read_text()) for p in csvs]))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+@pytest.mark.parametrize("selector,section", [
+    ("direction", "direction_reduction"), ("full", "full_pointwise")])
+def test_interp_reports_and_gates_its_selector_check(tmp_path, capsys, kind,
+                                                      selector, section):
+    cfg = tiny_config(tmp_path, kind, selector)
+    out = tmp_path / "out"
+    assert run(["interp", "--config", str(cfg), "--cases", "5",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    text, values = report_values(out)
+    assert "status: ok" in text and f"section: {section}\n" in text
+    if selector == "direction":      # the gates scale with mu1^2 + mu2^2 = 1
+        assert float(values["amplitude_defect"]) <= 1e-12
+        assert float(values["field_defect"]) <= 1e-10
+    else:
+        assert int(values["n_times"]) > 0
+        assert math.isfinite(float(values["max_M_hat"]))
+        assert float(values["min_trace"]) > 0
+
+
+def test_interp_selector_checks_exit_4_on_a_seeded_defect(tmp_path,
+                                                          monkeypatch):
+    transform = observability.direction_transform
+    monkeypatch.setattr(observability, "direction_transform",
+                        lambda z, mu1, mu2: transform(z, mu1, mu2) * (1 + 1e-6))
+    out = tmp_path / "direction"
+    cfg = tiny_config(tmp_path, "interval", "direction")
+    assert run(["interp", "--config", str(cfg), "--cases", "5",
+                "--out", str(out)]) == 4
+    text, values = report_values(out)
+    assert "status: violation" in text
+    assert float(values["field_defect"]) > 1e-10
+    # no M from the pointwise fit: every full-observation constant is inf
+    monkeypatch.setattr(observability, "solve_increasing",
+                        lambda fn, target: math.inf)
+    out = tmp_path / "full"
+    cfg = tiny_config(tmp_path, "interval", "full")
+    assert run(["interp", "--config", str(cfg), "--cases", "5",
+                "--out", str(out)]) == 4
+    text, values = report_values(out)
+    assert "status: violation" in text and values["max_M_hat"] == "inf"
+
+
+def test_no_oracle_is_defined_under_src():
+    # oracles live in tests/oracles.py, out of every solver's reach
+    names = set()
+    for path in pathlib.Path(obslab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    assert not [n for n in names
+                if n.startswith(("brute_force", "grid_scan", "least_squares"))]
 
 
 def test_different_seed_changes_report(tmp_path):
@@ -594,7 +662,7 @@ def fixture_rle(n_cells, horizon):
     dom = ExperimentConfig(nx=n_cells, n_modes=6).build_domain()
     region = SpaceTimeSet.random(dom, horizon, 32, np.random.default_rng(0),
                                  fill=0.6)
-    return region.to_rle()
+    return to_rle(region)
 
 
 def test_fixture_is_read_at_the_config_horizon(tmp_path):
@@ -651,7 +719,7 @@ def test_estimate_l_reports_the_constant_of_the_region_as_given(tmp_path):
         dom, ExperimentConfig().build_params(),
         SpectralState.single_mode(dom, 1, (1.0, 0.0)), region=region)
     assert L_hat == pytest.approx(
-        control.brute_force_single_mode_ratio(problem), rel=1e-3)
+        brute_force_single_mode_ratio(problem), rel=1e-3)
 
 
 def test_unparseable_fixture_exits_2(tmp_path, capsys):

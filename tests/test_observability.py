@@ -13,6 +13,7 @@ from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet, good_time_set
 from obslab.semigroup import ObservationSelector, SpectralState, evolve
 from obslab.spectral import PhysicalParams, interval, rectangle
+from oracles import brute_force_min_l1_2d
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=16, n_cells=512)
@@ -301,7 +302,7 @@ def test_spectral_l1_constant_matches_brute_force():
     omega = (mids > 0.5) & (mids < 1.8)
     est = obs.estimate_spectral_L1_constant(DOMAIN, 5.0, omega,
                                             rng=np.random.default_rng(0))
-    oracle = obs.brute_force_min_l1_2d(DOMAIN, omega)
+    oracle = brute_force_min_l1_2d(DOMAIN, omega)
     assert est.k_lambda == 2
     assert est.min_l1 == pytest.approx(oracle, rel=1e-3)
     # the reported constant inverts c * exp(c sqrt(lam)) at 1 / min^2

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab import trigpoly
-from obslab.trigpoly import (SUP_SAMPLES, SineBoundCase, TrigPoly, cell_width,
+from obslab.trigpoly import (SineBoundCase, TrigPoly, cell_width,
                              grid_midpoints, intervals_to_mask, mask_measure,
                              random_interval_union, remez_check,
-                             sine_integral_bound, sublevel_measure_check,
-                             sup_remez_check)
+                             sine_integral_bound)
 
 
 def test_trigpoly_evaluates_like_the_sum():
@@ -20,18 +19,6 @@ def test_trigpoly_evaluates_like_the_sum():
               + 2.0 + 0.25 * np.cos(2 * theta))
     assert np.allclose(f(theta), expect)
     assert f.degree == 2
-    assert np.allclose(f.scaled(2.0)(theta), 2.0 * expect)
-
-
-def test_sup_norm_of_pure_harmonic():
-    f = TrigPoly([0.0, 0.0, 0.0, 1.0], [0.0] * 4)
-    assert f.sup_norm == pytest.approx(1.0, abs=1e-9)
-
-
-def test_is_zero_ignores_the_meaningless_sin_constant():
-    assert TrigPoly([5.0], [0.0]).is_zero()
-    assert not TrigPoly([0.0, 1.0], [0.0, 0.0]).is_zero()
-    assert not TrigPoly([0.0], [1.0]).is_zero()
 
 
 def test_interval_mask_measure():
@@ -49,15 +36,6 @@ def test_remez_inequality_random(seed):
     assert remez_check(f, E, p).holds
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_sup_remez_inequality_random(seed):
-    rng = np.random.default_rng(seed)
-    f = TrigPoly.random(rng, int(rng.integers(1, 9)))
-    E = random_interval_union(rng)
-    assert sup_remez_check(f, E).holds
-
-
 def test_remez_full_interval_is_equality_up_to_constant():
     f = TrigPoly([0.0, 1.0], [0.0, 0.0])
     E = np.ones(8192, dtype=bool)
@@ -73,24 +51,6 @@ def test_remez_rejects_bad_p_and_empty_set():
         remez_check(f, E, 0.5)
     with pytest.raises(ValueError):
         remez_check(f, np.zeros(8192, dtype=bool), 2.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.floats(min_value=0.05, max_value=6.0))
-def test_sublevel_set_measure(seed, eps):
-    rng = np.random.default_rng(seed)
-    f = TrigPoly.random(rng, int(rng.integers(1, 7)))
-    measure, ok = sublevel_measure_check(f, eps)
-    assert ok
-    assert measure >= 0.0
-
-
-def test_sublevel_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
-        sublevel_measure_check(TrigPoly([0.0], [0.0]), 1.0)
-    with pytest.raises(ValueError):
-        sublevel_measure_check(TrigPoly([0.0, 1.0], [0.0, 0.0]), 7.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,29 +111,10 @@ def test_grid_evaluation_is_bit_identical_to_call(seed, order):
         assert trigpoly._basis(uncached, degree) is None
 
 
-def _sup_norm_through_call(f):
-    theta = np.linspace(-math.pi, math.pi, SUP_SAMPLES)
-    vals = np.abs(f(theta))
-    i = int(np.argmax(vals))
-    lo, hi = theta[max(i - 1, 0)], theta[min(i + 1, SUP_SAMPLES - 1)]
-    return max(float(vals[i]),
-               trigpoly._golden_max(lambda t: abs(float(f(t))), lo, hi))
-
-
-def test_sup_norm_matches_the_call_path():
-    rng = np.random.default_rng(7)
-    for degree in [12, *range(13)]:
-        f = TrigPoly.random(rng, degree)
-        assert f.sup_norm == _sup_norm_through_call(f)
-
-
 def test_cached_grid_arrays_are_read_only():
     f = TrigPoly.random(np.random.default_rng(0), 3)
     f(grid_midpoints(64))
-    f.sup_norm
-    sup_grid = trigpoly._sup_grid()
-    cached = [grid_midpoints(64), *trigpoly._basis(grid_midpoints(64), 3),
-              sup_grid, *trigpoly._basis(sup_grid, 3)]
+    cached = [grid_midpoints(64), *trigpoly._basis(grid_midpoints(64), 3)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 1.0
