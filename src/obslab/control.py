@@ -9,6 +9,11 @@ time-optimal control at the optimal horizon are both found by one damped
 Newton engine on a smoothed dual in the 2 n_modes coefficients of a dual
 state.
 
+A null control is posed on a ``ControlOperator`` of its space-time region:
+the caller builds it once, and the solve, the bound's L_hat and the duality
+check all read it.  ``ControlProblem`` poses the time-optimal problem,
+whose operator is rebuilt for each trial horizon.
+
 The controlled system runs under the transposed generator,
 ``ControlOperator.free`` and ``apply``: each mode's 2x2 evolution block is
 the transpose of the observation-side block, so the discrete duality
@@ -35,43 +40,33 @@ from .spectral import PhysicalParams, SpectralDomain
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Null-control (space-time region) or time-optimal (spatial mask) setup.
+    """Time-optimal setup: steer v0 into the ball of ``radius`` about 0.
 
-    Exactly one of ``region`` and ``omega`` must be given.  A null control
-    acts over the region's horizon.  ``bounds``, ``radius`` and ``n_time``
-    only apply to the time-optimal variant, whose horizon is each trial's.
+    Controls act on the spatial mask ``omega`` over (0, T) with values in
+    ``bounds``; each trial horizon T is split into ``n_time`` time cells.
     """
 
     domain: SpectralDomain
     params: PhysicalParams
     v0: SpectralState
-    region: SpaceTimeSet | None = None
-    omega: np.ndarray | None = None
-    bounds: tuple[float, float] | None = None
+    omega: np.ndarray
+    bounds: tuple[float, float]
     radius: float = 0.0
     n_time: int = 64
 
     def __post_init__(self):
-        if (self.region is None) == (self.omega is None):
-            raise ValueError("give exactly one of region (null control) "
-                             "and omega (time-optimal)")
-        if self.region is not None and self.region.measure() <= 0:
-            raise ValueError("control region must have positive measure")
-        if self.omega is not None:
-            om = np.asarray(self.omega, dtype=bool).copy()
-            if om.shape != (self.domain.n_cells,):
-                raise ValueError("omega must be a spatial mask of the domain grid")
-            if not om.any():
-                raise ValueError("omega must have positive measure")
-            om.flags.writeable = False
-            object.__setattr__(self, "omega", om)
-            if self.bounds is None:
-                raise ValueError("time-optimal problems need control bounds")
-            nu1, nu2 = self.bounds
-            if not nu1 < nu2:
-                raise ValueError("bounds must satisfy nu1 < nu2")
-            if self.radius > 0 and self.v0.norm() <= self.radius:
-                raise ValueError("initial state must start outside the target ball")
+        om = np.asarray(self.omega, dtype=bool).copy()
+        if om.shape != (self.domain.n_cells,):
+            raise ValueError("omega must be a spatial mask of the domain grid")
+        if not om.any():
+            raise ValueError("omega must have positive measure")
+        om.flags.writeable = False
+        object.__setattr__(self, "omega", om)
+        nu1, nu2 = self.bounds
+        if not nu1 < nu2:
+            raise ValueError("bounds must satisfy nu1 < nu2")
+        if self.radius > 0 and self.v0.norm() <= self.radius:
+            raise ValueError("initial state must start outside the target ball")
 
     def region_at(self, T: float) -> SpaceTimeSet:
         """The time-optimal control region omega x (0, T)."""
@@ -154,6 +149,8 @@ class ControlOperator:
 
     def __init__(self, domain: SpectralDomain, params: PhysicalParams,
                  region: SpaceTimeSet):
+        if not region.mask.any():
+            raise ValueError("control region must have positive measure")
         self.domain = domain
         self.region = region
         T = region.horizon
@@ -335,11 +332,12 @@ def _newton_stages(op: ControlOperator, x: np.ndarray, value, newton,
             return
 
 
-def synthesize_null_control(problem: ControlProblem, tol: float,
-                            budget: int = 10_000,
+def synthesize_null_control(op: ControlOperator, v0: SpectralState,
+                            tol: float, budget: int = 10_000,
                             rng: np.random.Generator | None = None,
                             ) -> tuple[ControlField, DualityCertificate]:
-    """Sup-norm-bounded control driving v(T) near zero, via the dual problem.
+    """Sup-norm-bounded control on op's region driving v(T) from v0 near
+    zero, via the dual problem.
 
     With W the dual field of z on the region R and s = sqrt(W^2 + mu^2),
     minimizes J_mu(z) = 0.5 * N_mu(z)^2 - <v0, exp(AT) z>, N_mu = int int_R s,
@@ -352,12 +350,11 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
     """
     if not 1e-6 < tol < 1e-1:
         raise ValueError("tol must lie in (1e-6, 1e-1)")
-    region = problem.region
-    op = ControlOperator(problem.domain, problem.params, region)
-    v0_norm = problem.v0.norm()
+    region = op.region
+    v0_norm = v0.norm()
     # <v0, exp(AT) z> = <free, z>; the recovered control's terminal state is
     # near -grad J_mu, so Newton's residual tracks the terminal norm.
-    free = op.free(problem.v0)
+    free = op.free(v0)
     target = tol * v0_norm
     mask, w = region.mask, op.weight
 
@@ -392,7 +389,7 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
     # lowers the ratio, so M <= ||v0|| / L_hat (u = 0 needs no bound)
     L_hat = estimate_L(op, rng=rng, extra_starts=[z]) if bulk > 0 else math.inf
     field = ControlField(u, region)
-    cert = DualityCertificate(z_star=SpectralState(z, problem.domain),
+    cert = DualityCertificate(z_star=SpectralState(z, op.domain),
                               dual_value=0.5 * bulk ** 2 - lin,
                               terminal_norm=terminal, sup_norm=field.sup_norm,
                               L_hat=L_hat, tol=tol, v0_norm=v0_norm,
@@ -401,26 +398,25 @@ def synthesize_null_control(problem: ControlProblem, tol: float,
     return field, cert
 
 
-def duality_defect(problem: ControlProblem, field: ControlField,
+def duality_defect(op: ControlOperator, v0: SpectralState, field: ControlField,
                    rng: np.random.Generator | None = None) -> float:
     """Max relative error of the duality pairing over 100 random dual probes.
 
+    field is a control on op's region, and v(T) its terminal state from v0:
     <v(T), z> = <v0, exp(AT) z> + <u, adjoint trace of z>  for every z.
     Each probe's error is relative to the sum of the sizes of the two terms
     on the right, which does not shrink as the control reaches its target.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    op = ControlOperator(problem.domain, problem.params, field.region)
-    v0 = problem.v0.coeffs
-    vT = op.free(problem.v0) + op.apply(field.values)
-    Z = rng.standard_normal((100,) + v0.shape)
+    vT = op.free(v0) + op.apply(field.values)
+    Z = rng.standard_normal((100,) + v0.coeffs.shape)
 
     def pair(a, b):             # one sum per lane, as np.sum of a lone probe
         return (a * b).reshape(len(b), -1).sum(axis=1)
 
     lhs = pair(vT, Z)
-    free_term = pair(v0, propagate(op.at_horizon, Z))
+    free_term = pair(v0.coeffs, propagate(op.at_horizon, Z))
     control_term = np.empty(len(Z))
     blk = lane_block(field.values.size)
     for lo in range(0, len(Z), blk):
@@ -642,8 +638,6 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     infeasible trial time below every feasible one, so the trace is
     monotone in T by construction.
     """
-    if problem.omega is None:
-        raise ValueError("time-optimal problems are posed with a spatial mask")
     if problem.radius <= 0:
         raise ValueError("target radius must be positive")
     first, best_u, best_op = _feasibility_min(problem, T_max,

@@ -58,10 +58,6 @@ class TimeSet:
         hi = np.minimum((idx + 1) * dt, b)
         return float(np.clip(hi - lo, 0.0, None).sum())
 
-    def contains_time(self, t: float) -> bool:
-        i = math.floor(t / self.dt)
-        return 0 <= i < self.n_time and bool(self.mask[i])
-
     @staticmethod
     def full(n_time: int, horizon: float) -> "TimeSet":
         return TimeSet(np.ones(n_time, dtype=bool), horizon)
@@ -101,17 +97,6 @@ class SpaceTimeSet:
 
     def measure(self) -> float:
         return float(self.mask.sum()) * self.domain.cell_volume * self.dt
-
-    def time_index(self, t: float) -> int:
-        """Nearest-cell snap of a time in (0, horizon)."""
-        if not 0.0 < t < self.horizon:
-            raise ValueError(f"time {t} outside (0, {self.horizon})")
-        return min(int(t / self.dt), self.n_time - 1)
-
-    def slice_at(self, t: float):
-        """Spatial mask D_t and its measure at the snapped time."""
-        row = self.mask[self.time_index(t)]
-        return row, float(row.sum()) * self.domain.cell_volume
 
     @cached_property
     def slice_measures(self) -> np.ndarray:

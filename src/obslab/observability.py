@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTruncationError, ResolutionError, require
-from .geometry import GoodTimeSet, SpaceTimeSet, good_time_set
+from .geometry import (GoodTimeSet, SpaceTimeSet, find_density_point,
+                       good_time_set, telescoping_sequence)
 # evolve is unused here, but the benchmark's tracer wraps observability.evolve
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
                         evolve, mode_factors, propagate)
@@ -312,6 +313,7 @@ class InterpolationReport:
     window: np.ndarray        # the time cells of E cap [S1, S2]
     ratios: np.ndarray
     integrals: np.ndarray
+    profiles: np.ndarray      # (B, n_time) observed L1 norms, 0 off the window
 
 
 def _lanes(z_batch) -> np.ndarray:
@@ -365,7 +367,8 @@ def verify_integral_interpolation(
         raise ArithmeticError(f"interpolation constant is not finite: {K_hat}")
     M_hat = solve_increasing(lambda M: ip.constant_template(M, meas), K_hat)
     return InterpolationReport(K_hat=K_hat, M_hat=M_hat, window_measure=meas,
-                               window=window, ratios=ratios, integrals=integrals)
+                               window=window, ratios=ratios, integrals=integrals,
+                               profiles=profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +456,17 @@ def direction_transform(state, mu1: float, mu2: float):
     return np.stack([mu1 * z1 + mu2 * z2, mu1 * z2 - mu2 * z1], axis=-1)
 
 
-@dataclass(frozen=True)
-class DirectionReport:
-    interpolation: InterpolationReport
-    amplitude_defect: float       # | ||phi||^2 - (mu1^2+mu2^2) ||z||^2 | max
-    field_defect: float           # max grid mismatch of the two observations
-
-
 def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
-                                 D: SpaceTimeSet, ip: InterpolationParams,
-                                 mu1: float, mu2: float, z_batch) -> DirectionReport:
-    """Directional observation reduces to first-component via a state rotation."""
+                                 mu1: float, mu2: float, z_batch,
+                                 ) -> tuple[float, float]:
+    """Defects of the reduction of directional to first-component observation.
+
+    Returns the amplitude defect max | ||phi||^2 - (mu1^2+mu2^2) ||z||^2 |
+    and the largest grid mismatch of the two observed fields at three times,
+    phi = direction_transform(z, mu1, mu2), over the batch.
+    """
     if abs(mu1) + abs(mu2) == 0:
         raise ValueError("direction must be nonzero")
-    sel = ObservationSelector.direction(mu1, mu2)
     scale = mu1 * mu1 + mu2 * mu2
     lanes = _lanes(z_batch)
     phis = direction_transform(lanes, mu1, mu2)
@@ -476,11 +476,9 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
     (a,) = observed_fields(propagate(factors, phis[:, None]),
                            domain.eigenfunctions, ObservationSelector.first())
     (b,) = observed_fields(propagate(factors, lanes[:, None]),
-                           domain.eigenfunctions, sel)
-    field_defect = float(np.abs(a - b).max())
-    report = verify_integral_interpolation(domain, params, D, ip, z_batch, sel=sel)
-    return DirectionReport(interpolation=report, amplitude_defect=amp_defect,
-                           field_defect=field_defect)
+                           domain.eigenfunctions,
+                           ObservationSelector.direction(mu1, mu2))
+    return amp_defect, float(np.abs(a - b).max())
 
 
 @dataclass(frozen=True)
@@ -492,25 +490,21 @@ class FullObservationReport:
 
 def verify_full_observation_pointwise(domain: SpectralDomain,
                                       params: PhysicalParams, D: SpaceTimeSet,
-                                      theta: float, t_list, z_batch,
-                                      ) -> FullObservationReport:
+                                      theta: float, rep: InterpolationReport,
+                                      z_batch) -> FullObservationReport:
     """Pointwise-in-time inequality under full (both-component) observation.
 
-    Per time t in E, fits the smallest M with
+    rep is verify_integral_interpolation's report on D and z_batch under the
+    FULL selector; its window's midpoints are the times t, all in E, and its
+    profiles there are the traces.  Per t, fits the smallest M with
     ||exp(At) z|| <= M exp(M(t/(1-theta) + 1/(theta t)))
                      * trace^(1-theta) * ||z||^theta  over the batch.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    gts = good_time_set(D, *covering_ball(domain))
-    times = np.asarray(t_list, dtype=float)
-    for t in times:
-        if not gts.times.contains_time(t):
-            raise ValueError(f"time {t} is not in the good-time set E")
-    slices = np.array([D.slice_at(t)[0] for t in times])
+    times = D.midpoints[rep.window]
     lanes = _lanes(z_batch)
-    traces = observation_profile(domain, params, lanes, times, slices,
-                                 ObservationSelector.full())
+    traces = rep.profiles[:, rep.window]
     norms = norms_at(domain, params, lanes, times)
     zn = lane_norms(lanes)
     live = zn > 0
@@ -559,7 +553,6 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     observations dominate the weighted norm at ell_2 and reports the
     end-to-end empirical observability constant.
     """
-    from .geometry import find_density_point, telescoping_sequence
     if depth < 4:
         raise ValueError("the chain needs depth >= 4: its first ring "
                          "observation term is ring m = 2")

@@ -61,7 +61,7 @@ def brute_force_min_l1_2d(domain, omega: np.ndarray,
     return float(np.abs(combos).sum(axis=1).min() * domain.cell_volume)
 
 
-def brute_force_single_mode_ratio(problem) -> float:
+def brute_force_single_mode_ratio(region, params) -> float:
     """Oracle for single-mode truncation: scan 3600 phases of the unit circle.
 
     In closed form, sharing no code with the kernel estimate_L descends on:
@@ -71,7 +71,7 @@ def brute_force_single_mode_ratio(problem) -> float:
     sum_i dt exp(-a lam s_i) |cos(lam b s_i - p)| m_i / exp(-a lam T),
     with m_i the integral of |phi_1| over the region's slice at s_i.
     """
-    region, dom, params = problem.region, problem.domain, problem.params
+    dom = region.domain
     lam = float(dom.eigenvalues[0])
     s = region.midpoints
     m = region.mask @ np.abs(dom.eigenfunctions[0]) * dom.cell_volume
@@ -81,16 +81,17 @@ def brute_force_single_mode_ratio(problem) -> float:
     return float(ratios.min()) / math.exp(-params.a * lam * region.horizon)
 
 
-def least_squares_null_control(problem) -> tuple[ControlField, float]:
-    """Box-free minimal-weighted-L2 control by normal equations.
+def least_squares_null_control(region, params, v0) -> tuple[ControlField, float]:
+    """Box-free minimal-weighted-L2 control from v0 on region, by normal
+    equations.
 
     Solves u = adjoint(y) with (G G*) y = -free terminal state, using a
     pseudo-inverse so modes decayed below 1e-12 of the largest singular
     value are left uncontrolled.
     """
-    op = ControlOperator(problem.domain, problem.params, problem.region)
+    op = ControlOperator(region.domain, params, region)
     gram = op.gram(op.weight * op.weight)     # of the weighted input map
-    free = op.free(problem.v0)
+    free = op.free(v0)
     y = (np.linalg.pinv(gram, rcond=1e-12) @ (-free.ravel())).reshape(free.shape)
     u = op.adjoint(y) * op.weight
     terminal = float(np.linalg.norm(free + op.apply(u)))

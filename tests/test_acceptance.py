@@ -151,14 +151,14 @@ def test_criterion_08_null_control_certificate():
     domain = interval(PI, n_modes=8, n_cells=256)
     v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
     D = SpaceTimeSet.full_cylinder(domain, 1.0, 64)
-    problem = ctl.ControlProblem(domain, PARAMS, v0, region=D)
-    field, cert = ctl.synthesize_null_control(problem, tol=1e-2)
+    op = ctl.ControlOperator(domain, PARAMS, D)
+    field, cert = ctl.synthesize_null_control(op, v0, tol=1e-2)
     assert cert.terminal_norm <= 1e-2 * cert.v0_norm
     assert cert.sup_norm <= (cert.v0_norm / cert.L_hat) * (1.0 + 1e-6)
-    defect = ctl.duality_defect(problem, field)
+    defect = ctl.duality_defect(op, v0, field)
     assert defect <= 1e-8
     # reachability cross-check: the box-free least-squares oracle also lands
-    _, ls_terminal = least_squares_null_control(problem)
+    _, ls_terminal = least_squares_null_control(D, PARAMS, v0)
     assert ls_terminal <= 1e-2 * cert.v0_norm
     elapsed_ok(start, 120.0, "null control")
 

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 import obslab
-from obslab import cli, control, observability, trigpoly
+from obslab import cli, control, geometry, observability, trigpoly
 from obslab.config import ExperimentConfig
 from obslab.errors import ConfigError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.report import RunReport, strip_timings
-from obslab.semigroup import SpectralState
 from obslab.trigpoly import CheckResult
 from oracles import brute_force_single_mode_ratio, to_rle
 
@@ -483,6 +482,49 @@ def test_interp_selector_checks_exit_4_on_a_seeded_defect(tmp_path,
     assert "status: violation" in text and values["max_M_hat"] == "inf"
 
 
+def counted(monkeypatch, calls, owners, name):
+    """Count calls of owners' attribute name, one shared wrapper for all."""
+    original = getattr(owners[0], name)
+
+    def spy(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+@pytest.mark.parametrize("selector", ["first", "direction", "full"])
+def test_interp_observes_once_at_every_selector(tmp_path, monkeypatch, kind,
+                                                selector):
+    calls = {}
+    counted(monkeypatch, calls, [observability], "observation_profile")
+    counted(monkeypatch, calls, [observability, geometry], "good_time_set")
+    cfg = tiny_config(tmp_path, kind, selector)
+    assert run(["interp", "--config", str(cfg), "--cases", "5",
+                "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"observation_profile": 1, "good_time_set": 1}
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_null_control_builds_one_operator(tmp_path, monkeypatch, kind):
+    calls = {}
+    counted(monkeypatch, calls, [control.ControlOperator], "__init__")
+    cfg = tiny_config(tmp_path, kind)
+    assert run(["null-control", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"__init__": 1}
+
+
+def test_no_assert_statement_under_src():
+    # asserts vanish under python -O; every check in src/ must raise
+    for path in pathlib.Path(obslab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)], path.name
+
+
 def test_no_oracle_is_defined_under_src():
     # oracles live in tests/oracles.py, out of every solver's reach
     names = set()
@@ -715,11 +757,8 @@ def test_estimate_l_reports_the_constant_of_the_region_as_given(tmp_path):
     report = (report_dir / "report.txt").read_text()
     config = report.split("section: estimate_L_config\n")[1].split("\n\n")[0]
     L_hat = float(dict(line.split(": ", 1) for line in config.splitlines())["L_hat"])
-    problem = control.ControlProblem(
-        dom, ExperimentConfig().build_params(),
-        SpectralState.single_mode(dom, 1, (1.0, 0.0)), region=region)
-    assert L_hat == pytest.approx(
-        brute_force_single_mode_ratio(problem), rel=1e-3)
+    assert L_hat == pytest.approx(brute_force_single_mode_ratio(
+        region, ExperimentConfig().build_params()), rel=1e-3)
 
 
 def test_unparseable_fixture_exits_2(tmp_path, capsys):

@@ -27,8 +27,9 @@ V0 = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
 FULL = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
 
 
-def null_problem(region=FULL, v0=V0):
-    return ctl.ControlProblem(DOMAIN, PARAMS, v0, region=region)
+def null_op(region=FULL):
+    """The operator a null control on region is posed on."""
+    return ctl.ControlOperator(region.domain, PARAMS, region)
 
 
 def reflected(region):
@@ -36,22 +37,20 @@ def reflected(region):
     return SpaceTimeSet(region.mask[::-1], region.horizon, region.domain)
 
 
-def forward_L(problem, **kwargs):
+def forward_L(region, **kwargs):
     """estimate_L of the operator on the reflected region: the forward
-    constant of the problem's region as given."""
-    op = ctl.ControlOperator(problem.domain, problem.params,
-                             reflected(problem.region))
-    return ctl.estimate_L(op, **kwargs)
+    constant of the region as given."""
+    return ctl.estimate_L(null_op(reflected(region)), **kwargs)
 
 
 def dual_problem(seed, horizon=1.0):
-    """A random region at the sizes of the benchmark's dual workload."""
+    """The operator and initial state of a null control on a random region
+    at the sizes of the benchmark's dual workload."""
     dom = interval(PI, n_modes=6, n_cells=48)
     region = SpaceTimeSet.random(dom, horizon, 32, np.random.default_rng(seed),
                                  fill=0.6, min_measure_fraction=0.1)
     assert not np.array_equal(region.mask, region.mask[::-1])
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
-    return ctl.ControlProblem(dom, PARAMS, v0, region=region)
+    return null_op(region), SpectralState.single_mode(dom, 1, (1.0, 0.0))
 
 
 # -- generator transpose --------------------------------------------------
@@ -90,13 +89,13 @@ def test_control_operator_adjoint_pairing_exact():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        ctl.ControlProblem(DOMAIN, PARAMS, V0)
-    with pytest.raises(ValueError):
-        ctl.ControlProblem(DOMAIN, PARAMS, V0, region=FULL,
-                           omega=np.ones(DOMAIN.n_cells, dtype=bool))
+        ctl.ControlProblem(DOMAIN, PARAMS, V0,
+                           omega=np.zeros(DOMAIN.n_cells, dtype=bool),
+                           bounds=(-1.0, 1.0))
     with pytest.raises(ValueError):
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
-                           omega=np.ones(DOMAIN.n_cells, dtype=bool))
+                           omega=np.ones(DOMAIN.n_cells + 1, dtype=bool),
+                           bounds=(-1.0, 1.0))
     with pytest.raises(ValueError):
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.ones(DOMAIN.n_cells, dtype=bool),
@@ -105,6 +104,12 @@ def test_problem_validation():
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.ones(DOMAIN.n_cells, dtype=bool),
                            bounds=(-1.0, 1.0), radius=2.0)
+
+
+def test_control_operator_rejects_a_region_with_no_cell():
+    empty = SpaceTimeSet(np.zeros(FULL.mask.shape, dtype=bool), 1.0, DOMAIN)
+    with pytest.raises(ValueError, match="positive measure"):
+        ctl.ControlOperator(DOMAIN, PARAMS, empty)
 
 
 def test_control_field_support_check():
@@ -149,25 +154,22 @@ def test_control_field_csv_plain_floats_on_rectangle(tmp_path):
 
 def test_estimate_l_positive_and_monotone_in_region():
     rng = np.random.default_rng(3)
-    L_full = forward_L(null_problem(), restarts=12, rng=rng)
+    L_full = forward_L(FULL, restarts=12, rng=rng)
     half_mask = FULL.mask.copy()
     half_mask[FULL.n_time // 2:] = False
     half = SpaceTimeSet(half_mask, 1.0, DOMAIN)
-    L_half = forward_L(null_problem(half), restarts=12,
-                       rng=np.random.default_rng(3))
+    L_half = forward_L(half, restarts=12, rng=np.random.default_rng(3))
     assert L_full > 0 and L_half > 0
     assert L_half <= L_full + 1e-9
 
 
 def test_estimate_l_positive_and_monotone_in_region_rectangle():
     dom = rectangle(PI, PI, n_modes=8, cells=(16, 16))
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
     full = SpaceTimeSet.full_cylinder(dom, 1.0, 32)
     half_mask = full.mask.copy()
     half_mask[full.n_time // 2:] = False
     half = SpaceTimeSet(half_mask, 1.0, dom)
-    L = [forward_L(ctl.ControlProblem(dom, PARAMS, v0, region=r),
-                   restarts=12, rng=np.random.default_rng(3))
+    L = [forward_L(r, restarts=12, rng=np.random.default_rng(3))
          for r in (full, half)]
     assert L[0] > 0 and L[1] > 0
     assert L[1] <= L[0] + 1e-9
@@ -179,9 +181,7 @@ def test_estimate_l_pinned_value():
     dom = interval(PI, n_modes=6, n_cells=48)
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(5),
                                  fill=0.6, min_measure_fraction=0.1)
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
-    problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
-    L = forward_L(problem, restarts=16, rng=np.random.default_rng(7))
+    L = forward_L(region, restarts=16, rng=np.random.default_rng(7))
     assert L == pytest.approx(0.3003544633192025, rel=1e-12)
 
 
@@ -228,11 +228,9 @@ def test_ratio_and_grad_memory_does_not_grow_with_lanes():
 
 def test_estimate_l_single_mode_brute_force():
     dom = interval(PI, n_modes=1, n_cells=256)
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
     region = SpaceTimeSet.full_cylinder(dom, 1.0, 64)
-    problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
-    L = forward_L(problem, restarts=16, rng=np.random.default_rng(4))
-    oracle = brute_force_single_mode_ratio(problem)
+    L = forward_L(region, restarts=16, rng=np.random.default_rng(4))
+    oracle = brute_force_single_mode_ratio(region, PARAMS)
     assert L == pytest.approx(oracle, rel=1e-3)
 
 
@@ -240,13 +238,11 @@ def test_estimate_l_single_mode_brute_force_on_a_region_asymmetric_in_time():
     # the full cylinder is symmetric under s -> T - s, so there an estimate
     # on the region as given, not reflected, still matches the oracle
     dom = interval(PI, n_modes=1, n_cells=64)
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(3),
                                  fill=0.5)
     assert not np.array_equal(region.mask, region.mask[::-1])
-    problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
-    L = forward_L(problem, restarts=16, rng=np.random.default_rng(4))
-    oracle = brute_force_single_mode_ratio(problem)
+    L = forward_L(region, restarts=16, rng=np.random.default_rng(4))
+    oracle = brute_force_single_mode_ratio(region, PARAMS)
     assert L == pytest.approx(oracle, rel=1e-3)
 
 
@@ -306,18 +302,19 @@ def test_telescope_batch_among_the_starts_bounds_L_hat():
 
 def test_null_control_zero_initial_state():
     v0 = SpectralState(np.zeros((DOMAIN.n_modes, 2)), DOMAIN)
-    field, cert = ctl.synthesize_null_control(null_problem(v0=v0), 0.01)
+    field, cert = ctl.synthesize_null_control(null_op(), v0, 0.01)
     assert field.sup_norm == 0.0
     assert cert.terminal_norm == 0.0
 
 
 def test_null_control_benchmark_certificate():
-    field, cert = ctl.synthesize_null_control(null_problem(), 0.01)
+    op = null_op()
+    field, cert = ctl.synthesize_null_control(op, V0, 0.01)
     assert cert.terminal_norm <= 0.01 * cert.v0_norm
     assert cert.sup_norm <= cert.control_bound * (1.0 + 1e-6)
     assert cert.sup_norm == pytest.approx(field.sup_norm, rel=1e-12)
     cert.check()
-    defect = ctl.duality_defect(null_problem(), field)
+    defect = ctl.duality_defect(op, V0, field)
     assert defect <= 1e-8
 
 
@@ -329,7 +326,7 @@ def test_null_control_partial_region():
         x0, x1 = sorted(rng.integers(0, DOMAIN.n_cells + 1, 2))
         mask[t0:t1, x0:x1] = True
     D = SpaceTimeSet(mask, 1.0, DOMAIN)
-    field, cert = ctl.synthesize_null_control(null_problem(D), 0.05,
+    field, cert = ctl.synthesize_null_control(null_op(D), V0, 0.05,
                                               rng=np.random.default_rng(6))
     assert cert.terminal_norm <= 0.05 * cert.v0_norm
     assert cert.sup_norm <= cert.control_bound * (1.0 + 1e-6)
@@ -340,20 +337,19 @@ def test_duality_defect_passes_exact_pairings_and_catches_a_scaled_adjoint(
         monkeypatch, tol):
     # each probe is measured against the sizes of the pairing's two terms,
     # so a correct pairing stays near rounding however small v(T) gets
-    problem = dual_problem(0)
-    field, _ = ctl.synthesize_null_control(problem, tol)
-    assert ctl.duality_defect(problem, field) <= 1e-8
+    op, v0 = dual_problem(0)
+    field, _ = ctl.synthesize_null_control(op, v0, tol)
+    assert ctl.duality_defect(op, v0, field) <= 1e-8
     adjoint = ctl.ControlOperator.adjoint
     monkeypatch.setattr(ctl.ControlOperator, "adjoint",
                         lambda op, y: adjoint(op, y) * (1.0 + 1e-6))
-    assert ctl.duality_defect(problem, field) > 1e-8
+    assert ctl.duality_defect(op, v0, field) > 1e-8
 
 
-def reference_defect(problem, field, rng):
+def reference_defect(op, v0, field, rng):
     """duality_defect's pairing, one probe at a time."""
-    op = ctl.ControlOperator(problem.domain, problem.params, field.region)
-    v0 = problem.v0.coeffs
-    vT = op.free(problem.v0) + op.apply(field.values)
+    vT = op.free(v0) + op.apply(field.values)
+    v0 = v0.coeffs
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal(v0.shape)
@@ -365,8 +361,8 @@ def reference_defect(problem, field, rng):
     return worst
 
 
-def random_control(problem, seed):
-    region = problem.region
+def random_control(op, seed):
+    region = op.region
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, region.mask.shape)
     return ctl.ControlField(u * region.mask, region)
 
@@ -378,32 +374,31 @@ def test_duality_defect_matches_a_probe_loop_at_every_block_size(
         dom = rectangle(PI, PI, n_modes=6, cells=(8, 6))
         region = SpaceTimeSet.random(dom, 1.0, 16, np.random.default_rng(3),
                                      fill=0.5, min_measure_fraction=0.1)
+        op = null_op(region)
         v0 = SpectralState.random(dom, np.random.default_rng(4))
-        problem = ctl.ControlProblem(dom, PARAMS, v0, region=region)
     else:
-        problem = dual_problem(1)
-    field = random_control(problem, 5)
-    expected = reference_defect(problem, field, np.random.default_rng(7))
+        op, v0 = dual_problem(1)
+    field = random_control(op, 5)
+    expected = reference_defect(op, v0, field, np.random.default_rng(7))
     assert expected > 0.0
     lane = field.values.size
     for lanes_per_block in (None, *range(1, 101)):
         if lanes_per_block is not None:
             monkeypatch.setattr(obs, "_FIELD_BLOCK", lanes_per_block * lane)
-        got = ctl.duality_defect(problem, field, rng=np.random.default_rng(7))
+        got = ctl.duality_defect(op, v0, field, rng=np.random.default_rng(7))
         assert got == expected
 
 
 def test_duality_defect_memory_does_not_grow_with_probes():
     dom = interval(PI, n_modes=8, n_cells=1024)
-    region = SpaceTimeSet.full_cylinder(dom, 1.0, 32)
-    problem = ctl.ControlProblem(dom, PARAMS, SpectralState.single_mode(
-        dom, 1, (1.0, 0.0)), region=region)
-    field = random_control(problem, 0)
-    ctl.duality_defect(problem, field)                  # tables, caches
+    op = null_op(SpaceTimeSet.full_cylinder(dom, 1.0, 32))
+    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    field = random_control(op, 0)
+    ctl.duality_defect(op, v0, field)                   # tables, caches
     all_probes_field = 100 * field.values.size * 8      # bytes
     tracemalloc.start()
     try:
-        ctl.duality_defect(problem, field)
+        ctl.duality_defect(op, v0, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -412,18 +407,18 @@ def test_duality_defect_memory_does_not_grow_with_probes():
 
 def test_null_control_tol_validation():
     with pytest.raises(ValueError):
-        ctl.synthesize_null_control(null_problem(), 0.5)
+        ctl.synthesize_null_control(null_op(), V0, 0.5)
 
 
 def test_null_control_budget_exhaustion_reports_best():
     # Newton meets this target after 47 trial points
     with pytest.raises(ConvergenceError) as err:
-        ctl.synthesize_null_control(null_problem(), tol=1.5e-6, budget=40)
+        ctl.synthesize_null_control(null_op(), V0, tol=1.5e-6, budget=40)
     assert isinstance(err.value.best, ctl.ControlField)
 
 
 def test_null_control_pinned_certificate():
-    field, cert = ctl.synthesize_null_control(dual_problem(11), 0.05)
+    field, cert = ctl.synthesize_null_control(*dual_problem(11), 0.05)
     assert cert.terminal_norm == 0.006734231724869473
     assert cert.sup_norm == 1.6301275067227574
     assert cert.least_sup_lower == 1.6307711689758455
@@ -441,7 +436,7 @@ def test_null_control_one_dual_field_per_iterate(monkeypatch):
 
     monkeypatch.setattr(ctl.ControlOperator, "dual_field", counted)
     monkeypatch.setattr(ctl, "estimate_L", lambda *args, **kwargs: 1e-3)
-    _, cert = ctl.synthesize_null_control(dual_problem(11), tol=1.5e-6)
+    _, cert = ctl.synthesize_null_control(*dual_problem(11), tol=1.5e-6)
     stages = ctl._MU_STAGES.index(cert.mu) + 1
     assert stages > 1
     assert len(calls) <= cert.newton_steps + stages
@@ -453,7 +448,7 @@ def test_null_control_bound_holds_on_asymmetric_regions(horizon):
     # observability constant of the region reflected in time
     for seed in range(8):
         field, cert = ctl.synthesize_null_control(
-            dual_problem(seed, horizon), 0.05, rng=np.random.default_rng(seed))
+            *dual_problem(seed, horizon), 0.05, rng=np.random.default_rng(seed))
         assert field.sup_norm <= cert.control_bound * (1.0 + 1e-6)
         assert field.sup_norm <= cert.least_sup_lower <= cert.control_bound
 
@@ -467,10 +462,9 @@ def test_null_control_negated_initial_state(domain):
     v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
     out = []
     for sign in (1.0, -1.0):
-        problem = ctl.ControlProblem(domain, PARAMS, SpectralState(
-            sign * v0.coeffs, domain), region=region)
         out.append(ctl.synthesize_null_control(
-            problem, 0.05, rng=np.random.default_rng(3)))
+            null_op(region), SpectralState(sign * v0.coeffs, domain), 0.05,
+            rng=np.random.default_rng(3)))
     (field, cert), (neg_field, neg_cert) = out
     assert np.array_equal(neg_field.values, -field.values)
     assert np.array_equal(neg_cert.z_star.coeffs, -cert.z_star.coeffs)
@@ -572,7 +566,7 @@ def test_certificate_check_raises_with_both_numbers():
 
 
 def test_least_squares_oracle_reaches_target():
-    field, terminal = least_squares_null_control(null_problem())
+    field, terminal = least_squares_null_control(FULL, PARAMS, V0)
     assert terminal <= 1e-8
     assert field.sup_norm > 0
 

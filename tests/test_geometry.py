@@ -37,26 +37,13 @@ def test_time_set_measure_in_fractional_cells():
 def test_time_set_from_intervals_and_contains():
     mids = (np.arange(100) + 0.5) / 100
     E = TimeSet((mids > 0.2) & (mids < 0.4), 1.0)
-    assert E.contains_time(0.3)
-    assert not E.contains_time(0.8)
     assert E.measure() == pytest.approx(0.2, abs=0.02)
-
-
-def test_contains_time_rejects_times_before_zero():
-    E = TimeSet.full(10, 1.0)
-    assert E.contains_time(0.0) and E.contains_time(0.99)
-    for t in (-0.01, -0.099, -0.1, 1.0):
-        assert not E.contains_time(t)
 
 
 def test_space_time_set_measure_and_slices():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 2.0, 16)
     assert D.measure() == pytest.approx(2.0 * PI)
-    mask, m = D.slice_at(1.0)
-    assert m == pytest.approx(PI)
-    assert mask.all()
-    with pytest.raises(ValueError):
-        D.slice_at(2.5)
+    assert np.allclose(D.slice_measures, PI)
 
 
 def test_space_time_set_shape_validation():
@@ -100,7 +87,7 @@ def test_density_point_of_full_set():
     E = TimeSet.full(256, 1.0)
     ell = find_density_point(E)
     assert density_proxy(E, ell) >= 0.5
-    assert E.contains_time(ell)
+    assert E.mask[math.floor(ell / E.dt)]
 
 
 def test_density_point_prefers_the_bulk():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -601,13 +602,15 @@ def test_pointwise_failure_demo_argument_check():
 
 
 def test_direction_observation_reduces_to_first_component():
-    D = random_D(5)
+    amplitude, field = obs.verify_direction_observation(
+        DOMAIN, PARAMS, mu1=2.0, mu2=-1.0, z_batch=batch(6))
+    assert amplitude <= 1e-12
+    assert field <= 1e-10
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
-    rep = obs.verify_direction_observation(DOMAIN, PARAMS, D, ip,
-                                           mu1=2.0, mu2=-1.0, z_batch=batch(6))
-    assert rep.amplitude_defect <= 1e-12
-    assert rep.field_defect <= 1e-10
-    assert math.isfinite(rep.interpolation.K_hat)
+    rep = obs.verify_integral_interpolation(
+        DOMAIN, PARAMS, random_D(5), ip, batch(6),
+        sel=ObservationSelector.direction(2.0, -1.0))
+    assert math.isfinite(rep.K_hat)
 
 
 def test_direction_transform_amplitude():
@@ -616,23 +619,41 @@ def test_direction_transform_amplitude():
     assert phi.norm() ** 2 == pytest.approx(25.0 * z.norm() ** 2, rel=1e-12)
 
 
+def full_interpolation(D, z_batch):
+    ip = obs.InterpolationParams(0.5, 0.2, 0.9)
+    return obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, z_batch,
+                                             sel=ObservationSelector.full())
+
+
 def test_full_observation_pointwise_constants():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
-    rep = obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, theta=0.5,
-                                                t_list=[0.2, 0.5, 0.9],
-                                                z_batch=batch(8))
+    z_batch = batch(8)
+    rep = obs.verify_full_observation_pointwise(
+        DOMAIN, PARAMS, D, 0.5, full_interpolation(D, z_batch), z_batch)
+    assert np.array_equal(rep.times, D.midpoints[(D.midpoints >= 0.2)
+                                                 & (D.midpoints <= 0.9)])
     assert np.all(np.isfinite(rep.M_hats))
     assert np.all(rep.min_traces > 0)
 
 
-def test_full_observation_rejects_time_outside_e():
-    rng = np.random.default_rng(9)
-    mask = np.zeros((64, DOMAIN.n_cells), dtype=bool)
-    mask[:32] = rng.random((32, DOMAIN.n_cells)) < 0.5
-    D = SpaceTimeSet(mask, 1.0, DOMAIN)
-    with pytest.raises(ValueError):
-        obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5,
-                                              [0.9], batch(10, 2))
+@pytest.mark.parametrize("domain", [DOMAIN,
+                                    rectangle(PI, PI, n_modes=8, cells=(8, 8))])
+def test_full_observation_traces_are_the_window_profiles(domain):
+    # the integral check's profile rows are the traces a fresh observation
+    # of D's slices at the window's times gives, bit for bit
+    D = SpaceTimeSet.random(domain, 1.0, 32, np.random.default_rng(4),
+                            fill=0.4, min_measure_fraction=0.1)
+    z_batch = batch(8, 6, domain)
+    ip = obs.InterpolationParams(0.5, 0.25, 0.75)
+    rep = obs.verify_integral_interpolation(domain, PARAMS, D, ip, z_batch,
+                                            sel=ObservationSelector.full())
+    lanes = np.stack([z.coeffs for z in z_batch])
+    fresh = obs.observation_profile(domain, PARAMS, lanes,
+                                    D.midpoints[rep.window],
+                                    D.mask[rep.window],
+                                    ObservationSelector.full())
+    assert np.array_equal(rep.profiles[:, rep.window], fresh)
+    assert not rep.profiles[:, ~rep.window].any()
 
 
 # -- telescoping chain ----------------------------------------------------
@@ -695,12 +716,14 @@ def test_integral_interpolation_non_finite_constant_raises(monkeypatch):
                                           batch(4, 2))
 
 
-def test_full_observation_cancelling_is_a_violation(monkeypatch):
-    monkeypatch.setattr(obs, "observation_profile", zero_profile)
+def test_full_observation_cancelling_is_a_violation():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
+    z_batch = batch(8, 2)
+    rep = full_interpolation(D, z_batch)
+    rep = dataclasses.replace(rep, profiles=np.zeros_like(rep.profiles))
     with pytest.raises(PropertyViolation, match="full observation"):
-        obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5, [0.5],
-                                              batch(8, 2))
+        obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5, rep,
+                                              z_batch)
 
 
 def test_ring_observation_of_a_zero_state_is_a_violation():
