@@ -154,12 +154,12 @@ class ControlOperator:
         self.domain = domain
         self.region = region
         T = region.horizon
-        # tables at T - s_i; f = decay * (cos, sin) is read by fold and gram
-        self.to_horizon = mode_factors(domain, params, T - region.midpoints)
-        decay, cos, sin = self.to_horizon
-        self.f = decay[..., None] * np.stack([cos, sin], axis=-1)
+        # the one mode table: f[k, c, i] = decay * (cos, sin)[c] of mode k at
+        # T - s_i; traces, fold and gram are matmuls on it
+        decay, cos, sin = mode_factors(domain, params, T - region.midpoints)
+        f = decay * np.stack([cos, sin])                     # (c, i, k)
+        self.f = np.ascontiguousarray(f.transpose(2, 0, 1))
         self.at_horizon = mode_factors(domain, params, T)
-        self.observed = np.flatnonzero(region.mask)   # flat (time, cell) indices
         self.weight = region.dt * domain.cell_volume
 
     def free(self, v0: SpectralState) -> np.ndarray:
@@ -167,25 +167,24 @@ class ControlOperator:
         return propagate(self.at_horizon, v0.coeffs, transpose=True)
 
     def traces(self, z: np.ndarray) -> np.ndarray:
-        """dual_field's mode coefficients, (..., n_time, n_modes)."""
-        decay, cos, sin = self.to_horizon
-        return decay * (cos * z[..., None, :, 0] + sin * z[..., None, :, 1])
+        """dual_field's mode coefficients, (..., n_modes, n_time)."""
+        return (z[..., None, :] @ self.f)[..., 0, :]
 
     def fold(self, p: np.ndarray) -> np.ndarray:
         """The dt-weighted transpose of traces, (..., n_modes, 2)."""
-        return np.einsum("...tkc,...tk->...kc", self.f, p) * self.region.dt
+        return (self.f @ p[..., None])[..., 0] * self.region.dt
 
     def dual_field(self, z: np.ndarray) -> np.ndarray:
         """First component of exp(A * (T - s_i)) z on the grid, (n_time, n_cells).
 
         z is (n_modes, 2), or lanes (..., n_modes, 2) giving (..., n_time, n_cells).
         """
-        return self.traces(z) @ self.domain.eigenfunctions
+        return self.traces(z).swapaxes(-1, -2) @ self.domain.eigenfunctions
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Terminal coefficient increment of the control, shape (n_modes, 2)."""
         dx = self.domain.cell_volume
-        return self.fold((u * self.region.mask) @ self.domain.eigenfunctions.T * dx)
+        return self.fold(self.domain.eigenfunctions @ (u * self.region.mask).T * dx)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Adjoint in the weighted (dt * dx) inner product; lanes as in dual_field."""
@@ -196,7 +195,7 @@ class ControlOperator:
 
         K maps a dual state z to its dual field on the region's cells, and
         weights broadcasts to the grid.  Entry ((k, c), (l, d)) is
-        sum_i f[i,k,c] f[i,l,d] S[i,k,l], with S[i,k,l] the sum over region
+        sum_i f[k,c,i] f[l,d,i] S[i,k,l], with S[i,k,l] the sum over region
         cells j of weights[i,j] phi_k(x_j) phi_l(x_j): one GEMM per block of
         at most _FIELD_BLOCK products phi_k phi_l, k <= l, so the memory of a
         call does not grow with the number of cells.  Symmetric bit for bit.
@@ -210,10 +209,9 @@ class ControlOperator:
         for lo in range(0, phi.shape[1], blk):
             p, cells = phi[:, lo:lo + blk], slice(lo, lo + blk)
             S += (p[k] * p[l]) @ (weights[:, cells] * mask[:, cells]).T
-        # row (l, d) sums f[i,l,d] f[i,k,c] S[i,k,l] over i, batched over l
-        fT = np.ascontiguousarray(self.f.transpose(1, 2, 0))      # (k, c, i)
-        A = (fT * S[pair][:, :, None]).reshape(n, 2 * n, len(mask))
-        G = (fT @ A.transpose(0, 2, 1)).reshape(2 * n, 2 * n)
+        # row (l, d) sums f[l,d,i] f[k,c,i] S[i,k,l] over i, batched over l
+        A = (self.f * S[pair][:, :, None]).reshape(n, 2 * n, len(mask))
+        G = (self.f @ A.transpose(0, 2, 1)).reshape(2 * n, 2 * n)
         return 0.5 * (G + G.T)
 
     def norm_estimate(self) -> float:
@@ -229,26 +227,24 @@ def _ratio_and_grad(op: ControlOperator, Y: np.ndarray):
     """estimate_L's ratios and their coefficient gradients.
 
     Y stacks points of shape (n_modes, 2) on a leading lane axis.  Returns
-    ratios (B,) and gradients (B, n_modes, 2).
+    ratios (B,) and gradients (B, n_modes, 2).  The numerator's subgradient
+    back-projects sign(W) chi_R, with +-1 where W = 0 (any value in [-1, 1]
+    is a subgradient there), to mode traces g1; since sum_R |W| is
+    sum_R sign(W) W, it is the per-lane dot of g1 with W's own traces.
     """
     dom, region = op.domain, op.region
     B = len(Y)
     w1 = op.traces(Y)
     blk = min(B, lane_block(region.mask.size))
     field = np.empty((blk,) + region.mask.shape)
-    cells = np.empty((blk, op.observed.size))
-    num = np.empty(B)
     g1 = np.empty_like(w1)
     for lo in range(0, B, blk):
-        f, c = field[:B - lo], cells[:B - lo]     # the last block may be short
-        np.matmul(w1[lo:lo + blk], dom.eigenfunctions, out=f)
-        # gathered rows are contiguous, so their sums match a masked sum
-        np.take(f.reshape(len(f), -1), op.observed, axis=1, out=c, mode="clip")
-        num[lo:lo + blk] = np.abs(c, out=c).sum(axis=1)
-        np.sign(f, out=f)
+        f = field[:B - lo]                        # the last block may be short
+        np.matmul(w1[lo:lo + blk].swapaxes(-1, -2), dom.eigenfunctions, out=f)
+        np.copysign(1.0, f, out=f)
         f *= region.mask
-        np.matmul(f, dom.eigenfunctions.T, out=g1[lo:lo + blk])
-    num = num[:, None, None] * op.weight
+        np.matmul(dom.eigenfunctions, f.swapaxes(-1, -2), out=g1[lo:lo + blk])
+    num = (w1.reshape(B, 1, -1) @ g1.reshape(B, -1, 1)) * op.weight
     g_num = op.fold(g1) * dom.cell_volume
     # denominator: norm of exp(A T) y, diagonal per mode
     yT = propagate(op.at_horizon, Y)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientTruncationError, ResolutionError, require
-from .geometry import (GoodTimeSet, SpaceTimeSet, find_density_point,
-                       good_time_set, telescoping_sequence)
+from .geometry import (SpaceTimeSet, find_density_point, good_time_set,
+                       telescoping_sequence)
 # evolve is unused here, but the benchmark's tracer wraps observability.evolve
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
                         evolve, mode_factors, propagate)
@@ -334,15 +334,14 @@ def verify_integral_interpolation(
         domain: SpectralDomain, params: PhysicalParams, D: SpaceTimeSet,
         ip: InterpolationParams, z_batch,
         sel: ObservationSelector = ObservationSelector.first(),
-        gts: GoodTimeSet | None = None) -> InterpolationReport:
+        ) -> InterpolationReport:
     """Empirical constant of the integral-type interpolation inequality.
 
     For each z:  ||exp(A*S2) z||  vs
     (|E cap [S1,S2]|^-1 int_{S1}^{S2} chi_E ||chi_{D_t} B exp(A*t) z||_L1)^(1-theta)
     * ||z||^theta, with E the good-time set of D.
     """
-    if gts is None:
-        gts = good_time_set(D, *covering_ball(domain))
+    gts = good_time_set(D, *covering_ball(domain))
     # the time cells of E cap [S1, S2], and its measure
     window = gts.times.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
     meas = float(window.sum()) * D.dt

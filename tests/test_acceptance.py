@@ -88,8 +88,7 @@ def test_criterion_04_integral_observation_never_cancels():
         ip = obs.InterpolationParams(0.5, float(on_E[0]), float(on_E[-1]))
         batch = [SpectralState.random(domain, rng) for _ in range(per_set)]
         batch += adversarial
-        rep = obs.verify_integral_interpolation(domain, PARAMS, D, ip, batch,
-                                                gts=gts)
+        rep = obs.verify_integral_interpolation(domain, PARAMS, D, ip, batch)
         assert np.all(rep.integrals > 1e-8)
         assert math.isfinite(rep.K_hat)
         checked += len(batch)

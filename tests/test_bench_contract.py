@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -12,10 +14,11 @@ def _reject_constant(name):
     raise ValueError(f"result line holds the non-JSON constant {name}")
 
 
-def test_chain_benchmark_ends_with_a_correct_result_line():
+@pytest.mark.parametrize("workload", ["chain", "dual"])
+def test_benchmark_ends_with_a_correct_result_line(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", "chain", "--seconds", "0.01"],
+         "--workload", workload, "--seconds", "0.01"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -182,7 +182,7 @@ def test_estimate_l_pinned_value():
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(5),
                                  fill=0.6, min_measure_fraction=0.1)
     L = forward_L(region, restarts=16, rng=np.random.default_rng(7))
-    assert L == pytest.approx(0.3003544633192025, rel=1e-12)
+    assert L == pytest.approx(0.3003544632263797, rel=1e-12)
 
 
 def test_estimate_l_raises_when_ratio_collapses(monkeypatch):
@@ -273,12 +273,19 @@ def test_ratio_on_the_reflected_region_is_the_forward_ratio(seed, kind):
                                   region.mask, ObservationSelector.first())
     forward = num.sum(axis=1) * region.dt / obs.norms_at(dom, params, Y, (T,))[:, 0]
     assert np.all(np.abs(val - forward) <= 1e-12 * forward)
+    # |W| has a kink where a region cell's W crosses zero, so the central
+    # difference along e_i is compared only where no cell changes sign
+    # between y - h e_i and y + h e_i; elsewhere no derivative exists
     h = 1e-6
     steps = np.eye(Y[0].size).reshape((-1,) + Y[0].shape) * h
     for y, g in zip(Y, grad):
-        diff = (ctl._ratio_and_grad(op, y + steps)[0]
-                - ctl._ratio_and_grad(op, y - steps)[0]) / (2.0 * h)
-        assert np.linalg.norm(diff - g.ravel()) <= 1e-6 * np.linalg.norm(g)
+        up, down = y + steps, y - steps
+        flips = np.sign(op.dual_field(up)) != np.sign(op.dual_field(down))
+        smooth = ~(flips & op.region.mask).any(axis=(1, 2))
+        diff = (ctl._ratio_and_grad(op, up)[0]
+                - ctl._ratio_and_grad(op, down)[0]) / (2.0 * h)
+        err = (diff - g.ravel())[smooth]
+        assert np.linalg.norm(err) <= 1e-6 * np.linalg.norm(g)
 
 
 def test_telescope_batch_among_the_starts_bounds_L_hat():
@@ -419,7 +426,7 @@ def test_null_control_budget_exhaustion_reports_best():
 
 def test_null_control_pinned_certificate():
     field, cert = ctl.synthesize_null_control(*dual_problem(11), 0.05)
-    assert cert.terminal_norm == 0.006734231724869473
+    assert cert.terminal_norm == 0.006734231724869259
     assert cert.sup_norm == 1.6301275067227574
     assert cert.least_sup_lower == 1.6307711689758455
     assert cert.dual_value == -1.329508770928693
