@@ -4,9 +4,9 @@ from .config import ExperimentConfig
 from .control import (ControlField, ControlProblem, DualityCertificate,
                       estimate_L, solve_time_optimal, synthesize_null_control,
                       verify_bang_bang)
-from .errors import (ConfigError, ContainmentError, ConvergenceError,
-                     InfeasibleError, InsufficientTruncationError,
-                     ObsLabError, ResolutionError)
+from .errors import (ConfigError, ConvergenceError, InfeasibleError,
+                     InsufficientTruncationError, ObsLabError,
+                     ResolutionError)
 from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
 from .observability import (InterpolationParams, SpectralL1Constant,
                             estimate_spectral_L1_constant, interp_equivalence,
@@ -17,11 +17,11 @@ from .spectral import PhysicalParams, SpectralDomain, interval, rectangle
 from .trigpoly import TrigPoly, remez_check, sine_integral_bound
 
 __all__ = [
-    "ConfigError", "ContainmentError", "ControlField", "ControlProblem",
-    "ConvergenceError", "DualityCertificate", "ExperimentConfig",
-    "GoodTimeSet", "InfeasibleError", "InsufficientTruncationError",
-    "InterpolationParams", "ObsLabError", "ObservationSelector",
-    "PhysicalParams", "ResolutionError", "SpaceTimeSet", "SpectralDomain",
+    "ConfigError", "ControlField", "ControlProblem", "ConvergenceError",
+    "DualityCertificate", "ExperimentConfig", "GoodTimeSet",
+    "InfeasibleError", "InsufficientTruncationError", "InterpolationParams",
+    "ObsLabError", "ObservationSelector", "PhysicalParams",
+    "ResolutionError", "SpaceTimeSet", "SpectralDomain",
     "SpectralL1Constant", "SpectralState", "TimeSet", "TrigPoly",
     "estimate_L", "estimate_spectral_L1_constant", "evolve", "good_time_set",
     "interp_equivalence", "interval", "pointwise_failure_demo", "rectangle",

@@ -15,16 +15,13 @@ import numpy as np
 
 from . import control, geometry, observability, trigpoly
 from .config import ExperimentConfig
-from .errors import (ConfigError, ContainmentError, ConvergenceError,
-                     InfeasibleError, InsufficientTruncationError,
-                     PropertyViolation, ResolutionError)
+from .errors import (ConfigError, ConvergenceError, InfeasibleError,
+                     InsufficientTruncationError, PropertyViolation,
+                     ResolutionError)
 from .geometry import SpaceTimeSet
 from .report import RunReport
 from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
                         mode_factors, propagate)
-
-SUBCOMMANDS = ("simulate", "remez", "interp", "counterexample", "estimate-L",
-               "null-control", "time-optimal", "telescope", "sweep-all")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,13 +277,12 @@ def _run_sweep_all(cfg, rng, report) -> bool:
     ok = ok and violations == 0
     # slice-geometry sweep: the good-time-set bounds hold for random sets
     domain = cfg.build_domain()
-    center, radius = observability.covering_ball(domain)
     geo_fail = 0
     with report.timed("sweep-all.geometry"):
         for _ in range(cfg.geometry_cases):
             D = SpaceTimeSet.random(domain, cfg.horizon, 32, rng, fill=0.2)
             try:
-                geometry.good_time_set(D, center, radius)
+                geometry.good_time_set(D)
             except PropertyViolation:
                 geo_fail += 1
     report.add("geometry_sweep", cases=cfg.geometry_cases, failures=geo_fail)
@@ -304,10 +300,10 @@ _HANDLERS = {
     "telescope": _run_telescope,
     "sweep-all": _run_sweep_all,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 _NUMERICAL_ERRORS = (ConvergenceError, ResolutionError, InfeasibleError,
-                     ContainmentError, InsufficientTruncationError,
-                     ArithmeticError, OSError)
+                     InsufficientTruncationError, ArithmeticError, OSError)
 
 
 def main(argv=None) -> int:

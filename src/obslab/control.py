@@ -51,7 +51,7 @@ class ControlProblem:
     v0: SpectralState
     omega: np.ndarray
     bounds: tuple[float, float]
-    radius: float = 0.0
+    radius: float
     n_time: int = 64
 
     def __post_init__(self):
@@ -65,7 +65,9 @@ class ControlProblem:
         nu1, nu2 = self.bounds
         if not nu1 < nu2:
             raise ValueError("bounds must satisfy nu1 < nu2")
-        if self.radius > 0 and self.v0.norm() <= self.radius:
+        if self.radius <= 0:
+            raise ValueError("target radius must be positive")
+        if self.v0.norm() <= self.radius:
             raise ValueError("initial state must start outside the target ball")
 
     def region_at(self, T: float) -> SpaceTimeSet:
@@ -500,15 +502,14 @@ def _dual_bound(free: np.ndarray, resid: np.ndarray, grad: np.ndarray,
 
 def _feasibility_min(problem: ControlProblem, T: float,
                      u0: np.ndarray | None = None,
-                     radius: float | None = None,
                      ) -> tuple[Trial, np.ndarray, ControlOperator]:
     """Min of ||v(T; u)|| over box-constrained u, by projected gradient.
 
     Accelerated (momentum) iteration with step 1/||map||^2 from an optional
     warm start, else from the admissible control nearest 0; G y is carried
     linearly through the momentum step, so each iteration costs one apply
-    and one adjoint.  With a radius, the solve stops once the best norm is
-    within it, or once the weak-duality bound at the momentum point's
+    and one adjoint.  The solve stops once the best norm is within the
+    problem's radius, or once the weak-duality bound at the momentum point's
     residual exceeds it.  It also stops after 150 steps without progress or
     5000 steps in all, and returns its best control and its operator
     either way.
@@ -518,7 +519,6 @@ def _feasibility_min(problem: ControlProblem, T: float,
     nu1, nu2 = problem.bounds
     step = 1.0 / max(op.norm_estimate() ** 2, 1e-30)
     free = op.free(problem.v0)
-    reach = -math.inf if radius is None else radius * (1.0 - 1e-9)
     u = (np.clip(0.0, nu1, nu2) if u0 is None else u0) * region.mask
     Gu = op.apply(u)
     y, Gy, t_acc = u, Gu, 1.0
@@ -526,7 +526,7 @@ def _feasibility_min(problem: ControlProblem, T: float,
     lower, steps = 0.0, 0
     stall_ref, stall_at = math.inf, 0
     while True:
-        if best_norm <= reach:
+        if best_norm <= problem.radius * (1.0 - 1e-9):
             stop = "reached"
             break
         if steps - stall_at > 150:
@@ -537,11 +537,10 @@ def _feasibility_min(problem: ControlProblem, T: float,
             break
         resid = free + Gy
         grad = op.adjoint(resid) * op.weight
-        if radius is not None:
-            lower = max(lower, _dual_bound(free, resid, grad, problem.bounds))
-            if lower > radius * (1.0 + 1e-9):
-                stop = "certified"
-                break
+        lower = max(lower, _dual_bound(free, resid, grad, problem.bounds))
+        if lower > problem.radius * (1.0 + 1e-9):
+            stop = "certified"
+            break
         u_next = np.clip(y - step * grad, nu1, nu2) * region.mask
         Gu_next = op.apply(u_next)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
@@ -634,10 +633,7 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     infeasible trial time below every feasible one, so the trace is
     monotone in T by construction.
     """
-    if problem.radius <= 0:
-        raise ValueError("target radius must be positive")
-    first, best_u, best_op = _feasibility_min(problem, T_max,
-                                              radius=problem.radius)
+    first, best_u, best_op = _feasibility_min(problem, T_max)
     if not first.feasible:
         raise InfeasibleError(
             f"target ball (radius {problem.radius}) unreachable at "
@@ -646,8 +642,7 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
     lo, hi = 0.0, T_max
     while hi - lo > 1e-3 * T_max:
         mid = 0.5 * (lo + hi)
-        trial, warm, op = _feasibility_min(problem, mid, u0=warm,
-                                           radius=problem.radius)
+        trial, warm, op = _feasibility_min(problem, mid, u0=warm)
         trials.append(trial)
         if trial.feasible:
             hi, best_u, best_op = mid, warm, op

@@ -13,10 +13,6 @@ class ResolutionError(ObsLabError):
     """The grid is too coarse to certify the requested property."""
 
 
-class ContainmentError(ObsLabError):
-    """A supplied ball does not contain the spatial support it must cover."""
-
-
 class ConvergenceError(ObsLabError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContainmentError, PropertyViolation, ResolutionError
+from .errors import PropertyViolation, ResolutionError
 from .spectral import SpectralDomain
 
 
@@ -173,28 +173,20 @@ class GoodTimeSet:
     ball_volume: float
 
 
-def good_time_set(D: SpaceTimeSet, ball_center, ball_radius: float) -> GoodTimeSet:
+def good_time_set(D: SpaceTimeSet) -> GoodTimeSet:
     """Times t with |D_t| >= |D|/(2T), with the measure lower bound checked.
 
-    The supplied ball must contain D's spatial support (cell centers) and
-    every slice must fit in it, which is what the |E| lower bound needs.
+    The ball is the one about the domain's center through its corners: it
+    contains every cell, so every slice of D fits in it, which is what the
+    |E| lower bound needs.
     """
     measure = D.measure()
     if measure <= 0:
         raise ValueError("the space-time set must have positive measure")
-    center = np.atleast_1d(np.asarray(ball_center, dtype=float))
-    support = D.mask.any(axis=0)
-    pts = D.domain.points[support]
-    if pts.size and np.linalg.norm(pts - center, axis=1).max() > ball_radius + 1e-12:
-        raise ContainmentError("supplied ball does not contain the spatial support")
-    vol_ball = ball_volume(D.domain.dim, ball_radius)
-    slice_measures = D.slice_measures
-    if slice_measures.max() > vol_ball + 1e-12:
-        raise ContainmentError(
-            "a slice exceeds the ball volume; enlarge the ball radius"
-        )
+    radius = float(np.linalg.norm(np.asarray(D.domain.lengths) / 2.0))
+    vol_ball = ball_volume(D.domain.dim, radius)
     threshold = measure / (2.0 * D.horizon)
-    E = TimeSet(slice_measures >= threshold, D.horizon)
+    E = TimeSet(D.slice_measures >= threshold, D.horizon)
     # both slice-set conclusions, checked on every call
     if E.measure() < measure / (2.0 * vol_ball) - 1e-12:
         raise PropertyViolation("good-time set is below |D| / (2 |ball|)")
@@ -263,9 +255,10 @@ def mu_from_beta(beta: float) -> float:
     return math.sqrt((beta + 2.0) / (beta + 1.0))
 
 
-def telescoping_sequence(E: TimeSet, ell: float, beta: float, depth: int,
-                         mu: float | None = None) -> DensitySequence:
-    """Largest ell_1 in (ell, T) whose sequence passes the certificate.
+def telescoping_sequence(E: TimeSet, ell: float, beta: float, depth: int
+                         ) -> DensitySequence:
+    """Largest ell_1 in (ell, T) whose sequence, with mu = mu_from_beta(beta),
+    passes the certificate.
 
     Scans ell_1 downward from the horizon in steps of one time cell.
     """
@@ -275,8 +268,7 @@ def telescoping_sequence(E: TimeSet, ell: float, beta: float, depth: int,
         raise ValueError("depth must be at least 2")
     if density_proxy(E, ell) < 0.5 - 1e-12:
         raise ValueError("ell must be a density point of E (proxy >= 1/2)")
-    if mu is None:
-        mu = mu_from_beta(beta)
+    mu = mu_from_beta(beta)
     dt = E.dt
     ell1 = E.horizon - dt
     while ell1 > ell + dt / 2:

@@ -28,16 +28,11 @@ from .spectral import PhysicalParams, SpectralDomain
 # shared numerics
 
 
-def covering_ball(domain: SpectralDomain):
-    """Center and radius of a ball containing the whole domain."""
-    half = np.asarray(domain.lengths) / 2.0
-    return half, float(np.linalg.norm(half))
-
-
 # Lanes are observed (a lane's values are its traces and its field), and Gram
-# pair tables built, in blocks of at most this many values (128 KiB of float64,
-# glibc's default mmap threshold): a block stays in cache across the passes
-# over it, and the memory of one evaluation does not grow with lanes or cells.
+# pair tables built, in blocks of at most this many values: a block stays in
+# cache across the passes over it, and one evaluation's memory does not grow
+# with lanes or cells.  A full block is 128 KiB, exactly glibc's default mmap
+# threshold, so a fresh one may be mapped and page-fault on first touch.
 _FIELD_BLOCK = 1 << 14
 
 
@@ -341,7 +336,7 @@ def verify_integral_interpolation(
     (|E cap [S1,S2]|^-1 int_{S1}^{S2} chi_E ||chi_{D_t} B exp(A*t) z||_L1)^(1-theta)
     * ||z||^theta, with E the good-time set of D.
     """
-    gts = good_time_set(D, *covering_ball(domain))
+    gts = good_time_set(D)
     # the time cells of E cap [S1, S2], and its measure
     window = gts.times.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
     meas = float(window.sum()) * D.dt
@@ -445,13 +440,10 @@ def pointwise_failure_demo(domain: SpectralDomain, params: PhysicalParams,
 # directional and full observation
 
 
-def direction_transform(state, mu1: float, mu2: float):
-    """phi with B exp(At) phi = (mu1, mu2) . exp(At) z for all t, for a
-    SpectralState or for lanes (..., n_modes, 2), returned in the same form."""
-    if isinstance(state, SpectralState):
-        return SpectralState(direction_transform(state.coeffs, mu1, mu2),
-                             state.domain)
-    z1, z2 = state[..., 0], state[..., 1]
+def direction_transform(lanes: np.ndarray, mu1: float, mu2: float):
+    """phi with B exp(At) phi = (mu1, mu2) . exp(At) z for all t, for lanes
+    z of shape (..., n_modes, 2)."""
+    z1, z2 = lanes[..., 0], lanes[..., 1]
     return np.stack([mu1 * z1 + mu2 * z2, mu1 * z2 - mu2 * z1], axis=-1)
 
 
@@ -555,7 +547,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     if depth < 4:
         raise ValueError("the chain needs depth >= 4: its first ring "
                          "observation term is ring m = 2")
-    E = good_time_set(D, *covering_ball(domain)).times
+    E = good_time_set(D).times
     ell = find_density_point(E)
     seq = telescoping_sequence(E, ell, beta, depth)
     mu, terms = seq.mu, seq.terms

@@ -5,7 +5,7 @@ Implements the L^p Remez-type bound and the lower bound on integrals of
 
 Subsets of (-pi, pi) are unions of cells of a fixed uniform grid
 (N_CELLS cells); all integrals are midpoint quadrature on that grid.
-A polynomial called at a cached sample grid reads that grid's sin/cos basis.
+A polynomial called at the grid reads the grid's cached sin/cos tables.
 """
 
 from __future__ import annotations
@@ -18,61 +18,48 @@ import numpy as np
 N_CELLS = 8192
 
 
-# Sample grids and their sin/cos basis tables, built on first use and kept
-# read-only.  A grid is the midpoints of n uniform cells of (-pi, pi).  Each
-# cached grid keeps one pair of tables, sin(k theta) and cos(k theta) for
-# k = 0..K, keyed by the grid array's id (cached grids are never freed, so no
-# other array shares it); a higher degree rebuilds the pair wider, a lower one
-# reads its leading columns.
-_GRIDS: dict = {}    # n -> grid_midpoints(n)
-_BASES: dict = {}    # id of a cached grid -> (sin, cos) tables, or None
+# The grid, the midpoints of the N_CELLS uniform cells of (-pi, pi), and its
+# sin/cos tables, sin(k theta) and cos(k theta) for k = 0..K, all read-only.
+# The tables are built on first use; a higher degree rebuilds them wider, a
+# lower one reads their leading columns.
+_GRID = -math.pi + (np.arange(N_CELLS) + 0.5) * (2.0 * math.pi / N_CELLS)
+_GRID.flags.writeable = False
+_tables = (np.empty((N_CELLS, 0)), np.empty((N_CELLS, 0)))
 
 
 def _basis(theta, degree: int):
-    """The cached tables for k = 0..degree if theta is a cached grid, else None."""
-    key = id(theta)
-    if key not in _BASES:
+    """The grid's tables for k = 0..degree if theta is the grid, else None."""
+    global _tables
+    if theta is not _GRID:
         return None
-    tables = _BASES[key]
-    if tables is None or tables[0].shape[1] <= degree:
-        arg = np.multiply.outer(theta, np.arange(degree + 1))
-        tables = np.sin(arg), np.cos(arg)
-        for table in tables:
+    if _tables[0].shape[1] <= degree:
+        arg = np.multiply.outer(_GRID, np.arange(degree + 1))
+        _tables = np.sin(arg), np.cos(arg)
+        for table in _tables:
             table.flags.writeable = False
-        _BASES[key] = tables
-    sin, cos = tables
+    sin, cos = _tables
     return sin[:, :degree + 1], cos[:, :degree + 1]
 
 
-def grid_midpoints(n_cells: int = N_CELLS) -> np.ndarray:
-    """Midpoints of the n_cells uniform cells of (-pi, pi); cached, read-only.
-
-    A polynomial called at this array reads the grid's cached basis.
-    """
-    theta = _GRIDS.get(n_cells)
-    if theta is None:
-        h = 2.0 * math.pi / n_cells
-        theta = _GRIDS[n_cells] = -math.pi + (np.arange(n_cells) + 0.5) * h
-        theta.flags.writeable = False
-        _BASES[id(theta)] = None
-    return theta
+def grid_midpoints() -> np.ndarray:
+    """The grid's midpoints; a polynomial called at them reads the tables."""
+    return _GRID
 
 
-def cell_width(n_cells: int = N_CELLS) -> float:
-    return 2.0 * math.pi / n_cells
+def cell_width() -> float:
+    return 2.0 * math.pi / N_CELLS
 
 
-def intervals_to_mask(intervals, n_cells: int = N_CELLS) -> np.ndarray:
+def intervals_to_mask(intervals) -> np.ndarray:
     """Cells of (-pi, pi) whose midpoints fall in one of the intervals."""
-    mids = grid_midpoints(n_cells)
-    mask = np.zeros(n_cells, dtype=bool)
+    mask = np.zeros(N_CELLS, dtype=bool)
     for a, b in intervals:
-        mask |= (mids > a) & (mids < b)
+        mask |= (_GRID > a) & (_GRID < b)
     return mask
 
 
 def mask_measure(mask: np.ndarray) -> float:
-    return float(mask.sum()) * cell_width(mask.shape[0])
+    return float(mask.sum()) * cell_width()
 
 
 def random_interval_union(rng: np.random.Generator) -> np.ndarray:
@@ -132,14 +119,17 @@ class CheckResult:
 
 
 def remez_check(f: TrigPoly, E: np.ndarray, p: float) -> CheckResult:
-    """L^p norm over (-pi, pi) against the Remez constant times the norm on E."""
+    """L^p norm over (-pi, pi) against the Remez constant times the norm on E,
+    a mask over the grid."""
+    if E.shape != _GRID.shape:
+        raise ValueError(f"E must be a mask of the {N_CELLS}-cell grid")
     if not 1.0 <= p <= 8.0:
         raise ValueError("p must lie in [1, 8]")
     measure = mask_measure(E)
     if measure <= 0:
         raise ValueError("the subset E must have positive measure")
-    h = cell_width(E.shape[0])
-    powers = np.abs(f(grid_midpoints(E.shape[0]))) ** p
+    h = cell_width()
+    powers = np.abs(f(_GRID)) ** p
     lhs = float(powers.sum() * h) ** (1.0 / p)
     on_E = float(powers[E].sum() * h) ** (1.0 / p)
     const = (64.0 / math.sin(measure / 4.0)) ** (2.0 * (f.degree + 1.0 / p))

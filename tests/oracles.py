@@ -2,16 +2,16 @@
 
 Each oracle recomputes by scan or closed form what a solver in
 ``obslab`` computes by descent or duality, so no solver can call one.
-``grid_scan_time_optimal`` shares only the plain feasibility minimisation
-``control._feasibility_min``; the bisection, the radius stop and the dual
-bound it checks stay out of its path.
+They read ``obslab``'s public names only.  ``grid_scan_time_optimal`` shares
+only ``ControlOperator`` with the solver it checks: its minimisation is its
+own, with no radius stop and no dual bound.
 """
 
 import math
 
 import numpy as np
 
-from obslab.control import ControlField, ControlOperator, _feasibility_min
+from obslab.control import ControlField, ControlOperator
 from obslab.errors import InfeasibleError
 
 
@@ -98,15 +98,51 @@ def least_squares_null_control(region, params, v0) -> tuple[ControlField, float]
     return ControlField(u, op.region), terminal
 
 
+def plain_feasibility_min(problem, T: float, u0=None):
+    """Min of ||v(T; u)|| over box-constrained u, by projected gradient.
+
+    Accelerated (momentum) iteration with step 1/||map||^2 from u0, else
+    from the admissible control nearest 0, with no radius stop and no dual
+    bound: it stops after 150 steps without progress or 5000 in all.
+    Returns the best norm, its control and the operator.
+    """
+    region = problem.region_at(T)
+    op = ControlOperator(problem.domain, problem.params, region)
+    nu1, nu2 = problem.bounds
+    step = 1.0 / max(op.norm_estimate() ** 2, 1e-30)
+    free = op.free(problem.v0)
+    u = (np.clip(0.0, nu1, nu2) if u0 is None else u0) * region.mask
+    Gu = op.apply(u)
+    y, Gy, t_acc = u, Gu, 1.0
+    best_norm, best_u = float(np.linalg.norm(free + Gu)), u
+    steps, stall_ref, stall_at = 0, math.inf, 0
+    while steps - stall_at <= 150 and steps < 5000:
+        grad = op.adjoint(free + Gy) * op.weight
+        u_next = np.clip(y - step * grad, nu1, nu2) * region.mask
+        Gu_next = op.apply(u_next)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        beta = (t_acc - 1.0) / t_next
+        y = u_next + beta * (u_next - u)
+        Gy = Gu_next + beta * (Gu_next - Gu)
+        u, Gu, t_acc = u_next, Gu_next, t_next
+        steps += 1
+        nrm = float(np.linalg.norm(free + Gu))
+        if nrm < best_norm:
+            best_norm, best_u = nrm, u
+        if best_norm < stall_ref * (1.0 - 1e-10):
+            stall_ref, stall_at = best_norm, steps
+    return best_norm, best_u, op
+
+
 def grid_scan_time_optimal(problem, T_max: float, n_grid: int = 200) -> float:
     """Dense-scan oracle: smallest feasible horizon on a uniform T grid.
 
-    Each grid time runs the plain minimisation, with no radius stop and no
-    dual bound, and compares its best norm with the radius.
+    Each grid time runs the plain minimisation, warm started from the last,
+    and compares its best norm with the radius.
     """
     warm = None
     for T in np.linspace(T_max / n_grid, T_max, n_grid):
-        trial, warm, _ = _feasibility_min(problem, float(T), u0=warm)
-        if trial.upper <= problem.radius:
+        norm, warm, _ = plain_feasibility_min(problem, float(T), u0=warm)
+        if norm <= problem.radius:
             return float(T)
     raise InfeasibleError(f"no horizon on the grid up to {T_max} is feasible")

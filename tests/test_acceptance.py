@@ -82,7 +82,7 @@ def test_criterion_04_integral_observation_never_cancels():
         D = SpaceTimeSet.random(domain, 1.0, 64, rng, fill=0.3,
                                 min_measure_fraction=0.1)
         assert D.measure() >= 0.1 * PI
-        gts = good_time_set(D, *obs.covering_ball(domain))
+        gts = good_time_set(D)
         mids = (np.arange(D.n_time) + 0.5) * D.dt
         on_E = mids[gts.times.mask]
         ip = obs.InterpolationParams(0.5, float(on_E[0]), float(on_E[-1]))
@@ -99,11 +99,10 @@ def test_criterion_04_integral_observation_never_cancels():
 def test_criterion_05_slice_geometry_sweep():
     start = time.perf_counter()
     domain = interval(PI, n_modes=4, n_cells=128)
-    ball = obs.covering_ball(domain)
     rng = np.random.default_rng(5)
     for _ in range(1000):
         D = SpaceTimeSet.random(domain, 1.0, 32, rng, fill=0.2)
-        gts = good_time_set(D, *ball)   # asserts both conclusions internally
+        gts = good_time_set(D)   # asserts both conclusions internally
         assert gts.times.measure() >= D.measure() / (2.0 * gts.ball_volume) - 1e-12
     elapsed_ok(start, 30.0, "slice-geometry sweep")
 

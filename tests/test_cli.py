@@ -538,6 +538,20 @@ def test_no_oracle_is_defined_under_src():
                 if n.startswith(("brute_force", "grid_scan", "least_squares"))]
 
 
+def test_oracles_use_no_private_name_of_obslab():
+    # an oracle shares no solver internals: it imports and reads only
+    # obslab's public names
+    path = pathlib.Path(__file__).with_name("oracles.py")
+    private = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("obslab")):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            private.append(node.attr)
+    assert not private
+
+
 def test_different_seed_changes_report(tmp_path):
     texts = []
     for seed in ("1", "2"):

@@ -18,7 +18,7 @@ from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
 from obslab.spectral import PhysicalParams, interval, rectangle
 from obslab.report import write_csv
 from oracles import (brute_force_single_mode_ratio, grid_scan_time_optimal,
-                     least_squares_null_control)
+                     least_squares_null_control, plain_feasibility_min)
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=8, n_cells=256)
@@ -91,19 +91,23 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.zeros(DOMAIN.n_cells, dtype=bool),
-                           bounds=(-1.0, 1.0))
+                           bounds=(-1.0, 1.0), radius=0.15)
     with pytest.raises(ValueError):
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.ones(DOMAIN.n_cells + 1, dtype=bool),
-                           bounds=(-1.0, 1.0))
+                           bounds=(-1.0, 1.0), radius=0.15)
     with pytest.raises(ValueError):
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.ones(DOMAIN.n_cells, dtype=bool),
-                           bounds=(1.0, -1.0))
+                           bounds=(1.0, -1.0), radius=0.15)
     with pytest.raises(ValueError):
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.ones(DOMAIN.n_cells, dtype=bool),
                            bounds=(-1.0, 1.0), radius=2.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        ctl.ControlProblem(DOMAIN, PARAMS, V0,
+                           omega=np.ones(DOMAIN.n_cells, dtype=bool),
+                           bounds=(-1.0, 1.0), radius=0.0)
 
 
 def test_control_operator_rejects_a_region_with_no_cell():
@@ -755,7 +759,7 @@ def test_polish_dual_below_every_admissible_norm(rect, seed, T, nu1, width,
     controls = [rng.uniform(*bounds, shape),
                 np.where(rng.random(shape) < 0.5, *bounds),
                 np.full(shape, bounds[0]), np.full(shape, bounds[1])]
-    controls.append(ctl._feasibility_min(problem, T, u0=controls[0])[1])
+    controls.append(plain_feasibility_min(problem, T, u0=controls[0])[1])
     points = [rng.standard_normal(free.shape)]
     points += [free + op.apply(u) for u in controls]
     for r in points:
@@ -780,12 +784,12 @@ def test_time_optimal_polish_brackets_the_plain_minimum(domain, radius):
     polish = res.polish
     assert polish.stop == "converged"
     assert 0.0 <= polish.upper - polish.lower <= 1e-8
-    plain, u, op = ctl._feasibility_min(problem, res.t_star)
+    plain, u, op = plain_feasibility_min(problem, res.t_star)
     free = op.free(problem.v0)
     resid = free + op.apply(u)
     lower = ctl._dual_bound(free, resid, op.adjoint(resid) * op.weight,
                             problem.bounds)
-    assert polish.lower <= plain.upper * (1.0 + 1e-12)
+    assert polish.lower <= plain * (1.0 + 1e-12)
     assert lower <= polish.upper * (1.0 + 1e-12)
 
 

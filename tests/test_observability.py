@@ -518,7 +518,7 @@ def test_integral_interpolation_sums_each_lane_as_alone():
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
     states = batch(4, 32)
     rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, states)
-    E = good_time_set(D, *obs.covering_ball(DOMAIN)).times
+    E = good_time_set(D).times
     window = E.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
     for z, integral in zip(states, rep.integrals):
         alone = profile([z], D.midpoints, D.mask)[0]
@@ -529,7 +529,7 @@ def test_integral_interpolation_observes_only_the_window(monkeypatch):
     D = random_D(3)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
     states = batch(6, 9)
-    E = good_time_set(D, *obs.covering_ball(DOMAIN)).times
+    E = good_time_set(D).times
     window = E.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
     assert window.any() and D.mask[~window].any()
     whole = profile(states, D.midpoints, D.mask)
@@ -615,8 +615,9 @@ def test_direction_observation_reduces_to_first_component():
 
 def test_direction_transform_amplitude():
     z = batch(7, 1)[0]
-    phi = obs.direction_transform(z, 3.0, 4.0)
-    assert phi.norm() ** 2 == pytest.approx(25.0 * z.norm() ** 2, rel=1e-12)
+    phi = obs.direction_transform(z.coeffs, 3.0, 4.0)
+    assert np.linalg.norm(phi) ** 2 == pytest.approx(25.0 * z.norm() ** 2,
+                                                     rel=1e-12)
 
 
 def full_interpolation(D, z_batch):

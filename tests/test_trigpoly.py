@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab import trigpoly
-from obslab.trigpoly import (SineBoundCase, TrigPoly, cell_width,
+from obslab.trigpoly import (N_CELLS, SineBoundCase, TrigPoly, cell_width,
                              grid_midpoints, intervals_to_mask, mask_measure,
                              random_interval_union, remez_check,
                              sine_integral_bound)
@@ -53,6 +53,13 @@ def test_remez_rejects_bad_p_and_empty_set():
         remez_check(f, np.zeros(8192, dtype=bool), 2.0)
 
 
+def test_remez_rejects_a_mask_off_the_grid():
+    f = TrigPoly([0.0, 1.0], [0.0, 0.0])
+    for n in (1024, N_CELLS + 1):
+        with pytest.raises(ValueError, match="grid"):
+            remez_check(f, np.ones(n, dtype=bool), 2.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_sine_integral_lower_bound_random(seed):
@@ -85,7 +92,7 @@ def test_sine_case_validation():
 
 
 def test_grid_midpoints_symmetric():
-    mids = grid_midpoints(16)
+    mids = grid_midpoints()
     assert np.allclose(mids, -mids[::-1])
 
 
@@ -94,27 +101,26 @@ def test_grid_midpoints_symmetric():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.lists(st.tuples(st.integers(min_value=0, max_value=12),
-                          st.sampled_from([16, 1024, 8192])),
-                min_size=1, max_size=12))
-def test_grid_evaluation_is_bit_identical_to_call(seed, order):
-    # an empty cache first, so the drawn order exercises both building a
-    # table wider and reading the leading columns of a wider one
-    trigpoly._BASES.update(dict.fromkeys(trigpoly._BASES))
+       st.lists(st.integers(min_value=0, max_value=12), min_size=1,
+                max_size=12))
+def test_grid_evaluation_is_bit_identical_to_call(seed, degrees):
+    # empty tables first, so the drawn order exercises both building the
+    # tables wider and reading the leading columns of wider ones
+    trigpoly._tables = (np.empty((N_CELLS, 0)), np.empty((N_CELLS, 0)))
     rng = np.random.default_rng(seed)
-    for degree, n in order:
+    grid = grid_midpoints()
+    uncached = np.array(grid)
+    for degree in degrees:
         f = TrigPoly.random(rng, degree)
-        grid = grid_midpoints(n)
-        uncached = np.array(grid)
         assert np.array_equal(f(grid), f(uncached))
-        assert trigpoly._BASES[id(grid)][0].shape[1] > degree
+        assert trigpoly._tables[0].shape[1] > degree
         assert trigpoly._basis(uncached, degree) is None
 
 
 def test_cached_grid_arrays_are_read_only():
     f = TrigPoly.random(np.random.default_rng(0), 3)
-    f(grid_midpoints(64))
-    cached = [grid_midpoints(64), *trigpoly._basis(grid_midpoints(64), 3)]
+    f(grid_midpoints())
+    cached = [grid_midpoints(), *trigpoly._basis(grid_midpoints(), 3)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 1.0
