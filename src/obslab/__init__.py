@@ -8,8 +8,7 @@ from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      InsufficientTruncationError, ObsLabError,
                      ResolutionError)
 from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
-from .observability import (InterpolationParams, SpectralL1Constant,
-                            estimate_spectral_L1_constant, interp_equivalence,
+from .observability import (InterpolationParams, interp_equivalence,
                             pointwise_failure_demo, telescope_chain_demo,
                             verify_integral_interpolation)
 from .semigroup import ObservationSelector, SpectralState, evolve
@@ -21,9 +20,8 @@ __all__ = [
     "DualityCertificate", "ExperimentConfig", "GoodTimeSet",
     "InfeasibleError", "InsufficientTruncationError", "InterpolationParams",
     "ObsLabError", "ObservationSelector", "PhysicalParams",
-    "ResolutionError", "SpaceTimeSet", "SpectralDomain",
-    "SpectralL1Constant", "SpectralState", "TimeSet", "TrigPoly",
-    "estimate_L", "estimate_spectral_L1_constant", "evolve", "good_time_set",
+    "ResolutionError", "SpaceTimeSet", "SpectralDomain", "SpectralState",
+    "TimeSet", "TrigPoly", "estimate_L", "evolve", "good_time_set",
     "interp_equivalence", "interval", "pointwise_failure_demo", "rectangle",
     "remez_check", "sine_integral_bound", "solve_time_optimal",
     "synthesize_null_control", "telescope_chain_demo", "verify_bang_bang",

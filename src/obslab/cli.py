@@ -64,10 +64,6 @@ def _observation_set(cfg: ExperimentConfig, domain, rng) -> SpaceTimeSet:
                                min_measure_fraction=cfg.min_fraction)
 
 
-def _state_batch(domain, rng, n):
-    return [SpectralState.random(domain, rng) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # handlers (return True iff every asserted property held)
 
@@ -109,11 +105,11 @@ def _run_interp(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
     ip = observability.InterpolationParams(cfg.theta, cfg.s1, cfg.s2)
-    batch = _state_batch(domain, rng, cfg.batch)
+    lanes = observability.unit_lanes(domain, rng, cfg.batch)
     sel = ObservationSelector(SelectorKind(cfg.selector), cfg.mu1, cfg.mu2)
     with report.timed("interp.integral"):
         rep = observability.verify_integral_interpolation(
-            domain, params, D, ip, batch, sel=sel)
+            domain, params, D, ip, lanes, sel=sel)
     ok = math.isfinite(rep.K_hat) and rep.K_hat > 0
     report.add("integral_interpolation", K_hat=rep.K_hat, M_hat=rep.M_hat,
                window_measure=rep.window_measure,
@@ -124,7 +120,7 @@ def _run_interp(cfg, rng, report) -> bool:
     if sel.kind is SelectorKind.DIRECTION:
         scale = cfg.mu1 * cfg.mu1 + cfg.mu2 * cfg.mu2
         amplitude, field = observability.verify_direction_observation(
-            domain, params, cfg.mu1, cfg.mu2, batch)
+            domain, params, cfg.mu1, cfg.mu2, lanes)
         ok = (ok and amplitude <= 1e-12 * scale
               and field <= 1e-10 * math.sqrt(scale))
         report.add("direction_reduction", mu1=cfg.mu1, mu2=cfg.mu2,
@@ -134,7 +130,7 @@ def _run_interp(cfg, rng, report) -> bool:
         # from the traces the integral check observed there
         with report.timed("interp.full_pointwise"):
             full = observability.verify_full_observation_pointwise(
-                domain, params, D, cfg.theta, rep, batch)
+                domain, params, D, cfg.theta, rep, lanes)
         ok = ok and bool(np.isfinite(full.M_hats).all())
         report.add("full_pointwise", n_times=len(full.times),
                    max_M_hat=float(full.M_hats.max()),
@@ -161,10 +157,11 @@ def _run_interp(cfg, rng, report) -> bool:
 def _run_counterexample(cfg, rng, report, multi=3, single=None) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     if single is not None:
-        rep = observability.pointwise_failure_demo(domain, params, S=single)
+        cex = observability.single_time_counterexample(domain, params, single)
     else:
-        rep = observability.pointwise_failure_demo(
-            domain, params, horizon=cfg.horizon, m=multi)
+        cex = observability.multi_time_counterexample(domain, params,
+                                                      cfg.horizon, multi)
+    rep = observability.pointwise_failure_demo(domain, params, cex)
     ok = (float(rep.first_residuals.max()) <= 1e-10
           and float(rep.full_traces.min()) >= rep.full_floor)
     report.add("counterexample", mode=rep.counterexample.mode,
@@ -248,9 +245,9 @@ def _run_time_optimal(cfg, rng, report) -> bool:
 def _run_telescope(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
-    batch = _state_batch(domain, rng, cfg.batch)
+    lanes = observability.unit_lanes(domain, rng, cfg.batch)
     rep = observability.telescope_chain_demo(domain, params, D, cfg.beta,
-                                             cfg.depth, batch)
+                                             cfg.depth, lanes)
     # time measure |E cap ring| per level, plus running partial sums
     rings = np.append(rep.ring_measures, 0.0)
     rows = [(m + 1, float(ell), float(ring), float(part)) for m, (ell, ring, part)
@@ -311,8 +308,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.subcommand == "counterexample":   # the only reader of both
-            if args.time is not None and args.time < 0:
-                parser.error("--time must be nonnegative")
+            if args.time is not None and not 0 <= args.time < math.inf:
+                parser.error("--time must be finite and nonnegative")
             if args.multi < 1:
                 parser.error("--multi must be at least 1")
     except SystemExit as exc:

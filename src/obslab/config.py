@@ -79,6 +79,12 @@ class ExperimentConfig:
         def bad(section, key, msg):
             raise ConfigError(f"{section}.{key}", msg)
 
+        # NaN passes every comparison check below; each float must be finite
+        for section, keys in self._SECTIONS.items():
+            for key in keys:
+                value = getattr(self, key)
+                if isinstance(value, float) and not math.isfinite(value):
+                    bad(section, key, f"must be finite, got {value!r}")
         if self.kind not in _DOMAIN_KINDS:
             bad("domain", "kind", f"must be one of {_DOMAIN_KINDS}")
         for key in ("lx", "ly"):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
-from .observability import lane_block, lane_norms, sphere_descent
+from .observability import lane_block, lane_norms
 from .semigroup import SpectralState, mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
 
@@ -254,6 +254,56 @@ def _ratio_and_grad(op: ControlOperator, Y: np.ndarray):
     g_den = propagate(op.at_horizon, yT, transpose=True) / den
     grad = (g_num * den - num * g_den) / (den * den)
     return (num / den).reshape(B), grad
+
+
+def sphere_descent(value_grad, starts, iters: int, gtol: float):
+    """Multi-start projected (sub)gradient descent on the unit sphere.
+
+    starts stacks the restarts on a leading axis; they run together as
+    lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
+    values (B,) and gradients (B, ...).  Each lane is normalised, then
+    descended with Armijo backtracking along its tangent gradient exactly
+    as it would be alone: every round tries one step on each live lane;
+    an accepted step doubles the lane's step (up to 1), a rejected one
+    halves it.  A lane retires when its squared tangent-gradient norm
+    drops below gtol, its step falls to 1e-14 without an accept, or it
+    has taken iters steps.  Returns the best finite value over all lanes
+    (the first lane wins ties) and its minimiser.
+    """
+    y = np.array(starts, dtype=float)
+    axes = tuple(range(1, y.ndim))
+    bcast = (slice(None),) + (None,) * len(axes)    # (B,) -> broadcast over y
+    y /= lane_norms(y)[bcast]
+
+    def tangent(y, grad):
+        g_t = grad - np.sum(grad * y, axis=axes)[bcast] * y
+        return g_t, np.sum(g_t * g_t, axis=axes)
+
+    val, grad = value_grad(y)
+    g_t, gn2 = tangent(y, grad)
+    step = np.ones(len(y))
+    taken = np.zeros(len(y), dtype=int)
+    live = ~(gn2 < gtol) & (iters > 0)
+    while live.any():
+        idx = np.flatnonzero(live)
+        s = step[idx]
+        cand = y[idx] - s[bcast] * g_t[idx]
+        cand /= lane_norms(cand)[bcast]
+        cval, cgrad = value_grad(cand)
+        ok = cval <= val[idx] - 1e-4 * s * gn2[idx]
+        acc, rej = idx[ok], idx[~ok]
+        y[acc], val[acc], grad[acc] = cand[ok], cval[ok], cgrad[ok]
+        step[acc] = np.minimum(s[ok] * 2.0, 1.0)
+        taken[acc] += 1
+        g_t[acc], gn2[acc] = tangent(y[acc], grad[acc])
+        live[acc] = (taken[acc] < iters) & ~(gn2[acc] < gtol)
+        step[rej] *= 0.5
+        live[rej] = step[rej] > 1e-14
+    finite = np.isfinite(val)
+    if not finite.any():
+        raise ArithmeticError("all sphere-descent restarts were non-finite")
+    best = int(np.argmin(np.where(finite, val, np.inf)))
+    return float(val[best]), y[best]
 
 
 def estimate_L(op: ControlOperator, restarts: int = 64,

@@ -58,10 +58,6 @@ class TimeSet:
         hi = np.minimum((idx + 1) * dt, b)
         return float(np.clip(hi - lo, 0.0, None).sum())
 
-    @staticmethod
-    def full(n_time: int, horizon: float) -> "TimeSet":
-        return TimeSet(np.ones(n_time, dtype=bool), horizon)
-
 
 @dataclass(frozen=True)
 class SpaceTimeSet:
@@ -73,11 +69,10 @@ class SpaceTimeSet:
 
     def __post_init__(self):
         m = np.asarray(self.mask, dtype=bool).copy()
-        if m.ndim != 2 or m.shape[1] != self.domain.n_cells:
-            raise ValueError(
-                f"mask must have shape (n_time, {self.domain.n_cells}), got {m.shape}"
-            )
-        if self.horizon <= 0:
+        if m.ndim != 2 or m.shape[1] != self.domain.n_cells or not len(m):
+            raise ValueError(f"mask must have shape (n_time >= 1, "
+                             f"{self.domain.n_cells}), got {m.shape}")
+        if not self.horizon > 0:
             raise ValueError("time horizon must be positive")
         m.flags.writeable = False
         object.__setattr__(self, "mask", m)

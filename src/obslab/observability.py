@@ -1,11 +1,11 @@
 """Empirical verification of the observability inequalities.
 
-Covers: estimation of the spectral L1 constant on a spatial subset, the
-epsilon-form / product-form equivalence of interpolation inequalities,
-the integral-type interpolation inequality, the explicit states that
-defeat pointwise-in-time observation, directional and full observation
-variants, and the telescoping chain that assembles global observability
-from ring inequalities.
+Covers: the epsilon-form / product-form equivalence of interpolation
+inequalities, the integral-type interpolation inequality, the explicit
+states that defeat pointwise-in-time observation, directional and full
+observation variants, and the telescoping chain that assembles global
+observability from ring inequalities.  Batches of states are coefficient
+lanes (B, n_modes, 2) throughout.
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ def lane_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((f[:, None, :] @ f[:, :, None]).reshape(len(x)))
 
 
+def unit_lanes(domain: SpectralDomain, rng: np.random.Generator,
+               n: int) -> np.ndarray:
+    """n unit states in uniformly random directions, lanes (n, n_modes, 2)."""
+    x = rng.standard_normal((n, domain.n_modes, 2))
+    return x / lane_norms(x)[:, None, None]
+
+
 def norms_at(domain: SpectralDomain, params: PhysicalParams,
              lanes: np.ndarray, times) -> np.ndarray:
     """||exp(A t) z|| of lanes z (B, n_modes, 2) at times t, (B, n_times), bit
@@ -105,56 +112,6 @@ def float_pow(x, p) -> np.ndarray:
     """x ** p through Python float power, the C library's pow, as scalar code
     computes it; numpy's vectorised pow can differ from it in the last bit."""
     return (np.asarray(x, dtype=object) ** p).astype(float)
-
-
-def sphere_descent(value_grad, starts, iters: int, gtol: float):
-    """Multi-start projected (sub)gradient descent on the unit sphere.
-
-    starts stacks the restarts on a leading axis; they run together as
-    lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
-    values (B,) and gradients (B, ...).  Each lane is normalised, then
-    descended with Armijo backtracking along its tangent gradient exactly
-    as it would be alone: every round tries one step on each live lane;
-    an accepted step doubles the lane's step (up to 1), a rejected one
-    halves it.  A lane retires when its squared tangent-gradient norm
-    drops below gtol, its step falls to 1e-14 without an accept, or it
-    has taken iters steps.  Returns the best finite value over all lanes
-    (the first lane wins ties) and its minimiser.
-    """
-    y = np.array(starts, dtype=float)
-    axes = tuple(range(1, y.ndim))
-    bcast = (slice(None),) + (None,) * len(axes)    # (B,) -> broadcast over y
-    y /= lane_norms(y)[bcast]
-
-    def tangent(y, grad):
-        g_t = grad - np.sum(grad * y, axis=axes)[bcast] * y
-        return g_t, np.sum(g_t * g_t, axis=axes)
-
-    val, grad = value_grad(y)
-    g_t, gn2 = tangent(y, grad)
-    step = np.ones(len(y))
-    taken = np.zeros(len(y), dtype=int)
-    live = ~(gn2 < gtol) & (iters > 0)
-    while live.any():
-        idx = np.flatnonzero(live)
-        s = step[idx]
-        cand = y[idx] - s[bcast] * g_t[idx]
-        cand /= lane_norms(cand)[bcast]
-        cval, cgrad = value_grad(cand)
-        ok = cval <= val[idx] - 1e-4 * s * gn2[idx]
-        acc, rej = idx[ok], idx[~ok]
-        y[acc], val[acc], grad[acc] = cand[ok], cval[ok], cgrad[ok]
-        step[acc] = np.minimum(s[ok] * 2.0, 1.0)
-        taken[acc] += 1
-        g_t[acc], gn2[acc] = tangent(y[acc], grad[acc])
-        live[acc] = (taken[acc] < iters) & ~(gn2[acc] < gtol)
-        step[rej] *= 0.5
-        live[rej] = step[rej] > 1e-14
-    finite = np.isfinite(val)
-    if not finite.any():
-        raise ArithmeticError("all sphere-descent restarts were non-finite")
-    best = int(np.argmin(np.where(finite, val, np.inf)))
-    return float(val[best]), y[best]
 
 
 def solve_increasing(fn, target: float) -> float:
@@ -177,62 +134,6 @@ def solve_increasing(fn, target: float) -> float:
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return hi
-
-
-def solve_c_exp_sqrt(target: float, lam: float) -> float:
-    """Smallest c with c * exp(c * sqrt(lam)) >= target."""
-    r = math.sqrt(lam)
-    return solve_increasing(lambda c: c * math.exp(c * r), target)
-
-
-# ---------------------------------------------------------------------------
-# spectral L1 constant
-
-
-@dataclass(frozen=True)
-class SpectralL1Constant:
-    lam: float
-    k_lambda: int
-    min_l1: float             # minimal masked L1 norm on the unit sphere
-    c_hat: float              # smallest c with c*exp(c*sqrt(lam)) = 1/min_l1^2
-    minimizer: np.ndarray
-
-
-def _l1_value_grad(basis: np.ndarray, cell_volume: float):
-    """Masked L1 norms of coefficient lanes (B, k) and their subgradients."""
-    def value_grad(A):
-        # one gemv per lane: a lane's values do not depend on the batch
-        f = A[:, None, :] @ basis
-        vals = np.abs(f).sum(axis=(1, 2)) * cell_volume
-        return vals, (np.sign(f) @ basis.T)[:, 0] * cell_volume
-    return value_grad
-
-
-def estimate_spectral_L1_constant(domain: SpectralDomain, lam: float,
-                                  omega: np.ndarray, restarts: int = 64,
-                                  rng: np.random.Generator | None = None,
-                                  ) -> SpectralL1Constant:
-    """Best constant in the low-frequency L1 spectral inequality on omega.
-
-    Minimizes the masked L1 norm of unit coefficient combinations of the
-    first k_lambda eigenfunctions, then inverts c*exp(c*sqrt(lam)) to the
-    reciprocal squared minimum.
-    """
-    omega = np.asarray(omega, dtype=bool)
-    if not omega.any():
-        raise ValueError("omega must have positive measure")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k = domain.count_below(lam)
-    value_grad = _l1_value_grad(domain.eigenfunctions[:k][:, omega],
-                                domain.cell_volume)
-    starts = rng.standard_normal((restarts, k))
-    min_l1, a = sphere_descent(value_grad, starts, iters=300, gtol=1e-20)
-    if min_l1 <= 0:
-        raise ArithmeticError("masked L1 minimum collapsed to zero")
-    c_hat = solve_c_exp_sqrt(1.0 / min_l1 ** 2, lam)
-    return SpectralL1Constant(lam=lam, k_lambda=k, min_l1=min_l1,
-                              c_hat=c_hat, minimizer=a)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +191,6 @@ class InterpolationParams:
         if not 0.0 < self.s1 < self.s2:
             raise ValueError("require 0 < S1 < S2")
 
-    @property
-    def gamma(self) -> float:
-        return self.theta / (1.0 - self.theta)
-
     def constant_template(self, M: float, window_measure: float) -> float:
         """K = M exp(M (S2/(1-theta) + 1/(theta*S1))) / |E cap [S1,S2]|^3."""
         expo = self.s2 / (1.0 - self.theta) + 1.0 / (self.theta * self.s1)
@@ -311,11 +208,6 @@ class InterpolationReport:
     profiles: np.ndarray      # (B, n_time) observed L1 norms, 0 off the window
 
 
-def _lanes(z_batch) -> np.ndarray:
-    """Coefficient lanes (B, n_modes, 2) of a batch of states."""
-    return np.stack([z.coeffs for z in z_batch])
-
-
 def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum of each lane's profile over the selected time cells.
 
@@ -327,7 +219,7 @@ def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def verify_integral_interpolation(
         domain: SpectralDomain, params: PhysicalParams, D: SpaceTimeSet,
-        ip: InterpolationParams, z_batch,
+        ip: InterpolationParams, lanes: np.ndarray,
         sel: ObservationSelector = ObservationSelector.first(),
         ) -> InterpolationReport:
     """Empirical constant of the integral-type interpolation inequality.
@@ -343,7 +235,6 @@ def verify_integral_interpolation(
     if meas <= 0:        # depends on the region drawn, not on the inputs alone
         raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
                               "measure: the window holds no good time")
-    lanes = _lanes(z_batch)
     profiles = observation_profile(domain, params, lanes, D.midpoints,
                                    D.mask & window[:, None], sel)
     integrals = _row_sums(profiles, window) * D.dt
@@ -415,16 +306,8 @@ class PointwiseFailureReport:
 
 
 def pointwise_failure_demo(domain: SpectralDomain, params: PhysicalParams,
-                           S: float | None = None, horizon: float | None = None,
-                           m: int | None = None, mode: int = 1,
-                           ) -> PointwiseFailureReport:
-    """Build the vanishing state and measure its traces on the full domain."""
-    if S is not None:
-        cex = single_time_counterexample(domain, params, S, mode)
-    elif horizon is not None and m is not None:
-        cex = multi_time_counterexample(domain, params, horizon, m)
-    else:
-        raise ValueError("provide either a single time S or (horizon, m)")
+                           cex: CounterexampleState) -> PointwiseFailureReport:
+    """Measure the vanishing state's traces on the full domain at its times."""
     full_mask = np.ones((len(cex.times), domain.n_cells), dtype=bool)
     first, full = (observation_profile(domain, params, cex.state.coeffs[None],
                                        cex.times, full_mask, sel)[0]
@@ -448,7 +331,7 @@ def direction_transform(lanes: np.ndarray, mu1: float, mu2: float):
 
 
 def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
-                                 mu1: float, mu2: float, z_batch,
+                                 mu1: float, mu2: float, lanes: np.ndarray,
                                  ) -> tuple[float, float]:
     """Defects of the reduction of directional to first-component observation.
 
@@ -459,7 +342,6 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
     if abs(mu1) + abs(mu2) == 0:
         raise ValueError("direction must be nonzero")
     scale = mu1 * mu1 + mu2 * mu2
-    lanes = _lanes(z_batch)
     phis = direction_transform(lanes, mu1, mu2)
     amp_defect = float(np.abs(lane_norms(phis) ** 2
                               - scale * lane_norms(lanes) ** 2).max())
@@ -482,10 +364,10 @@ class FullObservationReport:
 def verify_full_observation_pointwise(domain: SpectralDomain,
                                       params: PhysicalParams, D: SpaceTimeSet,
                                       theta: float, rep: InterpolationReport,
-                                      z_batch) -> FullObservationReport:
+                                      lanes: np.ndarray) -> FullObservationReport:
     """Pointwise-in-time inequality under full (both-component) observation.
 
-    rep is verify_integral_interpolation's report on D and z_batch under the
+    rep is verify_integral_interpolation's report on D and lanes under the
     FULL selector; its window's midpoints are the times t, all in E, and its
     profiles there are the traces.  Per t, fits the smallest M with
     ||exp(At) z|| <= M exp(M(t/(1-theta) + 1/(theta t)))
@@ -494,7 +376,6 @@ def verify_full_observation_pointwise(domain: SpectralDomain,
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     times = D.midpoints[rep.window]
-    lanes = _lanes(z_batch)
     traces = rep.profiles[:, rep.window]
     norms = norms_at(domain, params, lanes, times)
     zn = lane_norms(lanes)
@@ -534,7 +415,8 @@ class TelescopeReport:
 
 
 def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
-                         D: SpaceTimeSet, beta: float, depth: int, z_batch,
+                         D: SpaceTimeSet, beta: float, depth: int,
+                         lanes: np.ndarray,
                          ) -> TelescopeReport:
     """Numerically reproduce the ring-and-telescope proof pipeline.
 
@@ -555,7 +437,6 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     n_rings = depth - 2
 
     # per-z norms at the sequence times and the horizon; ring observations
-    lanes = _lanes(z_batch)
     mids = D.midpoints
     profiles = observation_profile(domain, params, lanes, mids, D.mask,
                                    ObservationSelector.first())

@@ -44,13 +44,6 @@ class SpectralState:
         c[j - 1] = pair
         return SpectralState(c, domain)
 
-    @staticmethod
-    def random(domain: SpectralDomain, rng: np.random.Generator) -> "SpectralState":
-        """A unit state in a uniformly random direction."""
-        c = rng.standard_normal((domain.n_modes, 2))
-        c /= np.linalg.norm(c)
-        return SpectralState(c, domain)
-
 
 class SelectorKind(Enum):
     FIRST = "first"

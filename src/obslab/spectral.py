@@ -14,8 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientTruncationError
-
 DEFAULT_INTERVAL_CELLS = 512
 DEFAULT_RECTANGLE_CELLS = 128
 DEFAULT_INTERVAL_MODES = 32
@@ -125,20 +123,6 @@ class SpectralDomain:
         mat = np.array(rows)
         mat.flags.writeable = False
         return mat
-
-    # -- counting -----------------------------------------------------
-
-    def count_below(self, lam: float) -> int:
-        """k_lambda = number of eigenvalues <= lam (exact within truncation)."""
-        eigs = self.eigenvalues
-        if lam <= eigs[0]:
-            raise ValueError(f"lambda must exceed the first eigenvalue {eigs[0]}")
-        if lam >= eigs[-1]:
-            raise InsufficientTruncationError(
-                f"truncation holds eigenvalues up to {eigs[-1]}; "
-                f"cannot count exactly at lambda={lam}"
-            )
-        return int(np.searchsorted(eigs, lam, side="right"))
 
 
 def interval(length: float, n_modes: int = DEFAULT_INTERVAL_MODES,

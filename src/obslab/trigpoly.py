@@ -41,11 +41,6 @@ def _basis(theta, degree: int):
     return sin[:, :degree + 1], cos[:, :degree + 1]
 
 
-def grid_midpoints() -> np.ndarray:
-    """The grid's midpoints; a polynomial called at them reads the tables."""
-    return _GRID
-
-
 def cell_width() -> float:
     return 2.0 * math.pi / N_CELLS
 

@@ -51,16 +51,6 @@ def to_rle(region) -> str:
     return "\n".join(lines) + "\n"
 
 
-def brute_force_min_l1_2d(domain, omega: np.ndarray,
-                          n_angles: int = 3600) -> float:
-    """Oracle for k_lambda = 2: scan the unit circle of coefficients."""
-    omega = np.asarray(omega, dtype=bool)
-    basis = domain.eigenfunctions[:2][:, omega]
-    ang = np.linspace(0.0, math.pi, n_angles, endpoint=False)
-    combos = np.cos(ang)[:, None] * basis[0] + np.sin(ang)[:, None] * basis[1]
-    return float(np.abs(combos).sum(axis=1).min() * domain.cell_volume)
-
-
 def brute_force_single_mode_ratio(region, params) -> float:
     """Oracle for single-mode truncation: scan 3600 phases of the unit circle.
 

@@ -14,7 +14,7 @@ def _reject_constant(name):
     raise ValueError(f"result line holds the non-JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["chain", "dual", "sweep"])
+@pytest.mark.parametrize("workload", ["chain", "dual", "sweep", "timeopt"])
 def test_benchmark_ends_with_a_correct_result_line(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),

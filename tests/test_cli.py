@@ -55,6 +55,31 @@ def test_config_field_level_errors():
         ExperimentConfig.from_text("[system]\na = not-a-number\n")
 
 
+def test_config_rejects_non_finite_floats():
+    # NaN is false under every comparison, so a range check alone let it by
+    defaults = ExperimentConfig()
+    floats = [(section, key)
+              for section, keys in ExperimentConfig._SECTIONS.items()
+              for key in keys if isinstance(getattr(defaults, key), float)]
+    assert len(floats) == 17
+    for section, key in floats:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError,
+                               match=rf"^{section}\.{key}: must be finite"):
+                ExperimentConfig.from_text(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("sub", ["telescope", "null-control", "time-optimal"])
+def test_non_finite_horizon_exits_2(tmp_path, capsys, sub):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("[system]\nhorizon = nan\n")
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "system.horizon" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_experiment_id_tracks_config_and_seed():
     a = ExperimentConfig()
     b = a.replaced(seed=1)
@@ -351,7 +376,8 @@ def test_estimate_l_times_each_region(tmp_path):
     assert "time_" not in strip_timings(text)
 
 
-@pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"]])
+@pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"],
+                                   ["--time", "inf"], ["--time", "nan"]])
 def test_counterexample_bad_flag_exits_2(tmp_path, capsys, flags):
     assert run(["counterexample", *flags, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -523,6 +549,46 @@ def test_no_assert_statement_under_src():
         tree = ast.parse(path.read_text())
         assert not [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Assert)], path.name
+
+
+def test_every_public_name_under_src_is_referenced():
+    # a public function, class, method or property that no code in src/
+    # reads, apart from its definition and the package's re-exports, is
+    # reached by no subcommand; README lists the few kept on purpose
+    readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+    listed = readme.split("on purpose")[1].split("\n\n")[1]     # its bullets
+    allowed = set(re.findall(r"`(\w+(?:\.\w+)+)`", listed))
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in pathlib.Path(obslab.__file__).parent.glob("*.py")}
+    public = {}     # qualified name -> (its class or None, its name)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public[f"{module}.{node.name}"] = (None, node.name)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        public[f"{module}.{node.name}.{item.name}"] = (
+                            node.name, item.name)
+    public = {q: key for q, key in public.items() if not key[1].startswith("_")}
+    classes = {owner for owner, _ in public.values()} - {None}
+    names, attrs = set(), set()     # attrs: (owner class or None, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree) if module != "__init__" else ():
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                attrs.add((owner if owner in classes else None, node.attr))
+
+    def reached(owner, name):
+        return ((owner is None and name in names) or (None, name) in attrs
+                or (owner, name) in attrs)
+
+    assert allowed and allowed <= set(public)
+    assert sorted(q for q, key in public.items()
+                  if q not in allowed and not reached(*key)) == []
+    assert sorted(q for q in allowed if reached(*public[q])) == []
 
 
 def test_no_oracle_is_defined_under_src():
@@ -773,6 +839,14 @@ def test_estimate_l_reports_the_constant_of_the_region_as_given(tmp_path):
     L_hat = float(dict(line.split(": ", 1) for line in config.splitlines())["L_hat"])
     assert L_hat == pytest.approx(brute_force_single_mode_ratio(
         region, ExperimentConfig().build_params()), rel=1e-3)
+
+
+def test_fixture_without_a_time_row_exits_2(tmp_path, capsys):
+    code, out = fixture_run(tmp_path, "nt=0 nx=48 T=1.0\n", sub="interp")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "observation.fixture" in err and "n_time >= 1" in err
+    assert not out.exists()
 
 
 def test_unparseable_fixture_exits_2(tmp_path, capsys):

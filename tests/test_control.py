@@ -58,8 +58,7 @@ def dual_problem(seed, horizon=1.0):
 
 def test_adjoint_evolution_is_the_transpose():
     rng = np.random.default_rng(0)
-    x = SpectralState.random(DOMAIN, rng)
-    y = SpectralState.random(DOMAIN, rng)
+    x, y = (SpectralState(z, DOMAIN) for z in obs.unit_lanes(DOMAIN, rng, 2))
     t = 0.37
     lhs = float(np.sum(evolve(x, PARAMS, t, transpose=True).coeffs * y.coeffs))
     rhs = float(np.sum(x.coeffs * evolve(y, PARAMS, t).coeffs))
@@ -300,11 +299,11 @@ def test_telescope_batch_among_the_starts_bounds_L_hat():
     rng = np.random.default_rng(21)
     D = SpaceTimeSet.random(dom, 1.0, 128, rng, fill=0.5,
                             min_measure_fraction=0.4)
-    batch = [SpectralState.random(dom, rng) for _ in range(12)]
+    lanes = obs.unit_lanes(dom, rng, 12)
     rep = obs.telescope_chain_demo(dom, PARAMS, D, beta=1.0, depth=6,
-                                   z_batch=batch)
+                                   lanes=lanes)
     op = ctl.ControlOperator(dom, PARAMS, reflected(D))
-    L_hat = ctl.estimate_L(op, restarts=4, extra_starts=[z.coeffs for z in batch])
+    L_hat = ctl.estimate_L(op, restarts=4, extra_starts=lanes)
     assert rep.N_hat * L_hat <= 1.0 + 1e-12
 
 
@@ -386,7 +385,8 @@ def test_duality_defect_matches_a_probe_loop_at_every_block_size(
         region = SpaceTimeSet.random(dom, 1.0, 16, np.random.default_rng(3),
                                      fill=0.5, min_measure_fraction=0.1)
         op = null_op(region)
-        v0 = SpectralState.random(dom, np.random.default_rng(4))
+        v0 = SpectralState(obs.unit_lanes(dom, np.random.default_rng(4), 1)[0],
+                           dom)
     else:
         op, v0 = dual_problem(1)
     field = random_control(op, 5)

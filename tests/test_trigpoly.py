@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from obslab import trigpoly
 from obslab.trigpoly import (N_CELLS, SineBoundCase, TrigPoly, cell_width,
-                             grid_midpoints, intervals_to_mask, mask_measure,
+                             intervals_to_mask, mask_measure,
                              random_interval_union, remez_check,
                              sine_integral_bound)
 
@@ -92,7 +92,7 @@ def test_sine_case_validation():
 
 
 def test_grid_midpoints_symmetric():
-    mids = grid_midpoints()
+    mids = trigpoly._GRID
     assert np.allclose(mids, -mids[::-1])
 
 
@@ -108,7 +108,7 @@ def test_grid_evaluation_is_bit_identical_to_call(seed, degrees):
     # tables wider and reading the leading columns of wider ones
     trigpoly._tables = (np.empty((N_CELLS, 0)), np.empty((N_CELLS, 0)))
     rng = np.random.default_rng(seed)
-    grid = grid_midpoints()
+    grid = trigpoly._GRID
     uncached = np.array(grid)
     for degree in degrees:
         f = TrigPoly.random(rng, degree)
@@ -119,8 +119,8 @@ def test_grid_evaluation_is_bit_identical_to_call(seed, degrees):
 
 def test_cached_grid_arrays_are_read_only():
     f = TrigPoly.random(np.random.default_rng(0), 3)
-    f(grid_midpoints())
-    cached = [grid_midpoints(), *trigpoly._basis(grid_midpoints(), 3)]
+    f(trigpoly._GRID)
+    cached = [trigpoly._GRID, *trigpoly._basis(trigpoly._GRID, 3)]
     for arr in cached:
         with pytest.raises(ValueError):
             arr[0] = 1.0
