@@ -190,12 +190,12 @@ def _run_estimate_L(cfg, rng, report) -> bool:
         # the dual field observes at T - s: reflect to get region's constant
         reflected = SpaceTimeSet(region.mask[::-1], region.horizon, domain)
         with report.timed(f"estimate-L.{name}"):
-            L_hat = control.estimate_L(
-                control.ControlOperator(domain, params, reflected), rng=rng)
-        ok = ok and L_hat > 0
-        rows.append((region.measure(), L_hat))
+            search = control.estimate_L(
+                control.ControlOperator(domain, params, reflected), cfg.tol)
+        ok = ok and search.L_hat > 0
+        rows.append((region.measure(), search.L_hat))
         report.add(f"estimate_L_{name}", region_measure=region.measure(),
-                   L_hat=L_hat)
+                   **search.fields())
     report.add_series("L_vs_measure", "region_measure,L_hat", rows)
     return ok
 
@@ -204,14 +204,15 @@ def _run_null_control(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
     v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
-    with report.timed("null-control.solve"):
-        op = control.ControlOperator(domain, params, D)
-        field, cert = control.synthesize_null_control(op, v0, cfg.tol, rng=rng)
+    op = control.ControlOperator(domain, params, D)
+    field, cert = control.synthesize_null_control(
+        op, v0, cfg.tol,
+        timed=lambda phase: report.timed(f"null-control.{phase}"))
     with report.timed("null-control.defect"):
         defect = control.duality_defect(op, v0, field, rng=rng)
     report.add("null_control", terminal_norm=cert.terminal_norm,
                sup_norm=cert.sup_norm, least_sup_lower=cert.least_sup_lower,
-               control_bound=cert.control_bound, L_hat=cert.L_hat,
+               control_bound=cert.control_bound, **cert.L_search.fields(),
                dual_value=cert.dual_value, newton_steps=cert.newton_steps,
                mu=cert.mu, duality_defect=defect)
     report.add_series("control_field", *field.table())
@@ -300,7 +301,8 @@ _HANDLERS = {
 SUBCOMMANDS = tuple(_HANDLERS)
 
 _NUMERICAL_ERRORS = (ConvergenceError, ResolutionError, InfeasibleError,
-                     InsufficientTruncationError, ArithmeticError, OSError)
+                     InsufficientTruncationError, ArithmeticError, OSError,
+                     np.linalg.LinAlgError)
 
 
 def main(argv=None) -> int:

@@ -22,6 +22,7 @@ pairing is exact by construction.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -108,6 +109,23 @@ class ControlField:
 
 
 @dataclass(frozen=True)
+class LSearch:
+    """estimate_L's L_hat and how its descent reached it."""
+
+    L_hat: float
+    starts: int            # lanes descended, over both phases
+    winner: str            # z_star, start_<j>, target_<i>, refine, continue
+                           # or none (no search: the control is 0)
+    newton_steps: int      # Newton trial points of the target solves
+
+    def fields(self) -> dict:
+        """Report records, each named with the L_hat prefix."""
+        return dict(L_hat=self.L_hat, L_hat_starts=self.starts,
+                    L_hat_winner=self.winner,
+                    L_hat_newton_steps=self.newton_steps)
+
+
+@dataclass(frozen=True)
 class DualityCertificate:
     z_star: SpectralState
     dual_value: float
@@ -119,6 +137,7 @@ class DualityCertificate:
     newton_steps: int = 0          # Newton trial points of the dual solve
     mu: float = 0.0                # smoothing width of its last stage
     least_sup_lower: float = 0.0   # no exact null control has a smaller sup
+    L_search: LSearch | None = None  # how L_hat was found
 
     @property
     def control_bound(self) -> float:
@@ -259,7 +278,7 @@ def _ratio_and_grad(op: ControlOperator, Y: np.ndarray):
 def sphere_descent(value_grad, starts, iters: int, gtol: float):
     """Multi-start projected (sub)gradient descent on the unit sphere.
 
-    starts stacks the restarts on a leading axis; they run together as
+    starts holds the starting points on a leading axis; they run as
     lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
     values (B,) and gradients (B, ...).  Each lane is normalised, then
     descended with Armijo backtracking along its tangent gradient exactly
@@ -268,7 +287,7 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
     halves it.  A lane retires when its squared tangent-gradient norm
     drops below gtol, its step falls to 1e-14 without an accept, or it
     has taken iters steps.  Returns the best finite value over all lanes
-    (the first lane wins ties) and its minimiser.
+    (the first lane wins ties), its minimiser and the index of its lane.
     """
     y = np.array(starts, dtype=float)
     axes = tuple(range(1, y.ndim))
@@ -301,33 +320,63 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
         live[rej] = step[rej] > 1e-14
     finite = np.isfinite(val)
     if not finite.any():
-        raise ArithmeticError("all sphere-descent restarts were non-finite")
+        raise ArithmeticError("all sphere-descent starts were non-finite")
     best = int(np.argmin(np.where(finite, val, np.inf)))
-    return float(val[best]), y[best]
+    return float(val[best]), y[best], best
 
 
-def estimate_L(op: ControlOperator, restarts: int = 64,
-               rng: np.random.Generator | None = None,
-               extra_starts=()) -> float:
+def estimate_L(op: ControlOperator, tol: float, z_star=None,
+               extra_starts=()) -> LSearch:
     """Least ratio int int_R |W(y)| / ||exp(AT) y||, W = op.dual_field.
 
     W observes y at T - s on op's region R, so on a region reflected in
-    time this is the forward observability constant of the region.
-    Projected subgradient descent on the coefficient sphere with Armijo
-    backtracking from random starts, all run together as lanes of one
-    batched sphere_descent; extra_starts lets callers seed the search with
-    specific directions (e.g. the optimal dual state).
+    time this is the forward observability constant of the region.  By
+    L1-Linf duality it is the least null-control cost over unit states, so
+    the minimisers are dual optima, and the starts come from dual solves.
+    Phase 1 descends, as lanes of one batched sphere_descent, from z_star
+    (a null control's own dual optimum), extra_starts, and the solves of
+    the unit targets exp(A^T T) e_i / ||.|| over the coordinate states e_i
+    whose ||exp(A^T T) e_i|| is at least tol times the largest (the cut
+    drops targets below roundoff, whose solves would spend their budget).
+    Phase 2 solves the target exp(A^T T) v / ||.||, v = exp(AT) y_1, of
+    phase 1's winner y_1 and descends that solve ("refine") and y_1 itself
+    ("continue").  Each solve is _null_solve from z = 0 to tol, and its
+    last z is a start whether or not it converged: descent only lowers the
+    ratio, so L_hat is at most the ratio of every start.  The LSearch
+    names the winning lane.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = op.domain.n_modes
+    ratio = lambda Y: _ratio_and_grad(op, Y)
     extra = np.array(extra_starts, dtype=float).reshape(-1, n, 2)
-    starts = np.concatenate([extra, rng.standard_normal((restarts, n, 2))])
-    best, _ = sphere_descent(lambda Y: _ratio_and_grad(op, Y),
-                             starts, iters=200, gtol=1e-24)
+    names = [f"start_{j}" for j in range(len(extra))]
+    if z_star is not None:
+        extra = np.concatenate([np.reshape(z_star, (1, n, 2)), extra])
+        names.insert(0, "z_star")
+    # exp(A^T T) e_i is op.free of the coordinate state e_i
+    t = propagate(op.at_horizon, np.eye(2 * n).reshape(2 * n, n, 2),
+                  transpose=True)
+    size = lane_norms(t)
+    seeds, steps = [], 0
+    for i in np.flatnonzero(size >= tol * size.max()):
+        _, z, *_, k = _null_solve(op, t[i] / size[i], tol, _NEWTON_BUDGET)
+        seeds.append(z)
+        names.append(f"target_{i}")
+        steps += k
+    if not names:
+        raise ArithmeticError("no finite start for the ratio descent")
+    best, y1, win = sphere_descent(
+        ratio, np.concatenate([extra, np.reshape(seeds, (-1, n, 2))]),
+        iters=200, gtol=1e-24)
+    t = propagate(op.at_horizon, propagate(op.at_horizon, y1), transpose=True)
+    _, z, *_, k = _null_solve(op, t / np.linalg.norm(t), tol, _NEWTON_BUDGET)
+    refined, _, win2 = sphere_descent(ratio, np.stack([z, y1]),
+                                      iters=200, gtol=1e-24)
+    winner = names[win]
+    if refined < best:
+        best, winner = refined, ("refine", "continue")[win2]
     if best <= 0:
         raise ArithmeticError("observability ratio collapsed to zero")
-    return best
+    return LSearch(best, len(names) + 2, winner, steps + k)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +386,11 @@ def estimate_L(op: ControlOperator, restarts: int = 64,
 # The smoothing width mu of |W| ~ sqrt(W^2 + mu^2) falls tenfold per stage
 # over this range.  A Newton step is halved until the Armijo decrease holds,
 # at most _BACKTRACKS times; a step that never decreases ends the stage.
+# _NEWTON_BUDGET caps the trial points of a null-control dual solve.
 _MU_STAGES = tuple(10.0 ** -k for k in range(8))
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
+_NEWTON_BUDGET = 10_000
 
 
 def _newton_stages(op: ControlOperator, x: np.ndarray, value, newton,
@@ -380,31 +431,23 @@ def _newton_stages(op: ControlOperator, x: np.ndarray, value, newton,
             return
 
 
-def synthesize_null_control(op: ControlOperator, v0: SpectralState,
-                            tol: float, budget: int = 10_000,
-                            rng: np.random.Generator | None = None,
-                            ) -> tuple[ControlField, DualityCertificate]:
-    """Sup-norm-bounded control on op's region driving v(T) from v0 near
-    zero, via the dual problem.
+def _null_solve(op: ControlOperator, free: np.ndarray, target: float,
+                budget: int):
+    """The null-control dual solve for the uncontrolled terminal state free.
 
     With W the dual field of z on the region R and s = sqrt(W^2 + mu^2),
-    minimizes J_mu(z) = 0.5 * N_mu(z)^2 - <v0, exp(AT) z>, N_mu = int int_R s,
-    by damped Newton in the 2 n_modes unknowns of z, one stage per mu.
-    After each stage it recovers u = -M W / s, M = <v0, exp(AT) z> /
-    int int_R |W|, and stops at the first stage whose terminal norm, by
-    exact forward simulation, meets the target.  Then sup|u| < M, and every
-    exact null control has sup norm at least M.  budget caps the Newton
-    trial points, each of which costs one dual evaluation.
+    minimizes J_mu(z) = 0.5 * N_mu(z)^2 - <free, z>, N_mu = int int_R s,
+    by damped Newton in the 2 n_modes unknowns of z from z = 0, one stage
+    per mu, each to ||grad J_mu|| <= target / 2.  After each stage it
+    recovers u = -M W / s, M = <free, z> / int int_R |W|, and stops at the
+    first stage whose terminal norm ||free + G u|| meets target.  Returns
+    (mu, z, u, M, bulk, lin, terminal, steps) of that stage, or of the last
+    one: bulk = int int_R |W|, lin = <free, z>, and steps counts the Newton
+    trial points, at most budget.
     """
-    if not 1e-6 < tol < 1e-1:
-        raise ValueError("tol must lie in (1e-6, 1e-1)")
-    region = op.region
-    v0_norm = v0.norm()
-    # <v0, exp(AT) z> = <free, z>; the recovered control's terminal state is
-    # near -grad J_mu, so Newton's residual tracks the terminal norm.
-    free = op.free(v0)
-    target = tol * v0_norm
-    mask, w = region.mask, op.weight
+    # the recovered control's terminal state is near -grad J_mu, so
+    # Newton's residual tracks the terminal norm
+    mask, w = op.region.mask, op.weight
 
     def value(z, W, s):
         N = float(s[mask].sum() * w)
@@ -428,6 +471,33 @@ def synthesize_null_control(op: ControlOperator, v0: SpectralState,
         terminal = float(np.linalg.norm(free + op.apply(u)))
         if terminal <= target:
             break
+    return mu, z, u, M, bulk, lin, terminal, steps
+
+
+def synthesize_null_control(op: ControlOperator, v0: SpectralState,
+                            tol: float, budget: int = _NEWTON_BUDGET,
+                            timed=None,
+                            ) -> tuple[ControlField, DualityCertificate]:
+    """Sup-norm-bounded control on op's region driving v(T) from v0 near
+    zero, via the dual problem.
+
+    _null_solve's dual solve for free = exp(A^T T) v0 (so <free, z> =
+    <v0, exp(AT) z>), to the target tol ||v0||; the terminal norm of its
+    control u is by exact forward simulation.  Then sup|u| < M, and every
+    exact null control has sup norm at least M.  budget caps the Newton
+    trial points, each of which costs one dual evaluation.  timed(phase),
+    if given, returns a context manager (a report's timer) for each of the
+    phases "solve" and "L_hat".
+    """
+    if not 1e-6 < tol < 1e-1:
+        raise ValueError("tol must lie in (1e-6, 1e-1)")
+    timed = timed or (lambda phase: contextlib.nullcontext())
+    region = op.region
+    v0_norm = v0.norm()
+    target = tol * v0_norm
+    with timed("solve"):
+        mu, z, u, M, bulk, lin, terminal, steps = _null_solve(
+            op, op.free(v0), target, budget)
     if terminal > target:
         raise ConvergenceError(
             f"dual Newton stopped at terminal norm {terminal:.3e} "
@@ -435,13 +505,16 @@ def synthesize_null_control(op: ControlOperator, v0: SpectralState,
             best=ControlField(u, region))
     # M <= ||v0|| / ratio(z) for op's own ratio; descent from z only
     # lowers the ratio, so M <= ||v0|| / L_hat (u = 0 needs no bound)
-    L_hat = estimate_L(op, rng=rng, extra_starts=[z]) if bulk > 0 else math.inf
+    with timed("L_hat"):
+        search = (estimate_L(op, tol, z_star=z) if bulk > 0
+                  else LSearch(math.inf, 0, "none", 0))
     field = ControlField(u, region)
     cert = DualityCertificate(z_star=SpectralState(z, op.domain),
                               dual_value=0.5 * bulk ** 2 - lin,
                               terminal_norm=terminal, sup_norm=field.sup_norm,
-                              L_hat=L_hat, tol=tol, v0_norm=v0_norm,
-                              newton_steps=steps, mu=mu, least_sup_lower=M)
+                              L_hat=search.L_hat, tol=tol, v0_norm=v0_norm,
+                              newton_steps=steps, mu=mu, least_sup_lower=M,
+                              L_search=search)
     cert.check()
     return field, cert
 

@@ -324,6 +324,25 @@ def test_time_optimal_box_without_zero_starts_admissible(tmp_path):
     assert "certified infeasible, distance >= 8.17" in values["message"]
 
 
+@pytest.mark.parametrize("sub,setting", [
+    ("time-optimal", "[system]\nb = 1e308\n"),
+    ("time-optimal", "[system]\nhorizon = 1e300\n"),
+    ("time-optimal", "[domain]\nlx = 1e300\n"),
+    ("null-control", "[system]\nb = 1e308\n"),
+    ("estimate-L", "[system]\nb = 1e308\n"),
+])
+def test_extreme_finite_config_exits_3(tmp_path, sub, setting):
+    # finite settings whose mode tables overflow: eigvalsh and lstsq raise
+    # LinAlgError on them, which must not escape main as a traceback
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(setting)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    text, _ = report_values(out)
+    assert "status: convergence-failure" in text
+
+
 def test_time_optimal_control_outside_the_ball_is_a_violation(tmp_path,
                                                              monkeypatch):
     def corner(problem, op, u0):      # bang-bang, but far from the target
@@ -361,9 +380,14 @@ def test_null_control_reports_solve_and_defect_times(tmp_path):
     assert run(["null-control", "--config", str(cfg), "--out", str(out)]) == 0
     (report_dir,) = out.iterdir()
     text = (report_dir / "report.txt").read_text()
-    for phase in ("solve", "defect"):
+    for phase in ("solve", "L_hat", "defect"):
         assert f"time_null-control.{phase}: " in text
     assert "time_" not in strip_timings(text)
+    # z_star, the two mode-1 targets, refine and continue
+    assert "L_hat_starts: 5\n" in text
+    assert re.search(r"L_hat_winner: (z_star|target_[01]|refine|continue)\n",
+                     text)
+    assert re.search(r"L_hat_newton_steps: [1-9]\d*\n", text)
 
 
 def test_estimate_l_times_each_region(tmp_path):
@@ -748,7 +772,8 @@ def test_null_control_certificate_violation_under_optimize(tmp_path):
     # an assert-based certificate check would vanish under python -O
     script = ("import sys\n"
               "from obslab import cli, control\n"
-              "control.estimate_L = lambda *args, **kwargs: 1e6\n"
+              "control.estimate_L = lambda *args, **kwargs: "
+              "control.LSearch(1e6, 1, 'z_star', 0)\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     cfg = tmp_path / "dual.cfg"
     cfg.write_text(DUAL_CONFIG)

@@ -37,10 +37,10 @@ def reflected(region):
     return SpaceTimeSet(region.mask[::-1], region.horizon, region.domain)
 
 
-def forward_L(region, **kwargs):
-    """estimate_L of the operator on the reflected region: the forward
-    constant of the region as given."""
-    return ctl.estimate_L(null_op(reflected(region)), **kwargs)
+def forward_L(region, tol=0.01):
+    """estimate_L's L_hat on the reflected region: the forward constant of
+    the region as given."""
+    return ctl.estimate_L(null_op(reflected(region)), tol).L_hat
 
 
 def dual_problem(seed, horizon=1.0):
@@ -156,12 +156,11 @@ def test_control_field_csv_plain_floats_on_rectangle(tmp_path):
 
 
 def test_estimate_l_positive_and_monotone_in_region():
-    rng = np.random.default_rng(3)
-    L_full = forward_L(FULL, restarts=12, rng=rng)
+    L_full = forward_L(FULL)
     half_mask = FULL.mask.copy()
     half_mask[FULL.n_time // 2:] = False
     half = SpaceTimeSet(half_mask, 1.0, DOMAIN)
-    L_half = forward_L(half, restarts=12, rng=np.random.default_rng(3))
+    L_half = forward_L(half)
     assert L_full > 0 and L_half > 0
     assert L_half <= L_full + 1e-9
 
@@ -172,27 +171,26 @@ def test_estimate_l_positive_and_monotone_in_region_rectangle():
     half_mask = full.mask.copy()
     half_mask[full.n_time // 2:] = False
     half = SpaceTimeSet(half_mask, 1.0, dom)
-    L = [forward_L(r, restarts=12, rng=np.random.default_rng(3))
-         for r in (full, half)]
+    L = [forward_L(r) for r in (full, half)]
     assert L[0] > 0 and L[1] > 0
     assert L[1] <= L[0] + 1e-9
 
 
 def test_estimate_l_pinned_value():
-    # the descent on the operator's own field of the reflected region; the
-    # forward-table descent on the region read 0.3003544644447294
+    # the descent from the dual optima on the operator's own field of the
+    # reflected region
     dom = interval(PI, n_modes=6, n_cells=48)
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(5),
                                  fill=0.6, min_measure_fraction=0.1)
-    L = forward_L(region, restarts=16, rng=np.random.default_rng(7))
-    assert L == pytest.approx(0.3003544632263797, rel=1e-12)
+    L = forward_L(region)
+    assert L == pytest.approx(0.2947055926421454, rel=1e-12)
 
 
 def test_estimate_l_raises_when_ratio_collapses(monkeypatch):
     monkeypatch.setattr(ctl, "_ratio_and_grad",
                         lambda op, Y: (np.zeros(len(Y)), np.zeros_like(Y)))
     with pytest.raises(ArithmeticError, match="collapsed to zero"):
-        ctl.estimate_L(ctl.ControlOperator(DOMAIN, PARAMS, FULL), restarts=4)
+        ctl.estimate_L(ctl.ControlOperator(DOMAIN, PARAMS, FULL), 0.01)
 
 
 def ratio_case(n_cells, n_time, lanes):
@@ -232,7 +230,7 @@ def test_ratio_and_grad_memory_does_not_grow_with_lanes():
 def test_estimate_l_single_mode_brute_force():
     dom = interval(PI, n_modes=1, n_cells=256)
     region = SpaceTimeSet.full_cylinder(dom, 1.0, 64)
-    L = forward_L(region, restarts=16, rng=np.random.default_rng(4))
+    L = forward_L(region)
     oracle = brute_force_single_mode_ratio(region, PARAMS)
     assert L == pytest.approx(oracle, rel=1e-3)
 
@@ -244,7 +242,7 @@ def test_estimate_l_single_mode_brute_force_on_a_region_asymmetric_in_time():
     region = SpaceTimeSet.random(dom, 1.0, 32, np.random.default_rng(3),
                                  fill=0.5)
     assert not np.array_equal(region.mask, region.mask[::-1])
-    L = forward_L(region, restarts=16, rng=np.random.default_rng(4))
+    L = forward_L(region)
     oracle = brute_force_single_mode_ratio(region, PARAMS)
     assert L == pytest.approx(oracle, rel=1e-3)
 
@@ -303,8 +301,38 @@ def test_telescope_batch_among_the_starts_bounds_L_hat():
     rep = obs.telescope_chain_demo(dom, PARAMS, D, beta=1.0, depth=6,
                                    lanes=lanes)
     op = ctl.ControlOperator(dom, PARAMS, reflected(D))
-    L_hat = ctl.estimate_L(op, restarts=4, extra_starts=lanes)
+    L_hat = ctl.estimate_L(op, 0.01, extra_starts=lanes).L_hat
     assert rep.N_hat * L_hat <= 1.0 + 1e-12
+
+
+# L_hat of a null control from 64 random starts, the search the dual optima
+# replaced, as the CLI reported it: at the dual workload's sizes by seed,
+# and on criterion 08's region (None)
+RANDOM_STARTS_L_HAT = {
+    0: 0.34871633940408464, 1: 0.37569817250127646, 2: 0.4174508321564396,
+    3: 0.3267922349748911, 4: 0.3223887998001856, 5: 0.370918352712533,
+    6: 0.41057120804663777, 7: 0.3512764033483198, 15: 0.41195888731959607,
+    None: 0.6116112828833272,
+}
+
+
+@pytest.mark.parametrize("seed", RANDOM_STARTS_L_HAT)
+def test_l_hat_from_dual_optima_is_no_higher_than_from_random_starts(seed):
+    problem = ((null_op(), V0, 0.01) if seed is None
+               else (*dual_problem(seed), 0.05))
+    _, cert = ctl.synthesize_null_control(*problem)
+    assert cert.L_hat <= RANDOM_STARTS_L_HAT[seed]
+
+
+def test_l_hat_search_reports_its_starts_winner_and_steps():
+    _, cert = ctl.synthesize_null_control(*dual_problem(0), 0.05)
+    search = cert.L_search
+    # z_star, the two mode-1 targets (mode 2 is below tol), refine, continue
+    assert search.starts == 5
+    assert search.winner in ("z_star", "target_0", "target_1", "refine",
+                             "continue")
+    assert 0 < search.newton_steps < ctl._NEWTON_BUDGET
+    assert search.fields()["L_hat"] == cert.L_hat
 
 
 # -- null control ---------------------------------------------------------
@@ -336,8 +364,7 @@ def test_null_control_partial_region():
         x0, x1 = sorted(rng.integers(0, DOMAIN.n_cells + 1, 2))
         mask[t0:t1, x0:x1] = True
     D = SpaceTimeSet(mask, 1.0, DOMAIN)
-    field, cert = ctl.synthesize_null_control(null_op(D), V0, 0.05,
-                                              rng=np.random.default_rng(6))
+    field, cert = ctl.synthesize_null_control(null_op(D), V0, 0.05)
     assert cert.terminal_norm <= 0.05 * cert.v0_norm
     assert cert.sup_norm <= cert.control_bound * (1.0 + 1e-6)
 
@@ -446,7 +473,8 @@ def test_null_control_one_dual_field_per_iterate(monkeypatch):
         return dual_field(op, z)
 
     monkeypatch.setattr(ctl.ControlOperator, "dual_field", counted)
-    monkeypatch.setattr(ctl, "estimate_L", lambda *args, **kwargs: 1e-3)
+    monkeypatch.setattr(ctl, "estimate_L",
+                        lambda *args, **kwargs: ctl.LSearch(1e-3, 1, "z_star", 0))
     _, cert = ctl.synthesize_null_control(*dual_problem(11), tol=1.5e-6)
     stages = ctl._MU_STAGES.index(cert.mu) + 1
     assert stages > 1
@@ -459,7 +487,7 @@ def test_null_control_bound_holds_on_asymmetric_regions(horizon):
     # observability constant of the region reflected in time
     for seed in range(8):
         field, cert = ctl.synthesize_null_control(
-            *dual_problem(seed, horizon), 0.05, rng=np.random.default_rng(seed))
+            *dual_problem(seed, horizon), 0.05)
         assert field.sup_norm <= cert.control_bound * (1.0 + 1e-6)
         assert field.sup_norm <= cert.least_sup_lower <= cert.control_bound
 
@@ -474,8 +502,7 @@ def test_null_control_negated_initial_state(domain):
     out = []
     for sign in (1.0, -1.0):
         out.append(ctl.synthesize_null_control(
-            null_op(region), SpectralState(sign * v0.coeffs, domain), 0.05,
-            rng=np.random.default_rng(3)))
+            null_op(region), SpectralState(sign * v0.coeffs, domain), 0.05))
     (field, cert), (neg_field, neg_cert) = out
     assert np.array_equal(neg_field.values, -field.values)
     assert np.array_equal(neg_cert.z_star.coeffs, -cert.z_star.coeffs)

@@ -322,15 +322,19 @@ def assert_lanes_run_alone(value_grad, starts, iters, gtol):
         except ArithmeticError:
             continue
         if expected is None or res[0] < expected[0]:
-            expected = res
-    val, y = ctl.sphere_descent(value_grad, starts, iters, gtol)
+            expected, winner = res, i
+    val, y, best = ctl.sphere_descent(value_grad, starts, iters, gtol)
     assert val == expected[0]
     assert np.array_equal(y, expected[1])
+    assert best == winner
     # an objective even in y has mirrored lanes of equal value: first wins
     a = next(s for s in starts if np.isfinite(s).all())
-    val_a, y_a = ctl.sphere_descent(value_grad, np.stack([a, -a]), iters, gtol)
-    val_b, y_b = ctl.sphere_descent(value_grad, np.stack([-a, a]), iters, gtol)
+    val_a, y_a, best_a = ctl.sphere_descent(value_grad, np.stack([a, -a]),
+                                            iters, gtol)
+    val_b, y_b, best_b = ctl.sphere_descent(value_grad, np.stack([-a, a]),
+                                            iters, gtol)
     assert val_a == val_b and np.array_equal(y_a, -y_b)
+    assert best_a == best_b == 0
 
 
 @settings(max_examples=12, deadline=None)
