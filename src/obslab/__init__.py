@@ -11,7 +11,7 @@ from .geometry import GoodTimeSet, SpaceTimeSet, TimeSet, good_time_set
 from .observability import (InterpolationParams, interp_equivalence,
                             pointwise_failure_demo, telescope_chain_demo,
                             verify_integral_interpolation)
-from .semigroup import ObservationSelector, SpectralState, evolve
+from .semigroup import ObservationSelector
 from .spectral import PhysicalParams, SpectralDomain, interval, rectangle
 from .trigpoly import TrigPoly, remez_check, sine_integral_bound
 
@@ -20,12 +20,11 @@ __all__ = [
     "DualityCertificate", "ExperimentConfig", "GoodTimeSet",
     "InfeasibleError", "InsufficientTruncationError", "InterpolationParams",
     "ObsLabError", "ObservationSelector", "PhysicalParams",
-    "ResolutionError", "SpaceTimeSet", "SpectralDomain", "SpectralState",
-    "TimeSet", "TrigPoly", "estimate_L", "evolve", "good_time_set",
-    "interp_equivalence", "interval", "pointwise_failure_demo", "rectangle",
-    "remez_check", "sine_integral_bound", "solve_time_optimal",
-    "synthesize_null_control", "telescope_chain_demo", "verify_bang_bang",
-    "verify_integral_interpolation",
+    "ResolutionError", "SpaceTimeSet", "SpectralDomain", "TimeSet",
+    "TrigPoly", "estimate_L", "good_time_set", "interp_equivalence",
+    "interval", "pointwise_failure_demo", "rectangle", "remez_check",
+    "sine_integral_bound", "solve_time_optimal", "synthesize_null_control",
+    "telescope_chain_demo", "verify_bang_bang", "verify_integral_interpolation",
 ]
 
 __version__ = "0.1.0"

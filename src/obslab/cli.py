@@ -20,8 +20,8 @@ from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      ResolutionError)
 from .geometry import SpaceTimeSet
 from .report import RunReport
-from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
-                        mode_factors, propagate)
+from .semigroup import (ObservationSelector, SelectorKind, mode_factors,
+                        propagate, single_mode)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,10 +71,10 @@ def _observation_set(cfg: ExperimentConfig, domain, rng) -> SpaceTimeSet:
 def _run_simulate(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     mode = 1
-    state = SpectralState.single_mode(domain, mode, (1.0, 0.0))
+    state = single_mode(domain, mode, (1.0, 0.0))
     lam = domain.eigenvalues[mode - 1]
     t = np.linspace(0.0, cfg.horizon, 256)
-    traces = propagate(mode_factors(domain, params, t), state.coeffs)
+    traces = propagate(mode_factors(domain, params, t), state)
     observed = np.abs(traces[:, mode - 1, 0])
     closed = np.exp(-params.a * lam * t) * np.abs(np.cos(lam * params.b * t))
     defect = float(np.abs(observed - closed).max())
@@ -203,7 +203,7 @@ def _run_estimate_L(cfg, rng, report) -> bool:
 def _run_null_control(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
-    v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
+    v0 = single_mode(domain, 1, (1.0, 0.0))
     op = control.ControlOperator(domain, params, D)
     field, cert = control.synthesize_null_control(
         op, v0, cfg.tol,
@@ -222,7 +222,7 @@ def _run_null_control(cfg, rng, report) -> bool:
 def _run_time_optimal(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     omega = np.ones(domain.n_cells, dtype=bool)
-    v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
+    v0 = single_mode(domain, 1, (1.0, 0.0))
     try:        # the radius is checked against ||v0||, which config cannot see
         problem = control.ControlProblem(domain, params, v0, omega=omega,
                                          bounds=(cfg.nu1, cfg.nu2),
@@ -230,7 +230,7 @@ def _run_time_optimal(cfg, rng, report) -> bool:
     except ValueError as exc:
         raise ConfigError("control.radius", str(exc)) from exc
     result = control.solve_time_optimal(problem, cfg.horizon)
-    fraction, holds = control.verify_bang_bang(result.control)
+    fraction, holds = control.verify_bang_bang(result.control, problem.bounds)
     polish = result.polish
     report.add("time_optimal", t_star=result.t_star,
                terminal_norm=result.terminal_norm,

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
 from .observability import lane_block, lane_norms
-from .semigroup import SpectralState, mode_factors, propagate
+from .semigroup import mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -49,13 +49,18 @@ class ControlProblem:
 
     domain: SpectralDomain
     params: PhysicalParams
-    v0: SpectralState
+    v0: np.ndarray             # (n_modes, 2)
     omega: np.ndarray
     bounds: tuple[float, float]
     radius: float
     n_time: int = 64
 
     def __post_init__(self):
+        v0 = np.asarray(self.v0, dtype=float).copy()
+        if v0.shape != (self.domain.n_modes, 2):
+            raise ValueError(f"v0 must have shape ({self.domain.n_modes}, 2)")
+        v0.flags.writeable = False
+        object.__setattr__(self, "v0", v0)
         om = np.asarray(self.omega, dtype=bool).copy()
         if om.shape != (self.domain.n_cells,):
             raise ValueError("omega must be a spatial mask of the domain grid")
@@ -68,7 +73,7 @@ class ControlProblem:
             raise ValueError("bounds must satisfy nu1 < nu2")
         if self.radius <= 0:
             raise ValueError("target radius must be positive")
-        if self.v0.norm() <= self.radius:
+        if np.linalg.norm(self.v0) <= self.radius:
             raise ValueError("initial state must start outside the target ball")
 
     def region_at(self, T: float) -> SpaceTimeSet:
@@ -83,7 +88,6 @@ class ControlField:
 
     values: np.ndarray            # (n_time, n_cells), zero off the region
     region: SpaceTimeSet
-    bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).copy()
@@ -127,17 +131,20 @@ class LSearch:
 
 @dataclass(frozen=True)
 class DualityCertificate:
-    z_star: SpectralState
+    z_star: np.ndarray             # the dual optimum, (n_modes, 2)
     dual_value: float
     terminal_norm: float
     sup_norm: float
-    L_hat: float
+    L_search: LSearch              # L_hat and how it was found
     tol: float
     v0_norm: float
     newton_steps: int = 0          # Newton trial points of the dual solve
     mu: float = 0.0                # smoothing width of its last stage
     least_sup_lower: float = 0.0   # no exact null control has a smaller sup
-    L_search: LSearch | None = None  # how L_hat was found
+
+    @property
+    def L_hat(self) -> float:
+        return self.L_search.L_hat
 
     @property
     def control_bound(self) -> float:
@@ -183,9 +190,9 @@ class ControlOperator:
         self.at_horizon = mode_factors(domain, params, T)
         self.weight = region.dt * domain.cell_volume
 
-    def free(self, v0: SpectralState) -> np.ndarray:
-        """Coefficients of the uncontrolled terminal state exp(A^T T) v0."""
-        return propagate(self.at_horizon, v0.coeffs, transpose=True)
+    def free(self, v0: np.ndarray) -> np.ndarray:
+        """The uncontrolled terminal state exp(A^T T) v0 of a state or lanes."""
+        return propagate(self.at_horizon, v0, transpose=True)
 
     def traces(self, z: np.ndarray) -> np.ndarray:
         """dual_field's mode coefficients, (..., n_modes, n_time)."""
@@ -280,18 +287,20 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
 
     starts holds the starting points on a leading axis; they run as
     lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
-    values (B,) and gradients (B, ...).  Each lane is normalised, then
-    descended with Armijo backtracking along its tangent gradient exactly
-    as it would be alone: every round tries one step on each live lane;
-    an accepted step doubles the lane's step (up to 1), a rejected one
-    halves it.  A lane retires when its squared tangent-gradient norm
+    values (B,) and gradients (B, ...).  Each lane is scaled exactly by a
+    power of two, so that a tiny start's norm does not underflow, then
+    normalised and descended with Armijo backtracking along its tangent
+    gradient exactly as it would be alone: every round tries one step on
+    each live lane; an accepted step doubles the lane's step (up to 1), a
+    rejected one halves it.  A lane retires when its squared tangent-gradient norm
     drops below gtol, its step falls to 1e-14 without an accept, or it
     has taken iters steps.  Returns the best finite value over all lanes
     (the first lane wins ties), its minimiser and the index of its lane.
     """
-    y = np.array(starts, dtype=float)
+    y = np.asarray(starts, dtype=float)
     axes = tuple(range(1, y.ndim))
     bcast = (slice(None),) + (None,) * len(axes)    # (B,) -> broadcast over y
+    y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=axes))[1][bcast])  # a copy
     y /= lane_norms(y)[bcast]
 
     def tangent(y, grad):
@@ -352,9 +361,7 @@ def estimate_L(op: ControlOperator, tol: float, z_star=None,
     if z_star is not None:
         extra = np.concatenate([np.reshape(z_star, (1, n, 2)), extra])
         names.insert(0, "z_star")
-    # exp(A^T T) e_i is op.free of the coordinate state e_i
-    t = propagate(op.at_horizon, np.eye(2 * n).reshape(2 * n, n, 2),
-                  transpose=True)
+    t = op.free(np.eye(2 * n).reshape(2 * n, n, 2))     # of each e_i
     size = lane_norms(t)
     seeds, steps = [], 0
     for i in np.flatnonzero(size >= tol * size.max()):
@@ -367,7 +374,7 @@ def estimate_L(op: ControlOperator, tol: float, z_star=None,
     best, y1, win = sphere_descent(
         ratio, np.concatenate([extra, np.reshape(seeds, (-1, n, 2))]),
         iters=200, gtol=1e-24)
-    t = propagate(op.at_horizon, propagate(op.at_horizon, y1), transpose=True)
+    t = op.free(propagate(op.at_horizon, y1))
     _, z, *_, k = _null_solve(op, t / np.linalg.norm(t), tol, _NEWTON_BUDGET)
     refined, _, win2 = sphere_descent(ratio, np.stack([z, y1]),
                                       iters=200, gtol=1e-24)
@@ -474,7 +481,7 @@ def _null_solve(op: ControlOperator, free: np.ndarray, target: float,
     return mu, z, u, M, bulk, lin, terminal, steps
 
 
-def synthesize_null_control(op: ControlOperator, v0: SpectralState,
+def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
                             tol: float, budget: int = _NEWTON_BUDGET,
                             timed=None,
                             ) -> tuple[ControlField, DualityCertificate]:
@@ -493,7 +500,7 @@ def synthesize_null_control(op: ControlOperator, v0: SpectralState,
         raise ValueError("tol must lie in (1e-6, 1e-1)")
     timed = timed or (lambda phase: contextlib.nullcontext())
     region = op.region
-    v0_norm = v0.norm()
+    v0_norm = float(np.linalg.norm(v0))
     target = tol * v0_norm
     with timed("solve"):
         mu, z, u, M, bulk, lin, terminal, steps = _null_solve(
@@ -509,17 +516,15 @@ def synthesize_null_control(op: ControlOperator, v0: SpectralState,
         search = (estimate_L(op, tol, z_star=z) if bulk > 0
                   else LSearch(math.inf, 0, "none", 0))
     field = ControlField(u, region)
-    cert = DualityCertificate(z_star=SpectralState(z, op.domain),
-                              dual_value=0.5 * bulk ** 2 - lin,
+    cert = DualityCertificate(z_star=z, dual_value=0.5 * bulk ** 2 - lin,
                               terminal_norm=terminal, sup_norm=field.sup_norm,
-                              L_hat=search.L_hat, tol=tol, v0_norm=v0_norm,
-                              newton_steps=steps, mu=mu, least_sup_lower=M,
-                              L_search=search)
+                              L_search=search, tol=tol, v0_norm=v0_norm,
+                              newton_steps=steps, mu=mu, least_sup_lower=M)
     cert.check()
     return field, cert
 
 
-def duality_defect(op: ControlOperator, v0: SpectralState, field: ControlField,
+def duality_defect(op: ControlOperator, v0: np.ndarray, field: ControlField,
                    rng: np.random.Generator | None = None) -> float:
     """Max relative error of the duality pairing over 100 random dual probes.
 
@@ -528,16 +533,15 @@ def duality_defect(op: ControlOperator, v0: SpectralState, field: ControlField,
     Each probe's error is relative to the sum of the sizes of the two terms
     on the right, which does not shrink as the control reaches its target.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = rng or np.random.default_rng(0)
     vT = op.free(v0) + op.apply(field.values)
-    Z = rng.standard_normal((100,) + v0.coeffs.shape)
+    Z = rng.standard_normal((100,) + v0.shape)
 
     def pair(a, b):             # one sum per lane, as np.sum of a lone probe
         return (a * b).reshape(len(b), -1).sum(axis=1)
 
     lhs = pair(vT, Z)
-    free_term = pair(v0.coeffs, propagate(op.at_horizon, Z))
+    free_term = pair(v0, propagate(op.at_horizon, Z))
     control_term = np.empty(len(Z))
     blk = lane_block(field.values.size)
     for lo in range(0, len(Z), blk):
@@ -772,20 +776,16 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
         else:
             lo = mid
     polish, u, mu = _polish(problem, best_op, best_u)
-    field = ControlField(u, best_op.region, bounds=problem.bounds)
+    field = ControlField(u, best_op.region)
     return TimeOptimalResult(t_star=hi, control=field, terminal_norm=polish.upper,
                              trials=tuple(trials), polish=polish, polish_mu=mu)
 
 
-def verify_bang_bang(field: ControlField) -> tuple[float, bool]:
-    """Fraction of region cells farther than 5 percent of the box width
-    inside both of the field's bounds.
-
-    holds iff that interior fraction is at most 5 percent.
-    """
-    if field.bounds is None:
-        raise ValueError("bang-bang check needs the control bounds")
-    nu1, nu2 = field.bounds
+def verify_bang_bang(field: ControlField, bounds: tuple[float, float],
+                     ) -> tuple[float, bool]:
+    """Fraction of region cells more than 5% of the box width inside the
+    box, and whether that fraction is at most 5%."""
+    nu1, nu2 = bounds
     eps = 0.05 * (nu2 - nu1)
     on = field.values[field.region.mask]
     interior = (on > nu1 + eps) & (on < nu2 - eps)

@@ -19,8 +19,8 @@ from .errors import InsufficientTruncationError, ResolutionError, require
 from .geometry import (SpaceTimeSet, find_density_point, good_time_set,
                        telescoping_sequence)
 # evolve is unused here, but the benchmark's tracer wraps observability.evolve
-from .semigroup import (ObservationSelector, SelectorKind, SpectralState,
-                        evolve, mode_factors, propagate)
+from .semigroup import (ObservationSelector, SelectorKind, evolve,
+                        mode_factors, propagate, single_mode)
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -264,16 +264,15 @@ def verify_integral_interpolation(
 class CounterexampleState:
     mode: int                 # 1-based mode index
     times: tuple[float, ...]
-    state: SpectralState
+    state: np.ndarray         # (n_modes, 2)
 
 
 def single_time_counterexample(domain: SpectralDomain, params: PhysicalParams,
                                S: float, mode: int = 1) -> CounterexampleState:
     """Unit state whose first-component observation vanishes at time S."""
     phase = domain.eigenvalues[mode - 1] * params.b * S
-    pair = (-math.sin(phase), math.cos(phase))
-    return CounterexampleState(mode=mode, times=(S,),
-                               state=SpectralState.single_mode(domain, mode, pair))
+    state = single_mode(domain, mode, (-math.sin(phase), math.cos(phase)))
+    return CounterexampleState(mode=mode, times=(S,), state=state)
 
 
 def multi_time_counterexample(domain: SpectralDomain, params: PhysicalParams,
@@ -309,7 +308,7 @@ def pointwise_failure_demo(domain: SpectralDomain, params: PhysicalParams,
                            cex: CounterexampleState) -> PointwiseFailureReport:
     """Measure the vanishing state's traces on the full domain at its times."""
     full_mask = np.ones((len(cex.times), domain.n_cells), dtype=bool)
-    first, full = (observation_profile(domain, params, cex.state.coeffs[None],
+    first, full = (observation_profile(domain, params, cex.state[None],
                                        cex.times, full_mask, sel)[0]
                    for sel in (ObservationSelector.first(),
                                ObservationSelector.full()))

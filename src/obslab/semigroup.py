@@ -1,9 +1,9 @@
 """Exact mode-wise evolution of two-component states; observation selectors.
 
-A state is a finite vector of Fourier coefficient pairs (v1_j, v2_j).
-The generator acts diagonally on modes; each pair evolves by the factor
-exp(-a*lambda_j*t) times the rotation through angle lambda_j*b*t, so
-time evolution is exact (no time stepping).
+A state is an (n_modes, 2) array of Fourier coefficient pairs (v1_j, v2_j),
+a batch of states lanes (..., n_modes, 2).  The generator acts diagonally
+on modes; each pair evolves by exp(-a*lambda_j*t) times the rotation through
+angle lambda_j*b*t, so time evolution is exact (no time stepping).
 """
 
 from __future__ import annotations
@@ -18,18 +18,15 @@ from .spectral import PhysicalParams, SpectralDomain
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Truncated two-component state: coeffs shape (n_modes, 2)."""
+    """A state wrapped with its domain: the per-state reference for lanes."""
 
     coeffs: np.ndarray
     domain: SpectralDomain
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.asarray(self.coeffs, dtype=float).copy()
         if c.shape != (self.domain.n_modes, 2):
-            raise ValueError(
-                f"coeffs must have shape ({self.domain.n_modes}, 2), got {c.shape}"
-            )
-        c = c.copy()
+            raise ValueError(f"coeffs must have shape ({self.domain.n_modes}, 2)")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -39,10 +36,14 @@ class SpectralState:
 
     @staticmethod
     def single_mode(domain: SpectralDomain, j: int, pair) -> "SpectralState":
-        """State supported on mode j (1-based) with the given pair."""
-        c = np.zeros((domain.n_modes, 2))
-        c[j - 1] = pair
-        return SpectralState(c, domain)
+        return SpectralState(single_mode(domain, j, pair), domain)
+
+
+def single_mode(domain: SpectralDomain, j: int, pair) -> np.ndarray:
+    """State supported on mode j (1-based) with the given pair."""
+    c = np.zeros((domain.n_modes, 2))
+    c[j - 1] = pair
+    return c
 
 
 class SelectorKind(Enum):

@@ -10,7 +10,7 @@ import pytest
 from obslab import cli, control as ctl, observability as obs
 from obslab.geometry import SpaceTimeSet, good_time_set
 from obslab.report import strip_timings
-from obslab.semigroup import SpectralState, evolve
+from obslab.semigroup import SpectralState, evolve, single_mode
 from obslab.spectral import PhysicalParams, interval, rectangle
 from obslab.trigpoly import (SineBoundCase, TrigPoly, random_interval_union,
                              remez_check, sine_integral_bound)
@@ -57,7 +57,7 @@ def test_criterion_03_counterexample_exactness():
         domain, PARAMS, obs.single_time_counterexample(domain, PARAMS, S, mode))
     assert float(rep.first_residuals.max()) <= 1e-10
     lam = domain.eigenvalues[mode - 1]
-    z = rep.counterexample.state
+    z = SpectralState(rep.counterexample.state, domain)
     assert evolve(z, PARAMS, 1.0).norm() >= math.exp(-lam) - 1e-12
     # three vanishing times on (0, 1): mode 6, times i*pi/18
     rep3 = obs.pointwise_failure_demo(
@@ -74,8 +74,8 @@ def test_criterion_04_integral_observation_never_cancels():
     domain = interval(PI, n_modes=16, n_cells=512)
     rng = np.random.default_rng(4)
     adversarial = np.stack([
-        obs.single_time_counterexample(domain, PARAMS, 0.5).state.coeffs,
-        obs.multi_time_counterexample(domain, PARAMS, 1.0, 3).state.coeffs,
+        obs.single_time_counterexample(domain, PARAMS, 0.5).state,
+        obs.multi_time_counterexample(domain, PARAMS, 1.0, 3).state,
     ])
     n_sets, per_set = 50, 20
     checked = 0
@@ -132,7 +132,7 @@ def test_criterion_06_interpolation_form_equivalence():
 def test_criterion_08_null_control_certificate():
     start = time.perf_counter()
     domain = interval(PI, n_modes=8, n_cells=256)
-    v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
+    v0 = single_mode(domain, 1, (1.0, 0.0))
     D = SpaceTimeSet.full_cylinder(domain, 1.0, 64)
     op = ctl.ControlOperator(domain, PARAMS, D)
     field, cert = ctl.synthesize_null_control(op, v0, tol=1e-2)
@@ -149,13 +149,13 @@ def test_criterion_08_null_control_certificate():
 def test_criterion_09_bang_bang_and_grid_scan():
     start = time.perf_counter()
     domain = interval(PI, n_modes=4, n_cells=128)
-    v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
+    v0 = single_mode(domain, 1, (1.0, 0.0))
     problem = ctl.ControlProblem(domain, PARAMS, v0,
                                  omega=np.ones(domain.n_cells, dtype=bool),
                                  bounds=(-1.0, 1.0), radius=0.15, n_time=64)
     T_max = 1.0
     res = ctl.solve_time_optimal(problem, T_max)
-    fraction, holds = ctl.verify_bang_bang(res.control)
+    fraction, holds = ctl.verify_bang_bang(res.control, problem.bounds)
     assert fraction <= 0.05 and holds
     oracle = grid_scan_time_optimal(problem, T_max, n_grid=1000)
     assert abs(res.t_star - oracle) <= 1e-3 * T_max + T_max / 1000.0

@@ -615,6 +615,24 @@ def test_every_public_name_under_src_is_referenced():
     assert sorted(q for q in allowed if reached(*public[q])) == []
 
 
+def test_no_module_but_semigroup_reads_spectral_state():
+    # a state is an (n_modes, 2) array from the CLI through every solver;
+    # SpectralState is the per-state reference the tests check lanes against
+    readers = []
+    for path in pathlib.Path(obslab.__file__).parent.glob("*.py"):
+        if path.name == "semigroup.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if name == "SpectralState":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 def test_no_oracle_is_defined_under_src():
     # oracles live in tests/oracles.py, out of every solver's reach
     names = set()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from obslab import control as ctl
@@ -14,7 +14,7 @@ from obslab.config import ExperimentConfig
 from obslab.errors import ConvergenceError, InfeasibleError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              propagate)
+                              propagate, single_mode)
 from obslab.spectral import PhysicalParams, interval, rectangle
 from obslab.report import write_csv
 from oracles import (brute_force_single_mode_ratio, grid_scan_time_optimal,
@@ -23,7 +23,7 @@ from oracles import (brute_force_single_mode_ratio, grid_scan_time_optimal,
 PI = math.pi
 DOMAIN = interval(PI, n_modes=8, n_cells=256)
 PARAMS = PhysicalParams(1.0, 1.0)
-V0 = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
+V0 = single_mode(DOMAIN, 1, (1.0, 0.0))
 FULL = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
 
 
@@ -50,7 +50,7 @@ def dual_problem(seed, horizon=1.0):
     region = SpaceTimeSet.random(dom, horizon, 32, np.random.default_rng(seed),
                                  fill=0.6, min_measure_fraction=0.1)
     assert not np.array_equal(region.mask, region.mask[::-1])
-    return null_op(region), SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    return null_op(region), single_mode(dom, 1, (1.0, 0.0))
 
 
 # -- generator transpose --------------------------------------------------
@@ -66,9 +66,9 @@ def test_adjoint_evolution_is_the_transpose():
 
 
 def test_uncontrolled_decay_contraction():
-    vT = evolve(V0, PARAMS, 1.0, transpose=True)
+    vT = evolve(SpectralState(V0, DOMAIN), PARAMS, 1.0, transpose=True)
     lam1 = DOMAIN.eigenvalues[0]
-    assert vT.norm() <= math.exp(-lam1) * V0.norm() + 1e-12
+    assert vT.norm() <= math.exp(-lam1) * np.linalg.norm(V0) + 1e-12
     assert vT.norm() == pytest.approx(math.exp(-lam1), abs=1e-12)
 
 
@@ -107,6 +107,10 @@ def test_problem_validation():
         ctl.ControlProblem(DOMAIN, PARAMS, V0,
                            omega=np.ones(DOMAIN.n_cells, dtype=bool),
                            bounds=(-1.0, 1.0), radius=0.0)
+    with pytest.raises(ValueError, match="v0 must have shape"):
+        ctl.ControlProblem(DOMAIN, PARAMS, V0[:-1],
+                           omega=np.ones(DOMAIN.n_cells, dtype=bool),
+                           bounds=(-1.0, 1.0), radius=0.15)
 
 
 def test_control_operator_rejects_a_region_with_no_cell():
@@ -122,7 +126,7 @@ def test_control_field_support_check():
                         1.0, DOMAIN)
     with pytest.raises(ValueError):
         ctl.ControlField(values, half)
-    field = ctl.ControlField(values * half.mask, half, bounds=(-2.0, 2.0))
+    field = ctl.ControlField(values * half.mask, half)
     assert field.sup_norm == 1.0
     on = field.values[half.mask]
     assert np.all(on >= -2.0 - 1e-12) and np.all(on <= 2.0 + 1e-12)
@@ -339,7 +343,7 @@ def test_l_hat_search_reports_its_starts_winner_and_steps():
 
 
 def test_null_control_zero_initial_state():
-    v0 = SpectralState(np.zeros((DOMAIN.n_modes, 2)), DOMAIN)
+    v0 = np.zeros((DOMAIN.n_modes, 2))
     field, cert = ctl.synthesize_null_control(null_op(), v0, 0.01)
     assert field.sup_norm == 0.0
     assert cert.terminal_norm == 0.0
@@ -386,7 +390,6 @@ def test_duality_defect_passes_exact_pairings_and_catches_a_scaled_adjoint(
 def reference_defect(op, v0, field, rng):
     """duality_defect's pairing, one probe at a time."""
     vT = op.free(v0) + op.apply(field.values)
-    v0 = v0.coeffs
     worst = 0.0
     for _ in range(100):
         z = rng.standard_normal(v0.shape)
@@ -412,8 +415,7 @@ def test_duality_defect_matches_a_probe_loop_at_every_block_size(
         region = SpaceTimeSet.random(dom, 1.0, 16, np.random.default_rng(3),
                                      fill=0.5, min_measure_fraction=0.1)
         op = null_op(region)
-        v0 = SpectralState(obs.unit_lanes(dom, np.random.default_rng(4), 1)[0],
-                           dom)
+        v0 = obs.unit_lanes(dom, np.random.default_rng(4), 1)[0]
     else:
         op, v0 = dual_problem(1)
     field = random_control(op, 5)
@@ -430,7 +432,7 @@ def test_duality_defect_matches_a_probe_loop_at_every_block_size(
 def test_duality_defect_memory_does_not_grow_with_probes():
     dom = interval(PI, n_modes=8, n_cells=1024)
     op = null_op(SpaceTimeSet.full_cylinder(dom, 1.0, 32))
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    v0 = single_mode(dom, 1, (1.0, 0.0))
     field = random_control(op, 0)
     ctl.duality_defect(op, v0, field)                   # tables, caches
     all_probes_field = 100 * field.values.size * 8      # bytes
@@ -492,20 +494,38 @@ def test_null_control_bound_holds_on_asymmetric_regions(horizon):
         assert field.sup_norm <= cert.least_sup_lower <= cert.control_bound
 
 
+@settings(max_examples=16, deadline=None)
+@given(exponent=st.floats(-3.0, 3.0), sign=st.sampled_from([1.0, -1.0]))
+@example(exponent=-3.0, sign=1.0)
+@example(exponent=-3.0, sign=-1.0)
+@example(exponent=3.0, sign=1.0)
+@example(exponent=3.0, sign=-1.0)
+def test_null_control_scales_with_the_initial_state(exponent, sign):
+    # v0 -> c v0 scales the target tol ||v0|| and the duality bound by |c|,
+    # so the certificate holds at every scale and the control's sup norm
+    # scales with |c|, up to where in [0, target] each solve stops
+    op, v0 = dual_problem(3)
+    c = sign * 10.0 ** exponent
+    field, cert = ctl.synthesize_null_control(op, c * v0, 0.01)
+    assert cert.terminal_norm <= 0.01 * abs(c) * np.linalg.norm(v0)
+    assert field.sup_norm <= cert.control_bound
+    unit, _ = ctl.synthesize_null_control(op, v0, 0.01)
+    assert field.sup_norm / abs(c) == pytest.approx(unit.sup_norm, rel=0.01)
+
+
 @pytest.mark.parametrize("domain", [interval(PI, n_modes=6, n_cells=48),
                                     rectangle(PI, PI, n_modes=6, cells=(8, 8))])
 def test_null_control_negated_initial_state(domain):
     # v0 -> -v0 maps the dual problem onto itself through z -> -z
     region = SpaceTimeSet.random(domain, 1.0, 16, np.random.default_rng(3),
                                  fill=0.6, min_measure_fraction=0.1)
-    v0 = SpectralState.single_mode(domain, 1, (1.0, 0.0))
+    v0 = single_mode(domain, 1, (1.0, 0.0))
     out = []
     for sign in (1.0, -1.0):
-        out.append(ctl.synthesize_null_control(
-            null_op(region), SpectralState(sign * v0.coeffs, domain), 0.05))
+        out.append(ctl.synthesize_null_control(null_op(region), sign * v0, 0.05))
     (field, cert), (neg_field, neg_cert) = out
     assert np.array_equal(neg_field.values, -field.values)
-    assert np.array_equal(neg_cert.z_star.coeffs, -cert.z_star.coeffs)
+    assert np.array_equal(neg_cert.z_star, -cert.z_star)
     assert dataclasses.replace(neg_cert, z_star=cert.z_star) == cert
 
 
@@ -593,7 +613,8 @@ def test_gram_memory_does_not_grow_with_cells():
 def test_certificate_check_raises_with_both_numbers():
     cert = ctl.DualityCertificate(z_star=V0, dual_value=0.0,
                                   terminal_norm=0.005, sup_norm=2.5,
-                                  L_hat=0.5, tol=0.01, v0_norm=1.0)
+                                  L_search=ctl.LSearch(0.5, 1, "z_star", 0),
+                                  tol=0.01, v0_norm=1.0)
     assert cert.control_bound == 2.0
     with pytest.raises(PropertyViolation, match=r"2\.5 .* 2\.00000"):
         cert.check()
@@ -614,7 +635,7 @@ def test_least_squares_oracle_reaches_target():
 
 def to_problem(radius=0.15, bounds=(-1.0, 1.0), n_modes=4):
     dom = interval(PI, n_modes=n_modes, n_cells=128)
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    v0 = single_mode(dom, 1, (1.0, 0.0))
     return ctl.ControlProblem(dom, PARAMS, v0,
                               omega=np.ones(dom.n_cells, dtype=bool),
                               bounds=bounds, radius=radius, n_time=64)
@@ -622,7 +643,7 @@ def to_problem(radius=0.15, bounds=(-1.0, 1.0), n_modes=4):
 
 def rect_problem(radius=0.2, bounds=(-1.0, 1.0)):
     dom = rectangle(PI, PI, n_modes=8, cells=(8, 8))
-    v0 = SpectralState.single_mode(dom, 1, (1.0, 0.0))
+    v0 = single_mode(dom, 1, (1.0, 0.0))
     return ctl.ControlProblem(dom, PARAMS, v0,
                               omega=np.ones(dom.n_cells, dtype=bool),
                               bounds=bounds, radius=radius, n_time=32)
@@ -694,7 +715,8 @@ def test_dual_bound_below_every_admissible_norm(rect, seed, T, nu1, width):
     problem = (rect_problem if rect else to_problem)(bounds=bounds)
     region = problem.region_at(T)
     op = ctl.ControlOperator(problem.domain, problem.params, region)
-    free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
+    free = evolve(SpectralState(problem.v0, problem.domain), problem.params, T,
+                  transpose=True).coeffs
     wgt = region.dt * problem.domain.cell_volume
     rng = np.random.default_rng(seed)
     shape = region.mask.shape
@@ -725,7 +747,7 @@ def cli_problem(radius, **domain):
     cfg = ExperimentConfig().replaced(radius=radius, **domain)
     dom = cfg.build_domain()
     return ctl.ControlProblem(dom, cfg.build_params(),
-                              SpectralState.single_mode(dom, 1, (1.0, 0.0)),
+                              single_mode(dom, 1, (1.0, 0.0)),
                               omega=np.ones(dom.n_cells, dtype=bool),
                               bounds=(cfg.nu1, cfg.nu2), radius=radius,
                               n_time=cfg.n_time)
@@ -733,13 +755,14 @@ def cli_problem(radius, **domain):
 
 @pytest.mark.parametrize("domain,radius,t_star", TIMEOPT_PINS)
 def test_time_optimal_pinned_benchmark_cases(domain, radius, t_star):
-    res = ctl.solve_time_optimal(cli_problem(radius, **domain), T_max=1.0)
+    problem = cli_problem(radius, **domain)
+    res = ctl.solve_time_optimal(problem, T_max=1.0)
     assert res.t_star == t_star
     assert len(res.trace) == len(res.trials) == 11
     assert res.stalled_trials == 0
     assert res.terminal_norm <= radius
     assert res.polish.lower <= res.terminal_norm == res.polish.upper
-    assert ctl.verify_bang_bang(res.control)[1]
+    assert ctl.verify_bang_bang(res.control, problem.bounds)[1]
 
 
 def test_time_optimal_one_apply_per_iteration(monkeypatch):
@@ -780,7 +803,8 @@ def test_polish_dual_below_every_admissible_norm(rect, seed, T, nu1, width,
     problem = (rect_problem if rect else to_problem)(bounds=bounds)
     region = problem.region_at(T)
     op = ctl.ControlOperator(problem.domain, problem.params, region)
-    free = evolve(problem.v0, problem.params, T, transpose=True).coeffs
+    free = evolve(SpectralState(problem.v0, problem.domain), problem.params, T,
+                  transpose=True).coeffs
     rng = np.random.default_rng(seed)
     shape = region.mask.shape
     controls = [rng.uniform(*bounds, shape),
@@ -849,11 +873,12 @@ def test_time_optimal_polish_one_dual_field_per_trial_point(monkeypatch):
 
 def test_time_optimal_polish_budget_is_reported(monkeypatch):
     monkeypatch.setattr(ctl, "_POLISH_BUDGET", 5)
-    res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
+    problem = to_problem()
+    res = ctl.solve_time_optimal(problem, T_max=1.0)
     assert res.polish.stop == "budget" and res.polish.iterations == 5
     assert res.polish.lower <= res.polish.upper == res.terminal_norm
     on = res.control.values[res.control.region.mask]
-    nu1, nu2 = res.control.bounds
+    nu1, nu2 = problem.bounds
     assert np.all(on >= nu1 - 1e-12) and np.all(on <= nu2 + 1e-12)
 
 
@@ -883,14 +908,15 @@ def test_time_optimal_t_star_monotone_in_random_radii(rect, r1, step):
 def test_bang_bang_constant_extreme_control():
     region = FULL
     values = np.full(region.mask.shape, 2.0)
-    field = ctl.ControlField(values, region, bounds=(-2.0, 2.0))
-    fraction, holds = ctl.verify_bang_bang(field)
+    field = ctl.ControlField(values, region)
+    fraction, holds = ctl.verify_bang_bang(field, (-2.0, 2.0))
     assert fraction == 0.0 and holds
 
 
 def test_bang_bang_of_time_optimal_solution():
-    res = ctl.solve_time_optimal(to_problem(), T_max=1.0)
-    fraction, holds = ctl.verify_bang_bang(res.control)
+    problem = to_problem()
+    res = ctl.solve_time_optimal(problem, T_max=1.0)
+    fraction, holds = ctl.verify_bang_bang(res.control, problem.bounds)
     assert holds
     assert fraction <= 0.05
 
@@ -898,12 +924,7 @@ def test_bang_bang_of_time_optimal_solution():
 def test_bang_bang_detects_interior_values():
     rng = np.random.default_rng(8)
     values = np.where(rng.random(FULL.mask.shape) < 0.8, 1.0, 0.0)
-    field = ctl.ControlField(values, FULL, bounds=(-1.0, 1.0))
-    fraction, holds = ctl.verify_bang_bang(field)
+    field = ctl.ControlField(values, FULL)
+    fraction, holds = ctl.verify_bang_bang(field, (-1.0, 1.0))
     assert fraction == pytest.approx(0.2, abs=0.02)
     assert not holds
-
-
-def test_bang_bang_needs_bounds():
-    with pytest.raises(ValueError):
-        ctl.verify_bang_bang(ctl.ControlField(np.zeros(FULL.mask.shape), FULL))

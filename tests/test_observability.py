@@ -12,7 +12,8 @@ from obslab import control as ctl
 from obslab import observability as obs
 from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet, good_time_set
-from obslab.semigroup import ObservationSelector, SpectralState, evolve
+from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
+                              single_mode)
 from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
@@ -99,9 +100,9 @@ def test_observation_profile_monotone_in_mask():
 
 
 def test_observation_profile_full_uses_euclidean_magnitude():
-    z = SpectralState.single_mode(DOMAIN, 1, (3.0, 4.0))
+    z = single_mode(DOMAIN, 1, (3.0, 4.0))
     full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
-    v = profile(z.coeffs[None], [0.0], full_mask, ObservationSelector.full())
+    v = profile(z[None], [0.0], full_mask, ObservationSelector.full())
     # |(3, 4) e_1(x)| = 5 |e_1(x)|; ||e_1||_L1 = 2 sqrt(2/pi) on (0, pi)
     # midpoint quadrature of |sin| carries O(h^2) error
     assert v.shape == (1, 1)
@@ -109,9 +110,9 @@ def test_observation_profile_full_uses_euclidean_magnitude():
 
 
 def test_observation_profile_at_zero_time():
-    z = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
+    z = single_mode(DOMAIN, 1, (1.0, 0.0))
     full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
-    v = profile(z.coeffs[None], [0.0], full_mask)
+    v = profile(z[None], [0.0], full_mask)
     assert v[0, 0] == pytest.approx(2.0 * math.sqrt(2.0 / PI), rel=1e-4)
 
 
@@ -365,6 +366,24 @@ def test_sphere_descent_all_lanes_non_finite_raises():
                            np.full((2, 5), np.nan), iters=10, gtol=1e-20)
 
 
+def test_sphere_descent_tiny_starts_run_as_their_unit_directions():
+    # a start of size 2^-1000 has a squared norm below the smallest double;
+    # the descent still sees its direction, bit for bit as at size 1
+    dom = interval(PI, n_modes=6, n_cells=48)
+    rng = np.random.default_rng(9)
+    region = SpaceTimeSet.random(dom, 1.0, 32, rng, fill=0.6,
+                                 min_measure_fraction=0.1)
+    op = ctl.ControlOperator(dom, PARAMS, region)
+    starts = (rng.standard_normal((5, dom.n_modes, 2))
+              * rng.uniform(0.1, 8.0, (5, 1, 1)))
+    ratio = lambda Y: ctl._ratio_and_grad(op, Y)
+    plain = ctl.sphere_descent(ratio, starts, iters=200, gtol=1e-24)
+    tiny = ctl.sphere_descent(ratio, starts * 2.0 ** -1000, iters=200,
+                              gtol=1e-24)
+    assert tiny[0] == plain[0] and tiny[2] == plain[2]
+    assert np.array_equal(tiny[1], plain[1])
+
+
 # -- equivalence of interpolation forms ----------------------------------
 
 
@@ -513,8 +532,8 @@ def test_integral_interpolation_adversarial_states_do_not_cancel():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 64)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
     adversarial = np.stack([
-        obs.single_time_counterexample(DOMAIN, PARAMS, 0.5).state.coeffs,
-        obs.multi_time_counterexample(DOMAIN, PARAMS, 1.0, 3).state.coeffs,
+        obs.single_time_counterexample(DOMAIN, PARAMS, 0.5).state,
+        obs.multi_time_counterexample(DOMAIN, PARAMS, 1.0, 3).state,
     ])
     rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, adversarial)
     assert np.all(rep.integrals > 1e-8)
@@ -530,7 +549,7 @@ def test_single_time_counterexample_exact():
         DOMAIN, PARAMS, obs.single_time_counterexample(DOMAIN, PARAMS, S, 2))
     assert float(rep.first_residuals.max()) <= 1e-10
     lam = DOMAIN.eigenvalues[1]
-    z = rep.counterexample.state
+    z = SpectralState(rep.counterexample.state, DOMAIN)
     assert evolve(z, PARAMS, 1.0).norm() >= math.exp(-lam) - 1e-12
     assert float(rep.full_traces.min()) >= rep.full_floor
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              mode_factors, propagate)
+                              mode_factors, propagate, single_mode)
 from obslab.observability import unit_lanes
 from obslab.spectral import PhysicalParams, interval
 
@@ -18,6 +18,15 @@ PARAMS = PhysicalParams(1.0, 1.0)
 def random_state(domain, rng):
     """A unit state in a uniformly random direction."""
     return SpectralState(unit_lanes(domain, rng, 1)[0], domain)
+
+
+def test_single_mode_is_the_state_array_spectral_state_wraps():
+    c = single_mode(DOMAIN, 2, (0.3, 0.4))
+    assert c.shape == (DOMAIN.n_modes, 2)
+    assert np.array_equal(c[1], [0.3, 0.4])
+    assert not np.delete(c, 1, axis=0).any()
+    assert np.array_equal(SpectralState.single_mode(DOMAIN, 2, (0.3, 0.4)).coeffs,
+                          c)
 
 
 def test_single_mode_norm_decays_exactly():
