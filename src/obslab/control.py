@@ -288,20 +288,26 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
     starts holds the starting points on a leading axis; they run as
     lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
     values (B,) and gradients (B, ...).  Each lane is scaled exactly by a
-    power of two, so that a tiny start's norm does not underflow, then
-    normalised and descended with Armijo backtracking along its tangent
-    gradient exactly as it would be alone: every round tries one step on
-    each live lane; an accepted step doubles the lane's step (up to 1), a
-    rejected one halves it.  A lane retires when its squared tangent-gradient norm
-    drops below gtol, its step falls to 1e-14 without an accept, or it
-    has taken iters steps.  Returns the best finite value over all lanes
-    (the first lane wins ties), its minimiser and the index of its lane.
+    power of two, so that a tiny start's norm does not underflow; a lane
+    that is then 0 or non-finite has no direction and is dropped.  Each
+    other lane is normalised and descended with Armijo backtracking along
+    its tangent gradient exactly as it would be alone: every round tries
+    one step on each live lane; an accepted step doubles the lane's step
+    (up to 1), a rejected one halves it.  A lane retires when its squared
+    tangent-gradient norm drops below gtol, its step falls to 1e-14
+    without an accept, or it has taken iters steps.  Returns the best
+    finite value over all lanes (the first lane wins ties), its minimiser
+    and the index of its lane in starts.
     """
     y = np.asarray(starts, dtype=float)
     axes = tuple(range(1, y.ndim))
     bcast = (slice(None),) + (None,) * len(axes)    # (B,) -> broadcast over y
     y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=axes))[1][bcast])  # a copy
-    y /= lane_norms(y)[bcast]
+    norms = lane_norms(y)
+    lanes = np.flatnonzero(np.isfinite(norms) & (norms > 0))
+    if not len(lanes):
+        raise ArithmeticError("all sphere-descent starts were non-finite")
+    y = y[lanes] / norms[lanes][bcast]
 
     def tangent(y, grad):
         g_t = grad - np.sum(grad * y, axis=axes)[bcast] * y
@@ -331,7 +337,7 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
     if not finite.any():
         raise ArithmeticError("all sphere-descent starts were non-finite")
     best = int(np.argmin(np.where(finite, val, np.inf)))
-    return float(val[best]), y[best], best
+    return float(val[best]), y[best], int(lanes[best])
 
 
 def estimate_L(op: ControlOperator, tol: float, z_star=None,
@@ -365,7 +371,7 @@ def estimate_L(op: ControlOperator, tol: float, z_star=None,
     size = lane_norms(t)
     seeds, steps = [], 0
     for i in np.flatnonzero(size >= tol * size.max()):
-        _, z, *_, k = _null_solve(op, t[i] / size[i], tol, _NEWTON_BUDGET)
+        _, z, *_, k = _null_solve(op, t[i] / size[i], tol)
         seeds.append(z)
         names.append(f"target_{i}")
         steps += k
@@ -375,7 +381,7 @@ def estimate_L(op: ControlOperator, tol: float, z_star=None,
         ratio, np.concatenate([extra, np.reshape(seeds, (-1, n, 2))]),
         iters=200, gtol=1e-24)
     t = op.free(propagate(op.at_horizon, y1))
-    _, z, *_, k = _null_solve(op, t / np.linalg.norm(t), tol, _NEWTON_BUDGET)
+    _, z, *_, k = _null_solve(op, t / np.linalg.norm(t), tol)
     refined, _, win2 = sphere_descent(ratio, np.stack([z, y1]),
                                       iters=200, gtol=1e-24)
     winner = names[win]
@@ -438,8 +444,7 @@ def _newton_stages(op: ControlOperator, x: np.ndarray, value, newton,
             return
 
 
-def _null_solve(op: ControlOperator, free: np.ndarray, target: float,
-                budget: int):
+def _null_solve(op: ControlOperator, free: np.ndarray, target: float):
     """The null-control dual solve for the uncontrolled terminal state free.
 
     With W the dual field of z on the region R and s = sqrt(W^2 + mu^2),
@@ -450,7 +455,7 @@ def _null_solve(op: ControlOperator, free: np.ndarray, target: float,
     first stage whose terminal norm ||free + G u|| meets target.  Returns
     (mu, z, u, M, bulk, lin, terminal, steps) of that stage, or of the last
     one: bulk = int int_R |W|, lin = <free, z>, and steps counts the Newton
-    trial points, at most budget.
+    trial points, at most _NEWTON_BUDGET.
     """
     # the recovered control's terminal state is near -grad J_mu, so
     # Newton's residual tracks the terminal norm
@@ -470,7 +475,7 @@ def _null_solve(op: ControlOperator, free: np.ndarray, target: float,
         return g, np.linalg.lstsq(H, -g.ravel())[0].reshape(z.shape)
 
     for mu, z, W, s, steps in _newton_stages(op, np.zeros_like(free), value,
-                                             newton, budget):
+                                             newton, _NEWTON_BUDGET):
         bulk = float(np.abs(W[mask]).sum() * w)
         lin = float(np.sum(free * z))
         M = lin / bulk if bulk > 0 else 0.0
@@ -482,8 +487,7 @@ def _null_solve(op: ControlOperator, free: np.ndarray, target: float,
 
 
 def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
-                            tol: float, budget: int = _NEWTON_BUDGET,
-                            timed=None,
+                            tol: float, timed=None,
                             ) -> tuple[ControlField, DualityCertificate]:
     """Sup-norm-bounded control on op's region driving v(T) from v0 near
     zero, via the dual problem.
@@ -491,10 +495,9 @@ def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
     _null_solve's dual solve for free = exp(A^T T) v0 (so <free, z> =
     <v0, exp(AT) z>), to the target tol ||v0||; the terminal norm of its
     control u is by exact forward simulation.  Then sup|u| < M, and every
-    exact null control has sup norm at least M.  budget caps the Newton
-    trial points, each of which costs one dual evaluation.  timed(phase),
-    if given, returns a context manager (a report's timer) for each of the
-    phases "solve" and "L_hat".
+    exact null control has sup norm at least M.  timed(phase), if given,
+    returns a context manager (a report's timer) for each of the phases
+    "solve" and "L_hat".
     """
     if not 1e-6 < tol < 1e-1:
         raise ValueError("tol must lie in (1e-6, 1e-1)")
@@ -504,7 +507,7 @@ def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
     target = tol * v0_norm
     with timed("solve"):
         mu, z, u, M, bulk, lin, terminal, steps = _null_solve(
-            op, op.free(v0), target, budget)
+            op, op.free(v0), target)
     if terminal > target:
         raise ConvergenceError(
             f"dual Newton stopped at terminal norm {terminal:.3e} "

@@ -48,15 +48,19 @@ class TimeSet:
     def measure(self) -> float:
         return float(self.mask.sum()) * self.dt
 
-    def measure_in(self, a: float, b: float) -> float:
-        """Exact measure of the set intersected with the interval (a, b)."""
-        if b <= a:
-            return 0.0
+    def measure_in(self, a, b):
+        """Exact measure of the set intersected with the interval (a, b).
+
+        a and b broadcast, and each pair is summed alone over the set's
+        cells, so it gets the bits a call of its own would; floats in give
+        a float out.
+        """
         dt = self.dt
         idx = np.nonzero(self.mask)[0]
-        lo = np.maximum(idx * dt, a)
-        hi = np.minimum((idx + 1) * dt, b)
-        return float(np.clip(hi - lo, 0.0, None).sum())
+        lo = np.maximum(idx * dt, np.asarray(a, dtype=float)[..., None])
+        hi = np.minimum((idx + 1) * dt, np.asarray(b, dtype=float)[..., None])
+        out = np.clip(hi - lo, 0.0, None).sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,8 @@ DENSITY_RADIUS_DIVISORS = (8, 16, 32, 64)
 def density_proxy(E: TimeSet, ell: float) -> float:
     """min over the radius ladder T/d, d in DENSITY_RADIUS_DIVISORS, of
     |E cap (ell-r, ell+r)| / (2r)."""
-    radii = [E.horizon / d for d in DENSITY_RADIUS_DIVISORS]
-    return min(E.measure_in(ell - r, ell + r) / (2.0 * r) for r in radii)
+    radii = E.horizon / np.array(DENSITY_RADIUS_DIVISORS)
+    return float((E.measure_in(ell - radii, ell + radii) / (2.0 * radii)).min())
 
 
 def find_density_point(E: TimeSet) -> float:
@@ -220,10 +224,8 @@ def find_density_point(E: TimeSet) -> float:
 class DensitySequence:
     """Certified telescoping times ell_m decreasing to the density point."""
 
-    ell: float
     ell1: float
     mu: float
-    beta: float
     terms: np.ndarray         # ell_1, ..., ell_depth
 
     def __post_init__(self):
@@ -240,10 +242,8 @@ def sequence_terms(ell: float, ell1: float, mu: float, depth: int) -> np.ndarray
 
 def certificate_holds(E: TimeSet, terms: np.ndarray) -> bool:
     """ell_m - ell_{m+1} <= 3 |E cap (ell_{m+1}, ell_m)| for all pairs."""
-    for hi, lo in zip(terms[:-1], terms[1:]):
-        if hi - lo > 3.0 * E.measure_in(lo, hi) + 1e-12:
-            return False
-    return True
+    hi, lo = terms[:-1], terms[1:]
+    return not np.any(hi - lo > 3.0 * E.measure_in(lo, hi) + 1e-12)
 
 
 def mu_from_beta(beta: float) -> float:
@@ -269,7 +269,7 @@ def telescoping_sequence(E: TimeSet, ell: float, beta: float, depth: int
     while ell1 > ell + dt / 2:
         terms = sequence_terms(ell, ell1, mu, depth)
         if certificate_holds(E, terms):
-            return DensitySequence(ell=ell, ell1=ell1, mu=mu, beta=beta, terms=terms)
+            return DensitySequence(ell1=ell1, mu=mu, terms=terms)
         ell1 -= dt
     raise ResolutionError(
         "no ell_1 passes the telescoping certificate at this grid resolution"

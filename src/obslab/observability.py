@@ -481,6 +481,4 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
                            ring_constants=ring_constants, C_hat=C_hat,
                            prefactor=prefactor, domination_margin=float(margin),
                            N_hat=N_hat, terms=terms,
-                           ring_measures=np.array([
-                               E.measure_in(terms[m + 1], terms[m])
-                               for m in range(depth - 1)]))
+                           ring_measures=E.measure_in(terms[1:], terms[:-1]))

@@ -70,23 +70,14 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir) -> str:
+        """report.txt, then one CSV per stored series, in out_dir."""
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "report.txt")
         with open(path, "w") as fh:
             fh.write(self.render())
-        emit_plot_data(self, out_dir)
+        for name, (header, rows) in self.series.items():
+            write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
         return path
-
-
-def emit_plot_data(report: RunReport, out_dir) -> list:
-    """One CSV per stored series: comma separator, dot decimals, header row."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, (header, rows) in report.series.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        write_csv(path, header, rows)
-        written.append(path)
-    return written
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -63,64 +63,65 @@ class SpectralDomain:
         return self.volume / self.n_cells
 
     @cached_property
+    def _axes(self) -> list[np.ndarray]:
+        """Cell midpoints along each axis."""
+        return [(np.arange(nc) + 0.5) * (l / nc)
+                for l, nc in zip(self.lengths, self.cells)]
+
+    @cached_property
     def points(self) -> np.ndarray:
         """Cell midpoints, shape (n_cells, dim), C-order over axes."""
-        axes = [
-            (np.arange(nc) + 0.5) * (l / nc)
-            for l, nc in zip(self.lengths, self.cells)
-        ]
         if self.dim == 1:
-            return axes[0][:, None]
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+            return self._axes[0][:, None]
+        xx, yy = np.meshgrid(*self._axes, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     # -- spectrum -----------------------------------------------------
 
     @cached_property
-    def _modes(self) -> list[tuple[float, tuple[int, ...]]]:
-        if self.dim == 1:
-            lx = self.lengths[0]
-            return [((j * math.pi / lx) ** 2, (j,)) for j in range(1, self.n_modes + 1)]
-        lx, ly = self.lengths
-        jmax = self.n_modes + 1
-        pool = [
-            ((j * math.pi / lx) ** 2 + (k * math.pi / ly) ** 2, (j, k))
-            for j in range(1, jmax + 1)
-            for k in range(1, jmax + 1)
-        ]
-        pool.sort(key=lambda m: (m[0], m[1]))
-        return pool[: self.n_modes]
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The n_modes least eigenvalues and their lattice indices (n_modes, dim).
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        vals = np.array([m[0] for m in self._modes])
+        A rectangle's candidates are the indices 1..n_modes+1 on each axis,
+        ordered by (value, j, k).  float_power calls the C library's pow,
+        as a Python float's ** does (** 2 on an array squares instead).
+        """
+        if self.dim == 1:
+            idx = np.arange(1, self.n_modes + 1)[:, None]
+        else:
+            side = self.n_modes + 1
+            idx = np.column_stack(np.divmod(np.arange(side * side), side)) + 1
+        vals = np.float_power(idx * math.pi / np.array(self.lengths), 2).sum(axis=1)
+        order = np.lexsort([*idx.T[::-1], vals])[: self.n_modes]
+        vals = vals[order]
         vals.flags.writeable = False
-        return vals
+        return vals, idx[order]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
 
     @cached_property
     def mode_indices(self) -> list[tuple[int, ...]]:
-        return [m[1] for m in self._modes]
+        return [tuple(row) for row in self._spectrum[1].tolist()]
 
     @cached_property
     def eigenfunctions(self) -> np.ndarray:
-        """Eigenfunction values at the grid midpoints, shape (n_modes, n_cells)."""
-        pts = self.points
-        rows = []
+        """Eigenfunction values at the grid midpoints, shape (n_modes, n_cells).
+
+        Each is a product of one sine per axis, so the sines are taken on
+        the axis grids, not on every cell.
+        """
+        idx = np.array(self.mode_indices)
+        sines = [np.sin(idx[:, [a]] * math.pi * x / l)
+                 for a, (x, l) in enumerate(zip(self._axes, self.lengths))]
         if self.dim == 1:
-            lx = self.lengths[0]
-            norm = math.sqrt(2.0 / lx)
-            for (j,) in self.mode_indices:
-                rows.append(norm * np.sin(j * math.pi * pts[:, 0] / lx))
+            mat = math.sqrt(2.0 / self.lengths[0]) * sines[0]
         else:
             lx, ly = self.lengths
-            norm = 2.0 / math.sqrt(lx * ly)
-            for j, k in self.mode_indices:
-                rows.append(
-                    norm
-                    * np.sin(j * math.pi * pts[:, 0] / lx)
-                    * np.sin(k * math.pi * pts[:, 1] / ly)
-                )
-        mat = np.array(rows)
+            sx, sy = sines
+            mat = ((2.0 / math.sqrt(lx * ly)) * sx)[:, :, None] * sy[:, None, :]
+            mat = mat.reshape(self.n_modes, self.n_cells)
         mat.flags.writeable = False
         return mat
 

@@ -577,8 +577,8 @@ def test_no_assert_statement_under_src():
 
 def test_every_public_name_under_src_is_referenced():
     # a public function, class, method or property that no code in src/
-    # reads, apart from its definition and the package's re-exports, is
-    # reached by no subcommand; README lists the few kept on purpose
+    # reads, apart from its definition, is reached by no subcommand;
+    # README lists the few kept on purpose
     readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
     listed = readme.split("on purpose")[1].split("\n\n")[1]     # its bullets
     allowed = set(re.findall(r"`(\w+(?:\.\w+)+)`", listed))
@@ -597,8 +597,8 @@ def test_every_public_name_under_src_is_referenced():
     public = {q: key for q, key in public.items() if not key[1].startswith("_")}
     classes = {owner for owner, _ in public.values()} - {None}
     names, attrs = set(), set()     # attrs: (owner class or None, name)
-    for module, tree in trees.items():
-        for node in ast.walk(tree) if module != "__init__" else ():
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):

@@ -450,10 +450,11 @@ def test_null_control_tol_validation():
         ctl.synthesize_null_control(null_op(), V0, 0.5)
 
 
-def test_null_control_budget_exhaustion_reports_best():
+def test_null_control_budget_exhaustion_reports_best(monkeypatch):
     # Newton meets this target after 47 trial points
+    monkeypatch.setattr(ctl, "_NEWTON_BUDGET", 40)
     with pytest.raises(ConvergenceError) as err:
-        ctl.synthesize_null_control(null_op(), V0, tol=1.5e-6, budget=40)
+        ctl.synthesize_null_control(null_op(), V0, tol=1.5e-6)
     assert isinstance(err.value.best, ctl.ControlField)
 
 

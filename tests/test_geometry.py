@@ -33,6 +33,35 @@ def test_time_set_measure_in_fractional_cells():
     assert E.measure_in(0.5, 0.4) == 0.0
 
 
+def measure_in_alone(E, a, b):
+    """One interval's measure, summed over the set's cells on its own."""
+    if b <= a:
+        return 0.0
+    idx = np.nonzero(E.mask)[0]
+    lo = np.maximum(idx * E.dt, a)
+    hi = np.minimum((idx + 1) * E.dt, b)
+    return float(np.clip(hi - lo, 0.0, None).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=80),
+       st.floats(min_value=0.1, max_value=10.0),
+       st.lists(st.tuples(st.floats(min_value=-0.5, max_value=1.5),
+                          st.floats(min_value=-0.5, max_value=1.5)),
+                min_size=1, max_size=12))
+def test_measure_in_on_arrays_matches_one_call_per_interval(mask, T, ends):
+    # ends are fractions of T: some pairs have b <= a, some leave (0, T)
+    E = TimeSet(np.array(mask), T)
+    a, b = (np.array(col) * T for col in zip(*ends))
+    expected = [measure_in_alone(E, x, y) for x, y in zip(a, b)]
+    got = E.measure_in(a, b)
+    assert got.tobytes() == np.array(expected).tobytes()
+    grid = [[measure_in_alone(E, x, y) for y in b] for x in a]
+    assert E.measure_in(a[:, None], b).tobytes() == np.array(grid).tobytes()
+    single = E.measure_in(float(a[0]), float(b[0]))
+    assert type(single) is float and single == expected[0]
+
+
 def test_time_set_from_intervals_and_contains():
     mids = (np.arange(100) + 0.5) / 100
     E = TimeSet((mids > 0.2) & (mids < 0.4), 1.0)

@@ -384,6 +384,32 @@ def test_sphere_descent_tiny_starts_run_as_their_unit_directions():
     assert np.array_equal(tiny[1], plain[1])
 
 
+def test_sphere_descent_drops_zero_and_non_finite_starts():
+    # a start that is 0 or inf has no direction: it is dropped before the
+    # first evaluation, with no divide warning, and cannot change the
+    # winner, which is numbered among all the starts
+    dom = interval(PI, n_modes=6, n_cells=48)
+    rng = np.random.default_rng(12)     # its winner comes after the inf lane
+    region = SpaceTimeSet.random(dom, 1.0, 32, rng, fill=0.6,
+                                 min_measure_fraction=0.1)
+    op = ctl.ControlOperator(dom, PARAMS, region)
+    finite = rng.standard_normal((4, dom.n_modes, 2))
+    inf_lane = finite[0].copy()
+    inf_lane[2, 1] = np.inf
+    starts = np.stack([np.zeros_like(finite[0]), finite[0], finite[1],
+                       inf_lane, finite[2], finite[3]])
+    ratio = lambda Y: ctl._ratio_and_grad(op, Y)
+    alone = ctl.sphere_descent(ratio, finite, iters=200, gtol=1e-24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = ctl.sphere_descent(ratio, starts, iters=200, gtol=1e-24)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            ctl.sphere_descent(ratio, starts[[0, 3]], iters=200, gtol=1e-24)
+    assert mixed[0] == alone[0]
+    assert mixed[1].tobytes() == alone[1].tobytes()
+    assert mixed[2] == [1, 2, 4, 5][alone[2]]
+
+
 # -- equivalence of interpolation forms ----------------------------------
 
 

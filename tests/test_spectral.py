@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obslab
 from obslab.spectral import PhysicalParams, SpectralDomain, interval, rectangle
 from oracles import eigenfunction
 
@@ -81,6 +85,61 @@ def test_eigenfunction_evaluator_matches_table():
     for j in (1, 3, 6):
         assert np.allclose(eigenfunction(d, j)(d.points),
                            d.eigenfunctions[j - 1])
+
+
+def per_mode_table(d):
+    """Eigenpairs from a sorted list of (value, index) and one row per mode."""
+    lx = d.lengths[0]
+    if d.dim == 1:
+        modes = [((j * PI / lx) ** 2, (j,)) for j in range(1, d.n_modes + 1)]
+    else:
+        ly = d.lengths[1]
+        side = d.n_modes + 1
+        modes = sorted(((j * PI / lx) ** 2 + (k * PI / ly) ** 2, (j, k))
+                       for j in range(1, side + 1) for k in range(1, side + 1))
+        modes = modes[: d.n_modes]
+    rows = []
+    for _, jk in modes:
+        if d.dim == 1:
+            rows.append(math.sqrt(2.0 / lx)
+                        * np.sin(jk[0] * PI * d.points[:, 0] / lx))
+        else:
+            rows.append(2.0 / math.sqrt(lx * ly)
+                        * np.sin(jk[0] * PI * d.points[:, 0] / lx)
+                        * np.sin(jk[1] * PI * d.points[:, 1] / ly))
+    return np.array([m[0] for m in modes]), [m[1] for m in modes], np.array(rows)
+
+
+@pytest.mark.parametrize("d", [interval(2.3, n_modes=40, n_cells=300),
+                               rectangle(PI, PI, n_modes=64, cells=(24, 24)),
+                               rectangle(1.3, 2.7, n_modes=64, cells=(40, 30))],
+                         ids=["interval", "square", "rectangle"])
+def test_spectrum_matches_a_per_mode_loop_bit_for_bit(d):
+    values, indices, table = per_mode_table(d)
+    assert d.eigenvalues.tobytes() == values.tobytes()
+    assert d.mode_indices == indices
+    assert all(type(v) is int for jk in d.mode_indices for v in jk)
+    assert d.eigenfunctions.tobytes() == table.tobytes()
+    assert not d.eigenvalues.flags.writeable
+    assert not d.eigenfunctions.flags.writeable
+
+
+def test_parsing_a_config_loads_no_solver_module():
+    # the package re-exports nothing: a config and its domain need only
+    # the modules they import
+    script = ("import sys\n"
+              "import obslab.config\n"
+              "cfg = obslab.config.ExperimentConfig.from_text(\n"
+              "    '[domain]\\nkind = rectangle\\nnx = 8\\nny = 8\\n')\n"
+              "cfg.build_domain().eigenfunctions\n"
+              "print(' '.join(sorted(m for m in sys.modules\n"
+              "                      if m.split('.')[0] == 'obslab')))\n")
+    src = os.path.dirname(os.path.dirname(obslab.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["obslab", "obslab.config", "obslab.errors",
+                                   "obslab.spectral"]
 
 
 def test_domain_validation():
