@@ -32,10 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default="out", help="output directory root")
-    parser.add_argument("--modes", type=int, default=None,
-                        help="override the truncation size")
-    parser.add_argument("--grid", type=int, default=None,
-                        help="override the spatial cell count per axis")
     parser.add_argument("--cases", type=int, default=None,
                         help="override sweep sizes")
     parser.add_argument("--multi", type=int, default=3,
@@ -233,14 +229,14 @@ def _run_time_optimal(cfg, rng, report) -> bool:
     fraction, holds = control.verify_bang_bang(result.control, problem.bounds)
     polish = result.polish
     report.add("time_optimal", t_star=result.t_star,
-               terminal_norm=result.terminal_norm,
+               terminal_norm=polish.upper,
                interior_fraction=fraction, bang_bang=holds,
                trials=len(result.trace), stalled_trials=result.stalled_trials,
                polish_newton_steps=polish.iterations,
                polish_mu=result.polish_mu, polish_stop=polish.stop,
                gap=polish.upper - polish.lower)
     report.add_series("time_optimal_trials", *result.trial_table())
-    return holds and result.terminal_norm <= problem.radius
+    return holds and polish.upper <= problem.radius
 
 
 def _run_telescope(cfg, rng, report) -> bool:
@@ -322,11 +318,6 @@ def main(argv=None) -> int:
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.modes is not None:
-            overrides["n_modes"] = args.modes
-        if args.grid is not None:
-            overrides["nx"] = args.grid
-            overrides["ny"] = args.grid
         if args.cases is not None:
             overrides.update(remez_cases=args.cases, sine_cases=args.cases,
                              geometry_cases=args.cases,

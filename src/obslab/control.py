@@ -118,8 +118,8 @@ class LSearch:
 
     L_hat: float
     starts: int            # lanes descended, over both phases
-    winner: str            # z_star, start_<j>, target_<i>, refine, continue
-                           # or none (no search: the control is 0)
+    winner: str            # z_star, target_<i>, refine, continue or none
+                           # (no search: the control is 0)
     newton_steps: int      # Newton trial points of the target solves
 
     def fields(self) -> dict:
@@ -340,8 +340,7 @@ def sphere_descent(value_grad, starts, iters: int, gtol: float):
     return float(val[best]), y[best], int(lanes[best])
 
 
-def estimate_L(op: ControlOperator, tol: float, z_star=None,
-               extra_starts=()) -> LSearch:
+def estimate_L(op: ControlOperator, tol: float, z_star=None) -> LSearch:
     """Least ratio int int_R |W(y)| / ||exp(AT) y||, W = op.dual_field.
 
     W observes y at T - s on op's region R, so on a region reflected in
@@ -349,9 +348,9 @@ def estimate_L(op: ControlOperator, tol: float, z_star=None,
     L1-Linf duality it is the least null-control cost over unit states, so
     the minimisers are dual optima, and the starts come from dual solves.
     Phase 1 descends, as lanes of one batched sphere_descent, from z_star
-    (a null control's own dual optimum), extra_starts, and the solves of
-    the unit targets exp(A^T T) e_i / ||.|| over the coordinate states e_i
-    whose ||exp(A^T T) e_i|| is at least tol times the largest (the cut
+    (a null control's own dual optimum) and the solves of the unit targets
+    exp(A^T T) e_i / ||.|| over the coordinate states e_i whose
+    ||exp(A^T T) e_i|| is at least tol times the largest (the cut
     drops targets below roundoff, whose solves would spend their budget).
     Phase 2 solves the target exp(A^T T) v / ||.||, v = exp(AT) y_1, of
     phase 1's winner y_1 and descends that solve ("refine") and y_1 itself
@@ -362,24 +361,19 @@ def estimate_L(op: ControlOperator, tol: float, z_star=None,
     """
     n = op.domain.n_modes
     ratio = lambda Y: _ratio_and_grad(op, Y)
-    extra = np.array(extra_starts, dtype=float).reshape(-1, n, 2)
-    names = [f"start_{j}" for j in range(len(extra))]
-    if z_star is not None:
-        extra = np.concatenate([np.reshape(z_star, (1, n, 2)), extra])
-        names.insert(0, "z_star")
+    starts, names = ([], []) if z_star is None else ([z_star], ["z_star"])
     t = op.free(np.eye(2 * n).reshape(2 * n, n, 2))     # of each e_i
     size = lane_norms(t)
-    seeds, steps = [], 0
+    steps = 0
     for i in np.flatnonzero(size >= tol * size.max()):
         _, z, *_, k = _null_solve(op, t[i] / size[i], tol)
-        seeds.append(z)
+        starts.append(z)
         names.append(f"target_{i}")
         steps += k
     if not names:
         raise ArithmeticError("no finite start for the ratio descent")
-    best, y1, win = sphere_descent(
-        ratio, np.concatenate([extra, np.reshape(seeds, (-1, n, 2))]),
-        iters=200, gtol=1e-24)
+    best, y1, win = sphere_descent(ratio, np.reshape(starts, (-1, n, 2)),
+                                   iters=200, gtol=1e-24)
     t = op.free(propagate(op.at_horizon, y1))
     _, z, *_, k = _null_solve(op, t / np.linalg.norm(t), tol)
     refined, _, win2 = sphere_descent(ratio, np.stack([z, y1]),
@@ -592,10 +586,9 @@ class Trial:
 class TimeOptimalResult:
     t_star: float
     control: ControlField
-    terminal_norm: float
     trials: tuple[Trial, ...]               # bisection trials, in solve order
-    polish: Trial | None = None             # the minimisation behind control
-    polish_mu: float = 0.0                  # smoothing width of its last stage
+    polish: Trial                           # the minimisation behind control
+    polish_mu: float                        # smoothing width of its last stage
 
     @property
     def trace(self) -> tuple[tuple[float, bool], ...]:
@@ -780,8 +773,8 @@ def solve_time_optimal(problem: ControlProblem, T_max: float) -> TimeOptimalResu
             lo = mid
     polish, u, mu = _polish(problem, best_op, best_u)
     field = ControlField(u, best_op.region)
-    return TimeOptimalResult(t_star=hi, control=field, terminal_norm=polish.upper,
-                             trials=tuple(trials), polish=polish, polish_mu=mu)
+    return TimeOptimalResult(t_star=hi, control=field, trials=tuple(trials),
+                             polish=polish, polish_mu=mu)
 
 
 def verify_bang_bang(field: ControlField, bounds: tuple[float, float],

@@ -163,17 +163,9 @@ class SpaceTimeSet:
         return SpaceTimeSet(mask, horizon, domain)
 
 
-@dataclass(frozen=True)
-class GoodTimeSet:
-    """The times whose slice carries at least the average slice measure."""
-
-    times: TimeSet
-    threshold: float          # slice-measure cutoff |D|/(2T)
-    ball_volume: float
-
-
-def good_time_set(D: SpaceTimeSet) -> GoodTimeSet:
-    """Times t with |D_t| >= |D|/(2T), with the measure lower bound checked.
+def good_time_set(D: SpaceTimeSet) -> TimeSet:
+    """The good-time set E: the times t with |D_t| >= |D|/(2T), with
+    |E| >= |D| / (2 |ball|) and the containment of its slices in D checked.
 
     The ball is the one about the domain's center through its corners: it
     contains every cell, so every slice of D fits in it, which is what the
@@ -184,14 +176,13 @@ def good_time_set(D: SpaceTimeSet) -> GoodTimeSet:
         raise ValueError("the space-time set must have positive measure")
     radius = float(np.linalg.norm(np.asarray(D.domain.lengths) / 2.0))
     vol_ball = ball_volume(D.domain.dim, radius)
-    threshold = measure / (2.0 * D.horizon)
-    E = TimeSet(D.slice_measures >= threshold, D.horizon)
+    E = TimeSet(D.slice_measures >= measure / (2.0 * D.horizon), D.horizon)
     # both slice-set conclusions, checked on every call
     if E.measure() < measure / (2.0 * vol_ball) - 1e-12:
         raise PropertyViolation("good-time set is below |D| / (2 |ball|)")
     if not np.all(E.mask[:, None] & D.mask <= D.mask):
         raise PropertyViolation("good-time slices are not contained in D")
-    return GoodTimeSet(times=E, threshold=threshold, ball_volume=vol_ball)
+    return E
 
 
 DENSITY_RADIUS_DIVISORS = (8, 16, 32, 64)

@@ -108,12 +108,6 @@ def norms_at(domain: SpectralDomain, params: PhysicalParams,
     return lane_norms(x.reshape(-1, math.prod(x.shape[2:]))).reshape(x.shape[:2])
 
 
-def float_pow(x, p) -> np.ndarray:
-    """x ** p through Python float power, the C library's pow, as scalar code
-    computes it; numpy's vectorised pow can differ from it in the last bit."""
-    return (np.asarray(x, dtype=object) ** p).astype(float)
-
-
 def solve_increasing(fn, target: float) -> float:
     """Smallest x >= 0 with fn(x) >= target, fn increasing, to 1e-12 relative."""
     if target <= 0:
@@ -142,7 +136,6 @@ def solve_increasing(fn, target: float) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    pi2: float
     eps_form_passed: bool
     holds: bool
 
@@ -169,10 +162,9 @@ def interp_equivalence(pi1: float, theta: float, F1, F2, F3) -> EquivalenceResul
     star_ok = (F3 > 0) & (F2 > 0) & (eps[:, 64] > 0.0) & (eps[:, 64] < 1.0)
     bound[~star_ok, 64] = np.inf
     eps_form = not np.any(F1 > bound.min(axis=1) * (1 + 1e-12))
-    pi2 = 2.0 * pi1
-    product = pi2 * F2 ** (1.0 - theta) * F3 ** theta
+    product = 2.0 * pi1 * F2 ** (1.0 - theta) * F3 ** theta
     holds = bool(np.all(F1 <= product * (1 + 1e-9) + 1e-300))
-    return EquivalenceResult(pi2=pi2, eps_form_passed=eps_form, holds=holds)
+    return EquivalenceResult(eps_form_passed=eps_form, holds=holds)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +220,9 @@ def verify_integral_interpolation(
     (|E cap [S1,S2]|^-1 int_{S1}^{S2} chi_E ||chi_{D_t} B exp(A*t) z||_L1)^(1-theta)
     * ||z||^theta, with E the good-time set of D.
     """
-    gts = good_time_set(D)
     # the time cells of E cap [S1, S2], and its measure
-    window = gts.times.mask & (D.midpoints >= ip.s1) & (D.midpoints <= ip.s2)
+    window = (good_time_set(D).mask & (D.midpoints >= ip.s1)
+              & (D.midpoints <= ip.s2))
     meas = float(window.sum()) * D.dt
     if meas <= 0:        # depends on the region drawn, not on the inputs alone
         raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
@@ -243,8 +235,9 @@ def verify_integral_interpolation(
     require(np.all(integrals[live] > 0),
             "integral observation cancelled for a nonzero state")
     lhs = norms_at(domain, params, lanes, (ip.s2,))[live, 0]
-    rhs0 = (float_pow(integrals[live] / meas, 1.0 - ip.theta)
-            * float_pow(zn[live], ip.theta))
+    # float_power is the C library's pow, as in scalar code; np.power is not
+    rhs0 = (np.float_power(integrals[live] / meas, 1.0 - ip.theta)
+            * np.float_power(zn[live], ip.theta))
     ratios = np.zeros(len(lanes))
     ratios[live] = lhs / rhs0
     K_hat = float(ratios.max())
@@ -400,7 +393,6 @@ class TelescopeReport:
     ell1: float
     mu: float
     theta: float
-    ring_constants: np.ndarray    # per-ring empirical interpolation constants
     C_hat: float
     prefactor: float
     domination_margin: float      # min over z of rhs - lhs in the chain bound
@@ -428,7 +420,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     if depth < 4:
         raise ValueError("the chain needs depth >= 4: its first ring "
                          "observation term is ring m = 2")
-    E = good_time_set(D).times
+    E = good_time_set(D)
     ell = find_density_point(E)
     seq = telescoping_sequence(E, ell, beta, depth)
     mu, terms = seq.mu, seq.terms
@@ -478,7 +470,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     finite = totals > 0
     N_hat = float((norms[finite, -1] / totals[finite]).max())
     return TelescopeReport(ell=ell, ell1=seq.ell1, mu=mu, theta=theta,
-                           ring_constants=ring_constants, C_hat=C_hat,
-                           prefactor=prefactor, domination_margin=float(margin),
+                           C_hat=C_hat, prefactor=prefactor,
+                           domination_margin=float(margin),
                            N_hat=N_hat, terms=terms,
                            ring_measures=E.measure_in(terms[1:], terms[:-1]))

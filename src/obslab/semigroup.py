@@ -80,12 +80,19 @@ class ObservationSelector:
 def mode_factors(domain: SpectralDomain, params: PhysicalParams, t):
     """Per-mode decay and rotation (cos, sin) at time t, a scalar or an array.
 
-    Each of the three tables has shape t.shape + (n_modes,).
+    Each of the three tables has shape t.shape + (n_modes,).  Raises
+    ArithmeticError when one is not finite (lambda * a * t or lambda * b * t
+    overflows), before any solver reads it.
     """
     lam = domain.eigenvalues
     t = np.asarray(t, dtype=float)[..., None]
-    phi = lam * params.b * t
-    return np.exp(-params.a * lam * t), np.cos(phi), np.sin(phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = lam * params.b * t
+        tables = np.exp(-params.a * lam * t), np.cos(phi), np.sin(phi)
+    if not all(np.isfinite(f).all() for f in tables):
+        raise ArithmeticError("the mode tables are not finite: lambda * a * t "
+                              "or lambda * b * t overflows")
+    return tables
 
 
 def propagate(factors, coeffs: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -575,15 +575,47 @@ def test_no_assert_statement_under_src():
                     if isinstance(node, ast.Assert)], path.name
 
 
+def src_trees():
+    """Module name -> parsed source, for every module under src/obslab/."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in pathlib.Path(obslab.__file__).parent.glob("*.py")}
+
+
+def readme_list(marker):
+    """The dotted names in backticks of the README bullets after marker."""
+    readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
+    listed = readme.split(marker)[1].split("\n\n")[1]     # its bullets
+    return set(re.findall(r"`(\w+(?:\.\w+)+)`", listed))
+
+
+def attribute_reads(trees):
+    """(base, name) of every attribute read, base being the name or attribute
+    the read is taken on; a read on a module imported with ``import`` (np,
+    math, ...) reaches nothing under src/, so it is left out."""
+    modules = {(alias.asname or alias.name).split(".")[0]
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                reads.add((getattr(node.value, "id",
+                                   getattr(node.value, "attr", None)),
+                           node.attr))
+    return reads
+
+
 def test_every_public_name_under_src_is_referenced():
     # a public function, class, method or property that no code in src/
     # reads, apart from its definition, is reached by no subcommand;
     # README lists the few kept on purpose
-    readme = pathlib.Path(__file__).parents[1].joinpath("README.md").read_text()
-    listed = readme.split("on purpose")[1].split("\n\n")[1]     # its bullets
-    allowed = set(re.findall(r"`(\w+(?:\.\w+)+)`", listed))
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in pathlib.Path(obslab.__file__).parent.glob("*.py")}
+    allowed = readme_list("on purpose")
+    trees = src_trees()
     public = {}     # qualified name -> (its class or None, its name)
     for module, tree in trees.items():
         for node in tree.body:
@@ -596,14 +628,11 @@ def test_every_public_name_under_src_is_referenced():
                             node.name, item.name)
     public = {q: key for q, key in public.items() if not key[1].startswith("_")}
     classes = {owner for owner, _ in public.values()} - {None}
-    names, attrs = set(), set()     # attrs: (owner class or None, name)
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
-                attrs.add((owner if owner in classes else None, node.attr))
+    names = {node.id for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    # attrs: (owner class or None, name)
+    attrs = {(owner if owner in classes else None, name)
+             for owner, name in attribute_reads(trees)}
 
     def reached(owner, name):
         return ((owner is None and name in names) or (None, name) in attrs
@@ -613,6 +642,28 @@ def test_every_public_name_under_src_is_referenced():
     assert sorted(q for q, key in public.items()
                   if q not in allowed and not reached(*key)) == []
     assert sorted(q for q in allowed if reached(*public[q])) == []
+
+
+def test_every_record_field_under_src_is_read():
+    # a dataclass field that no code in src/ reads as an attribute is set
+    # for the tests alone; README lists the few kept unread by design
+    allowed = readme_list("unread by design")
+    trees = src_trees()
+    fields = {}     # qualified name -> field name
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        fields[f"{module}.{node.name}.{item.target.id}"] = (
+                            item.target.id)
+    read = {name for _, name in attribute_reads(trees)}
+    assert allowed and allowed <= set(fields)
+    assert sorted(q for q, name in fields.items()
+                  if q not in allowed and name not in read) == []
+    assert sorted(q for q in allowed if fields[q] in read) == []
 
 
 def test_no_module_but_semigroup_reads_spectral_state():
@@ -735,6 +786,22 @@ def test_subcommands_sharing_out_keep_their_reports(tmp_path):
         assert f"subcommand: {sub}\n" in text
 
 
+@pytest.mark.parametrize("sub", ["interp", "telescope"])
+def test_overflowing_mode_tables_exit_3(tmp_path, capsys, sub):
+    # at b = 1e308, lambda * b * t overflows and the rotation tables are NaN;
+    # read on, they look like a cancelled observation, a violation (exit 4)
+    cfg = tmp_path / "huge_b.cfg"
+    cfg.write_text("[domain]\nn_modes = 4\nnx = 32\n[observation]\n"
+                   "n_time = 16\n[system]\nb = 1e308\n")
+    out = tmp_path / "out"
+    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: convergence-failure" in text
+    assert "error: ArithmeticError" in text
+    assert capsys.readouterr().out == ""
+
+
 DUAL_CONFIG = ("[domain]\nn_modes = 6\nnx = 48\n"
                "[observation]\nn_time = 32\nfill = 0.6\n"
                "[control]\ntol = 0.05\n")
@@ -810,12 +877,13 @@ def test_null_control_certificate_violation_under_optimize(tmp_path):
 
 
 def fixture_run(tmp_path, fixture_text, horizon=1.0, sub="null-control",
-                *args):
-    """A subcommand at the dual sizes, its region read from a fixture file."""
+                *args, config=DUAL_CONFIG):
+    """A subcommand at the dual sizes (or config's), its region read from a
+    fixture file."""
     path = tmp_path / "region.rle"
     path.write_text(fixture_text)
     cfg = tmp_path / "fixture.cfg"
-    cfg.write_text(DUAL_CONFIG.replace(
+    cfg.write_text(config.replace(
         "[observation]\n",
         f"[observation]\ngenerator = fixture\nfixture = {path}\n")
         + f"[system]\nhorizon = {horizon}\n")
@@ -874,7 +942,9 @@ def test_estimate_l_reports_the_constant_of_the_region_as_given(tmp_path):
     dom = ExperimentConfig(nx=48, n_modes=1).build_domain()
     region = SpaceTimeSet.from_rle(text, dom)
     assert not np.array_equal(region.mask, region.mask[::-1])
-    code, out = fixture_run(tmp_path, text, 1.0, "estimate-L", "--modes", "1")
+    code, out = fixture_run(tmp_path, text, 1.0, "estimate-L",
+                            config=DUAL_CONFIG.replace("n_modes = 6",
+                                                       "n_modes = 1"))
     assert code == 0
     (report_dir,) = out.iterdir()
     report = (report_dir / "report.txt").read_text()

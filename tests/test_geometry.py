@@ -90,25 +90,24 @@ def test_space_time_set_shape_validation():
 def test_good_time_set_bounds_random(seed):
     rng = np.random.default_rng(seed)
     D = SpaceTimeSet.random(DOMAIN, 1.0, 32, rng, fill=0.2)
-    gts = good_time_set(D)
+    E = good_time_set(D)
     # |E| >= |D| / (2 |B_R|), and E-slices stay inside D (asserted on call,
-    # re-checked here explicitly); the ball covers the interval (0, pi)
-    assert gts.ball_volume == pytest.approx(PI)
-    assert gts.times.measure() >= D.measure() / (2.0 * gts.ball_volume) - 1e-12
-    assert gts.threshold == pytest.approx(D.measure() / 2.0)
-    on_E = D.slice_measures[gts.times.mask]
-    assert np.all(on_E >= gts.threshold)
+    # re-checked here explicitly); the ball covering the interval (0, pi) is
+    # (0, pi) itself, and the slice cutoff is |D| / (2T) with T = 1
+    assert E.measure() >= D.measure() / (2.0 * PI) - 1e-12
+    threshold = D.measure() / 2.0
+    assert np.all(D.slice_measures[E.mask] >= threshold)
+    assert np.all(D.slice_measures[~E.mask] < threshold)
 
 
 def test_good_time_set_rectangle():
     dom = rectangle(PI, PI, n_modes=4, cells=(24, 24))
     rng = np.random.default_rng(0)
     D = SpaceTimeSet.random(dom, 1.0, 16, rng, fill=0.3)
-    gts = good_time_set(D)
+    E = good_time_set(D)
     # the ball about the center through the corners
     radius = math.hypot(PI, PI) / 2.0
-    assert gts.ball_volume == pytest.approx(ball_volume(2, radius))
-    assert gts.times.measure() >= D.measure() / (2.0 * gts.ball_volume) - 1e-12
+    assert E.measure() >= D.measure() / (2.0 * ball_volume(2, radius)) - 1e-12
 
 
 def test_density_point_of_full_set():
