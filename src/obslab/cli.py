@@ -107,7 +107,8 @@ def _run_interp(cfg, rng, report) -> bool:
         rep = observability.verify_integral_interpolation(
             domain, params, D, ip, lanes, sel=sel)
     ok = math.isfinite(rep.K_hat) and rep.K_hat > 0
-    report.add("integral_interpolation", K_hat=rep.K_hat, M_hat=rep.M_hat,
+    report.add("integral_interpolation", K_hat=rep.K_hat,
+               K_hat_lane=rep.K_hat_lane, M_hat=rep.M_hat,
                window_measure=rep.window_measure,
                min_integral=float(rep.integrals.min()))
     report.add_series("interp_ratios", "probe,ratio,integral",
@@ -252,6 +253,7 @@ def _run_telescope(cfg, rng, report) -> bool:
     report.add("telescope", ell=rep.ell, ell1=rep.ell1, mu=rep.mu,
                theta=rep.theta, C_hat=rep.C_hat, prefactor=rep.prefactor,
                domination_margin=rep.domination_margin, N_hat=rep.N_hat,
+               N_hat_lane=rep.N_hat_lane,
                dominated=rep.dominated)
     report.add_series("telescope_partial_sums",
                       "m,ell_m,ring_time_measure,partial_sum", rows)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -19,6 +20,8 @@ from .spectral import PhysicalParams, SpectralDomain
 _DOMAIN_KINDS = ("interval", "rectangle")
 _GENERATORS = ("random", "full", "fixture")
 _SELECTORS = ("first", "direction", "full")
+# exp(-x) is a normal float for x up to this, about 708.4
+_DECAY_LIMIT = -math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,27 @@ class ExperimentConfig:
             bad("system", "b", "coupling coefficient must be nonzero")
         if self.horizon <= 0:
             bad("system", "horizon", "time horizon must be positive")
+        # lam(i) sums (i pi / side)^2 over the sides, inf on overflow; the
+        # spectrum squares indices up to n_modes, n_modes + 1 per axis on a
+        # rectangle, so lam(top) bounds every eigenvalue it computes
+        sides = ("lx",) if self.kind == "interval" else ("lx", "ly")
+
+        def lam(i):
+            return sum(x * x for x in (i * math.pi / getattr(self, s) for s in sides))
+
+        lam_1, lam_top = lam(1), lam(self.n_modes + len(sides) - 1)
+        if not math.isfinite(lam_top):
+            bad("domain", min(sides, key=lambda s: getattr(self, s)),
+                "side too short: the eigenvalues overflow")
+        decay = self.a * lam_1 * self.horizon
+        if decay > _DECAY_LIMIT:
+            key = "a" if self.a * lam_1 >= self.horizon else "horizon"
+            bad("system", key, f"a * lambda_1 * horizon = {decay:.6g} exceeds "
+                f"{_DECAY_LIMIT:.6g}: the slowest mode decays below the normal floats")
+        for key in ("a", "b"):       # mode_factors' exponents lambda * a|b * t
+            rate = abs(getattr(self, key)) * lam_top * max(1.0, self.horizon)
+            if not math.isfinite(rate):
+                bad("system", key, f"lambda * {key} * t overflows in the mode tables")
         if self.generator not in _GENERATORS:
             bad("observation", "generator", f"must be one of {_GENERATORS}")
         if self.generator == "fixture" and not self.fixture:

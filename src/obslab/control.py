@@ -23,6 +23,7 @@ pairing is exact by construction.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -224,19 +225,16 @@ class ControlOperator:
         K maps a dual state z to its dual field on the region's cells, and
         weights broadcasts to the grid.  Entry ((k, c), (l, d)) is
         sum_i f[k,c,i] f[l,d,i] S[i,k,l], with S[i,k,l] the sum over region
-        cells j of weights[i,j] phi_k(x_j) phi_l(x_j): one GEMM per block of
-        at most _FIELD_BLOCK products phi_k phi_l, k <= l, so the memory of a
-        call does not grow with the number of cells.  Symmetric bit for bit.
+        cells j of weights[i,j] phi_k(x_j) phi_l(x_j): one GEMM per cell block
+        of the domain's pair table, so the memory of a call does not grow
+        with the number of cells.  Symmetric bit for bit.
         """
-        phi, mask = self.domain.eigenfunctions, self.region.mask
-        weights, n = np.broadcast_to(weights, mask.shape), len(phi)
-        k, l = np.triu_indices(n)
-        pair = np.empty((n, n), dtype=np.intp)
-        pair[k, l] = pair[l, k] = np.arange(len(k))
-        S, blk = np.zeros((len(k), len(mask))), lane_block(len(k))
-        for lo in range(0, phi.shape[1], blk):
-            p, cells = phi[:, lo:lo + blk], slice(lo, lo + blk)
-            S += (p[k] * p[l]) @ (weights[:, cells] * mask[:, cells]).T
+        mask, n = self.region.mask, self.domain.n_modes
+        weights, pairs = np.broadcast_to(weights, mask.shape), n * (n + 1) // 2
+        pair, blocks = _pair_table(self.domain, lane_block(pairs))
+        S = np.zeros((pairs, len(mask)))
+        for cells, products in blocks:
+            S += products @ (weights[:, cells] * mask[:, cells]).T
         # row (l, d) sums f[l,d,i] f[k,c,i] S[i,k,l] over i, batched over l
         A = (self.f * S[pair][:, :, None]).reshape(n, 2 * n, len(mask))
         G = (self.f @ A.transpose(0, 2, 1)).reshape(2 * n, 2 * n)
@@ -245,6 +243,30 @@ class ControlOperator:
     def norm_estimate(self) -> float:
         """Spectral norm of the weighted map, from its Gram's top eigenvalue."""
         return math.sqrt(np.linalg.eigvalsh(self.gram(self.weight * self.weight))[-1])
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_table(domain: SpectralDomain, blk: int):
+    """The Gram's pair index and products of one domain, in cell blocks.
+
+    pair[k, l] = pair[l, k] numbers the pairs k <= l, and each block holds
+    the products phi_k phi_l over at most blk cells as its own contiguous
+    (n_pairs, cells) array.  None of it depends on the weights, so every
+    gram call on an equal domain and block size reads one table, held for
+    the last (domain, blk) asked for: n_pairs * n_cells floats.
+    """
+    phi, n = domain.eigenfunctions, domain.n_modes
+    k, l = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[k, l] = pair[l, k] = np.arange(len(k))
+    blocks = []
+    for lo in range(0, phi.shape[1], blk):
+        p = phi[:, lo:lo + blk]
+        products = p[k] * p[l]
+        products.flags.writeable = False
+        blocks.append((slice(lo, lo + blk), products))
+    pair.flags.writeable = False
+    return pair, tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

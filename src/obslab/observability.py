@@ -28,11 +28,13 @@ from .spectral import PhysicalParams, SpectralDomain
 # shared numerics
 
 
-# Lanes are observed (a lane's values are its traces and its field), and Gram
-# pair tables built, in blocks of at most this many values: a block stays in
-# cache across the passes over it, and one evaluation's memory does not grow
-# with lanes or cells.  A full block is 128 KiB, exactly glibc's default mmap
-# threshold, so a fresh one may be mapped and page-fault on first touch.
+# Lanes are observed (a lane's values are its traces and its field) in blocks
+# of at most this many values: a block stays in cache across the passes over
+# it, and one evaluation's memory does not grow with lanes or cells.  A full
+# block is 128 KiB, exactly glibc's default mmap threshold, so a fresh one may
+# be mapped and page-fault on first touch.  A domain's Gram pair products are
+# cut into cell blocks of the same size, built once per domain and block size
+# and held (control._pair_table), so gram calls allocate none.
 _FIELD_BLOCK = 1 << 14
 
 
@@ -192,6 +194,7 @@ class InterpolationParams:
 @dataclass(frozen=True)
 class InterpolationReport:
     K_hat: float
+    K_hat_lane: int           # the probe lane attaining K_hat
     M_hat: float
     window_measure: float
     window: np.ndarray        # the time cells of E cap [S1, S2]
@@ -240,12 +243,14 @@ def verify_integral_interpolation(
             * np.float_power(zn[live], ip.theta))
     ratios = np.zeros(len(lanes))
     ratios[live] = lhs / rhs0
-    K_hat = float(ratios.max())
+    lane = int(ratios.argmax())
+    K_hat = float(ratios[lane])
     if not math.isfinite(K_hat):
         raise ArithmeticError(f"interpolation constant is not finite: {K_hat}")
     M_hat = solve_increasing(lambda M: ip.constant_template(M, meas), K_hat)
-    return InterpolationReport(K_hat=K_hat, M_hat=M_hat, window_measure=meas,
-                               window=window, ratios=ratios, integrals=integrals,
+    return InterpolationReport(K_hat=K_hat, K_hat_lane=lane, M_hat=M_hat,
+                               window_measure=meas, window=window,
+                               ratios=ratios, integrals=integrals,
                                profiles=profiles)
 
 
@@ -397,6 +402,7 @@ class TelescopeReport:
     prefactor: float
     domination_margin: float      # min over z of rhs - lhs in the chain bound
     N_hat: float                  # end-to-end observability constant
+    N_hat_lane: int               # the probe lane attaining N_hat
     terms: np.ndarray             # telescoping times ell_1 > ... > ell_depth
     ring_measures: np.ndarray     # |E cap (ell_{m+1}, ell_m)| per ring
 
@@ -467,10 +473,12 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     margins = obs_sum + tail - weight2 * L[:, 1]
     margin = margins[zn != 0].min(initial=math.inf)
 
-    finite = totals > 0
-    N_hat = float((norms[finite, -1] / totals[finite]).max())
+    observed = np.flatnonzero(totals > 0)
+    ratios = norms[observed, -1] / totals[observed]
+    best = int(ratios.argmax())
     return TelescopeReport(ell=ell, ell1=seq.ell1, mu=mu, theta=theta,
                            C_hat=C_hat, prefactor=prefactor,
                            domination_margin=float(margin),
-                           N_hat=N_hat, terms=terms,
+                           N_hat=float(ratios[best]),
+                           N_hat_lane=int(observed[best]), terms=terms,
                            ring_measures=E.measure_in(terms[1:], terms[:-1]))

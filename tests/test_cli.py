@@ -69,6 +69,25 @@ def test_config_rejects_non_finite_floats():
                 ExperimentConfig.from_text(f"[{section}]\n{key} = {value}\n")
 
 
+def test_config_bounds_the_spectrum_and_the_mode_tables():
+    # on (0, pi), lambda_1 = 1: the slowest decay exp(-a * horizon) stays a
+    # normal float up to a * horizon = 708.39
+    ExperimentConfig.from_text("[system]\na = 708.0\n")
+    ExperimentConfig.from_text("[system]\na = 0.708\nhorizon = 1000.0\n"
+                               "[interpolation]\ns2 = 1.0\n")
+    for setting, key in [("[system]\na = 709.0\n", "system.a"),
+                         ("[system]\nhorizon = 709.0\n", "system.horizon"),
+                         ("[system]\nb = 1e306\n", "system.b"),
+                         ("[domain]\nlx = 1e-153\n", "domain.lx"),
+                         ("[domain]\nkind = rectangle\nly = 1e-153\n",
+                          "domain.ly")]:
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            ExperimentConfig.from_text(setting)
+    # an interval reads no ly; a long side has eigenvalues near 0, not inf
+    ExperimentConfig.from_text("[domain]\nly = 1e-300\n")
+    ExperimentConfig.from_text("[domain]\nlx = 1e300\n")
+
+
 @pytest.mark.parametrize("sub", ["telescope", "null-control", "time-optimal"])
 def test_non_finite_horizon_exits_2(tmp_path, capsys, sub):
     cfg = tmp_path / "nan.cfg"
@@ -325,15 +344,11 @@ def test_time_optimal_box_without_zero_starts_admissible(tmp_path):
 
 
 @pytest.mark.parametrize("sub,setting", [
-    ("time-optimal", "[system]\nb = 1e308\n"),
-    ("time-optimal", "[system]\nhorizon = 1e300\n"),
     ("time-optimal", "[domain]\nlx = 1e300\n"),
-    ("null-control", "[system]\nb = 1e308\n"),
-    ("estimate-L", "[system]\nb = 1e308\n"),
 ])
 def test_extreme_finite_config_exits_3(tmp_path, sub, setting):
-    # finite settings whose mode tables overflow: eigvalsh and lstsq raise
-    # LinAlgError on them, which must not escape main as a traceback
+    # a side so long that the Gram's weight (dt * dx)^2 overflows: eigvalsh
+    # raises LinAlgError, which must not escape main as a traceback
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(setting)
     out = tmp_path / "out"
@@ -341,6 +356,53 @@ def test_extreme_finite_config_exits_3(tmp_path, sub, setting):
         assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
     text, _ = report_values(out)
     assert "status: convergence-failure" in text
+
+
+@pytest.mark.parametrize("sub,setting,key", [
+    ("interp", "[system]\na = 1e308\n", "system.a"),
+    ("telescope", "[system]\na = 1e308\n", "system.a"),
+    ("time-optimal", "[system]\na = 1e308\n", "system.a"),
+    ("interp", "[system]\nb = 1e308\n", "system.b"),
+    ("telescope", "[system]\nb = 1e308\n", "system.b"),
+    ("counterexample", "[system]\nb = 1e308\n", "system.b"),
+    ("time-optimal", "[system]\nb = 1e308\n", "system.b"),
+    ("null-control", "[system]\nb = 1e308\n", "system.b"),
+    ("estimate-L", "[system]\nb = 1e308\n", "system.b"),
+    ("time-optimal", "[system]\nhorizon = 1e300\n", "system.horizon"),
+    ("simulate", "[domain]\nlx = 1e-300\n", "domain.lx"),
+    ("interp", "[domain]\nkind = rectangle\nly = 1e-300\n", "domain.ly"),
+])
+def test_extreme_config_exits_2_naming_the_key(tmp_path, sub, setting, key):
+    # finite settings whose spectrum or mode tables overflow, or whose
+    # slowest mode decays below the normal floats by the horizon: the run
+    # used to read zero or NaN tables, warn, and exit 3 or 4
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(setting)
+    proc = subprocess.run(
+        [sys.executable, "-m", "obslab.cli", sub, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__))))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {key}: ")
+    assert "Warning" not in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_interp_and_telescope_name_the_extremal_lane(tmp_path):
+    for sub, key in (("interp", "K_hat"), ("telescope", "N_hat")):
+        out = tmp_path / sub
+        assert run([sub, "--out", str(out)]) == 0
+        _, values = report_values(out)
+        lane = int(values[f"{key}_lane"])
+        assert 0 <= lane < ExperimentConfig().batch
+    # interp's per-probe series holds the lane's ratio: the constant itself
+    (report_dir,) = (tmp_path / "interp").iterdir()
+    rows = (report_dir / "interp_ratios.csv").read_text().splitlines()
+    _, values = report_values(tmp_path / "interp")
+    probe, ratio, _ = rows[1 + int(values["K_hat_lane"])].split(",")
+    assert (probe, ratio) == (values["K_hat_lane"], values["K_hat"])
 
 
 def test_time_optimal_control_outside_the_ball_is_a_violation(tmp_path,
@@ -784,22 +846,6 @@ def test_subcommands_sharing_out_keep_their_reports(tmp_path):
     for name, text in reports.items():
         sub = name.rsplit("-", 1)[0]
         assert f"subcommand: {sub}\n" in text
-
-
-@pytest.mark.parametrize("sub", ["interp", "telescope"])
-def test_overflowing_mode_tables_exit_3(tmp_path, capsys, sub):
-    # at b = 1e308, lambda * b * t overflows and the rotation tables are NaN;
-    # read on, they look like a cancelled observation, a violation (exit 4)
-    cfg = tmp_path / "huge_b.cfg"
-    cfg.write_text("[domain]\nn_modes = 4\nnx = 32\n[observation]\n"
-                   "n_time = 16\n[system]\nb = 1e308\n")
-    out = tmp_path / "out"
-    assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
-    (report_dir,) = out.iterdir()
-    text = (report_dir / "report.txt").read_text()
-    assert "status: convergence-failure" in text
-    assert "error: ArithmeticError" in text
-    assert capsys.readouterr().out == ""
 
 
 DUAL_CONFIG = ("[domain]\nn_modes = 6\nnx = 48\n"

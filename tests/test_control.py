@@ -595,22 +595,67 @@ def test_gram_is_the_column_loop_bit_symmetric_and_block_free(
     assert np.array_equal(blocked, blocked.T)
 
 
+def gram_peak(op, weights):
+    """op.gram(weights) and the peak memory the call allocated."""
+    tracemalloc.start()
+    try:
+        return op.gram(weights), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_gram_memory_does_not_grow_with_cells():
-    # besides one masked copy of the weights, a call may hold a few cell
-    # blocks of pair products, whatever the number of cells
-    for n_cells in (2048, 16384):
-        dom = interval(PI, n_modes=8, n_cells=n_cells)
+    # besides one masked copy of the weights, a call may hold a few blocks
+    # of values, whatever the number of cells; the domain's pair table,
+    # built by the first call and held across calls, is not the call's
+    for dom in (interval(PI, n_modes=8, n_cells=2048),
+                interval(PI, n_modes=8, n_cells=16384),
+                rectangle(PI, 2.0, n_modes=8, cells=(64, 32)),
+                rectangle(PI, 2.0, n_modes=8, cells=(128, 128))):
         op = ctl.ControlOperator(dom, PARAMS,
                                  SpaceTimeSet.full_cylinder(dom, 1.0, 16))
         weights = np.random.default_rng(0).uniform(0.5, 2.0, op.region.mask.shape)
         op.gram(weights)
-        tracemalloc.start()
-        try:
-            op.gram(weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = gram_peak(op, weights)[1]
         assert peak <= weights.nbytes + 8 * obs._FIELD_BLOCK * 8
+
+
+def per_call_gram(op, weights):
+    """gram with its pair index and every cell block's products phi_k phi_l
+    built on each call, in the same blocks and summation order."""
+    phi, mask = op.domain.eigenfunctions, op.region.mask
+    weights, n = np.broadcast_to(weights, mask.shape), len(phi)
+    k, l = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[k, l] = pair[l, k] = np.arange(len(k))
+    S, blk = np.zeros((len(k), len(mask))), obs.lane_block(len(k))
+    for lo in range(0, phi.shape[1], blk):
+        p, cells = phi[:, lo:lo + blk], slice(lo, lo + blk)
+        S += (p[k] * p[l]) @ (weights[:, cells] * mask[:, cells]).T
+    A = (op.f * S[pair][:, :, None]).reshape(n, 2 * n, len(mask))
+    G = (op.f @ A.transpose(0, 2, 1)).reshape(2 * n, 2 * n)
+    return 0.5 * (G + G.T)
+
+
+def test_gram_reads_one_pair_table_per_domain_and_block_size(monkeypatch):
+    # 8 modes make 36 pairs; a full cell block of their products, 455
+    # cells, is just under 128 KiB, and the domain has three of them
+    dom = interval(PI, n_modes=8, n_cells=1024)
+    rng = np.random.default_rng(5)
+    first, second = (ctl.ControlOperator(
+        dom, PARAMS, SpaceTimeSet.random(dom, 1.0, 4, rng, fill=0.5))
+        for _ in range(2))
+    weights = rng.uniform(0.5, 2.0, first.region.mask.shape)
+    block = 36 * obs.lane_block(36) * 8                 # bytes
+    first.gram(weights)
+    G, peak = gram_peak(second, weights)
+    assert peak < block
+    assert np.array_equal(G, per_call_gram(second, weights))
+    # another block size builds its own table, 36 x 1024 products in all
+    monkeypatch.setattr(obs, "_FIELD_BLOCK", 36 * 100)
+    G, peak = gram_peak(second, weights)
+    assert peak >= 36 * dom.n_cells * 8
+    assert np.array_equal(G, per_call_gram(second, weights))
 
 
 def test_certificate_check_raises_with_both_numbers():

@@ -533,6 +533,27 @@ def test_integral_interpolation_sums_each_lane_as_alone():
         assert integral == float(alone[window].sum()) * D.dt
 
 
+def test_reported_lanes_attain_the_constants_alone():
+    # the lane named for K_hat (N_hat) has that constant as a batch of one
+    D = random_D(3)
+    ip = obs.InterpolationParams(0.5, 0.25, 0.75)
+    states = batch(4, 32)
+    rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, states)
+    lane = rep.K_hat_lane
+    assert rep.ratios[lane] == rep.K_hat == rep.ratios.max()
+    alone = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip,
+                                              states[[lane]])
+    assert (alone.K_hat, alone.K_hat_lane) == (rep.K_hat, 0)
+    D = SpaceTimeSet.random(DOMAIN, 1.0, 128, np.random.default_rng(21),
+                            fill=0.5, min_measure_fraction=0.4)
+    states = batch(22)
+    tel = obs.telescope_chain_demo(DOMAIN, PARAMS, D, 1.0, 6, states)
+    alone = obs.telescope_chain_demo(DOMAIN, PARAMS, D, 1.0, 6,
+                                     states[[tel.N_hat_lane]])
+    assert (alone.N_hat, alone.N_hat_lane) == (tel.N_hat, 0)
+    assert lane > 0 and tel.N_hat_lane > 0      # not argmax's default
+
+
 def test_integral_interpolation_observes_only_the_window(monkeypatch):
     D = random_D(3)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)

@@ -134,3 +134,12 @@ def test_state_coeffs_read_only():
     z = SpectralState.single_mode(DOMAIN, 1, (1.0, 0.0))
     with pytest.raises(ValueError):
         z.coeffs[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("a,b,t", [(1.0, 1e308, 1.0),     # lambda b t overflows
+                                   (1e308, 1.0, 0.0)])    # -inf * 0 is NaN
+def test_mode_factors_raise_on_non_finite_tables(a, b, t):
+    # the config bounds keep the CLI away from these; a table that is not
+    # finite must still stop a caller before any solver reads it
+    with pytest.raises(ArithmeticError, match="not finite"):
+        mode_factors(DOMAIN, PhysicalParams(a, b), np.array([0.5, t]))
