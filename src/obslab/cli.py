@@ -176,6 +176,7 @@ def _run_counterexample(cfg, rng, report, multi=3, single=None) -> bool:
 def _run_estimate_L(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
+    v0 = single_mode(domain, 1, (1.0, 0.0))
     rows = []
     ok = True
     for name, region in (("config", D),
@@ -187,8 +188,11 @@ def _run_estimate_L(cfg, rng, report) -> bool:
         # the dual field observes at T - s: reflect to get region's constant
         reflected = SpaceTimeSet(region.mask[::-1], region.horizon, domain)
         with report.timed(f"estimate-L.{name}"):
-            search = control.estimate_L(
-                control.ControlOperator(domain, params, reflected), cfg.tol)
+            op = control.ControlOperator(domain, params, reflected)
+            # the chain starts from the dual optimum of the unit mode-1
+            # state, the z* that null-control's solve finds on this op
+            _, z, *_ = control._null_solve(op, op.free(v0), cfg.tol)
+            search = control.estimate_L(op, z)
         ok = ok and search.L_hat > 0
         rows.append((region.measure(), search.L_hat))
         report.add(f"estimate_L_{name}", region_measure=region.measure(),

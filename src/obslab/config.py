@@ -111,9 +111,12 @@ class ExperimentConfig:
             return sum(x * x for x in (i * math.pi / getattr(self, s) for s in sides))
 
         lam_1, lam_top = lam(1), lam(self.n_modes + len(sides) - 1)
+        longest = max(sides, key=lambda s: getattr(self, s))
         if not math.isfinite(lam_top):
             bad("domain", min(sides, key=lambda s: getattr(self, s)),
                 "side too short: the eigenvalues overflow")
+        if not lam_1 >= sys.float_info.min:
+            bad("domain", longest, "side too long: lambda_1 is not a normal float")
         decay = self.a * lam_1 * self.horizon
         if decay > _DECAY_LIMIT:
             key = "a" if self.a * lam_1 >= self.horizon else "horizon"
@@ -133,6 +136,13 @@ class ExperimentConfig:
             bad("observation", "min_fraction", "must lie in [0, 1]")
         if self.n_time < 2:
             bad("observation", "n_time", "need at least 2 time cells")
+        # the Gram weighs a region cell by (dt * cell volume)^2
+        cells = self.nx if self.kind == "interval" else self.nx * self.ny
+        weight = (self.horizon / self.n_time
+                  * math.prod(getattr(self, s) for s in sides) / cells)
+        if not math.isfinite(weight * weight):
+            bad("domain", longest, "side too long: the squared cell weight "
+                "(dt * cell volume)^2 overflows")
         if self.selector not in _SELECTORS:
             bad("observation", "selector", f"must be one of {_SELECTORS}")
         if self.selector == "direction" and abs(self.mu1) + abs(self.mu2) == 0:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
-from .observability import lane_block, lane_norms
+from .observability import lane_block
 from .semigroup import mode_factors, propagate
 from .spectral import PhysicalParams, SpectralDomain
 
@@ -115,18 +115,18 @@ class ControlField:
 
 @dataclass(frozen=True)
 class LSearch:
-    """estimate_L's L_hat and how its descent reached it."""
+    """estimate_L's L_hat and how its inverse-power chain reached it."""
 
     L_hat: float
-    starts: int            # lanes descended, over both phases
-    winner: str            # z_star, target_<i>, refine, continue or none
-                           # (no search: the control is 0)
-    newton_steps: int      # Newton trial points of the target solves
+    iterations: int        # inner solves of the chain
+    stop: str              # stationary, budget or none (no search: the
+                           # control is 0)
+    newton_steps: int      # Newton trial points of the chain's solves
 
     def fields(self) -> dict:
         """Report records, each named with the L_hat prefix."""
-        return dict(L_hat=self.L_hat, L_hat_starts=self.starts,
-                    L_hat_winner=self.winner,
+        return dict(L_hat=self.L_hat, L_hat_iterations=self.iterations,
+                    L_hat_stop=self.stop,
                     L_hat_newton_steps=self.newton_steps)
 
 
@@ -270,156 +270,24 @@ def _pair_table(domain: SpectralDomain, blk: int):
 
 
 # ---------------------------------------------------------------------------
-# observability constant of the control region
-
-
-def _ratio_and_grad(op: ControlOperator, Y: np.ndarray):
-    """estimate_L's ratios and their coefficient gradients.
-
-    Y stacks points of shape (n_modes, 2) on a leading lane axis.  Returns
-    ratios (B,) and gradients (B, n_modes, 2).  The numerator's subgradient
-    back-projects sign(W) chi_R, with +-1 where W = 0 (any value in [-1, 1]
-    is a subgradient there), to mode traces g1; since sum_R |W| is
-    sum_R sign(W) W, it is the per-lane dot of g1 with W's own traces.
-    """
-    dom, region = op.domain, op.region
-    B = len(Y)
-    w1 = op.traces(Y)
-    blk = min(B, lane_block(region.mask.size))
-    field = np.empty((blk,) + region.mask.shape)
-    g1 = np.empty_like(w1)
-    for lo in range(0, B, blk):
-        f = field[:B - lo]                        # the last block may be short
-        np.matmul(w1[lo:lo + blk].swapaxes(-1, -2), dom.eigenfunctions, out=f)
-        np.copysign(1.0, f, out=f)
-        f *= region.mask
-        np.matmul(dom.eigenfunctions, f.swapaxes(-1, -2), out=g1[lo:lo + blk])
-    num = (w1.reshape(B, 1, -1) @ g1.reshape(B, -1, 1)) * op.weight
-    g_num = op.fold(g1) * dom.cell_volume
-    # denominator: norm of exp(A T) y, diagonal per mode
-    yT = propagate(op.at_horizon, Y)
-    den = lane_norms(yT)[:, None, None]
-    g_den = propagate(op.at_horizon, yT, transpose=True) / den
-    grad = (g_num * den - num * g_den) / (den * den)
-    return (num / den).reshape(B), grad
-
-
-def sphere_descent(value_grad, starts, iters: int, gtol: float):
-    """Multi-start projected (sub)gradient descent on the unit sphere.
-
-    starts holds the starting points on a leading axis; they run as
-    lanes of one batch.  value_grad(Y) maps points of shape (B, ...) to
-    values (B,) and gradients (B, ...).  Each lane is scaled exactly by a
-    power of two, so that a tiny start's norm does not underflow; a lane
-    that is then 0 or non-finite has no direction and is dropped.  Each
-    other lane is normalised and descended with Armijo backtracking along
-    its tangent gradient exactly as it would be alone: every round tries
-    one step on each live lane; an accepted step doubles the lane's step
-    (up to 1), a rejected one halves it.  A lane retires when its squared
-    tangent-gradient norm drops below gtol, its step falls to 1e-14
-    without an accept, or it has taken iters steps.  Returns the best
-    finite value over all lanes (the first lane wins ties), its minimiser
-    and the index of its lane in starts.
-    """
-    y = np.asarray(starts, dtype=float)
-    axes = tuple(range(1, y.ndim))
-    bcast = (slice(None),) + (None,) * len(axes)    # (B,) -> broadcast over y
-    y = np.ldexp(y, -np.frexp(np.abs(y).max(axis=axes))[1][bcast])  # a copy
-    norms = lane_norms(y)
-    lanes = np.flatnonzero(np.isfinite(norms) & (norms > 0))
-    if not len(lanes):
-        raise ArithmeticError("all sphere-descent starts were non-finite")
-    y = y[lanes] / norms[lanes][bcast]
-
-    def tangent(y, grad):
-        g_t = grad - np.sum(grad * y, axis=axes)[bcast] * y
-        return g_t, np.sum(g_t * g_t, axis=axes)
-
-    val, grad = value_grad(y)
-    g_t, gn2 = tangent(y, grad)
-    step = np.ones(len(y))
-    taken = np.zeros(len(y), dtype=int)
-    live = ~(gn2 < gtol) & (iters > 0)
-    while live.any():
-        idx = np.flatnonzero(live)
-        s = step[idx]
-        cand = y[idx] - s[bcast] * g_t[idx]
-        cand /= lane_norms(cand)[bcast]
-        cval, cgrad = value_grad(cand)
-        ok = cval <= val[idx] - 1e-4 * s * gn2[idx]
-        acc, rej = idx[ok], idx[~ok]
-        y[acc], val[acc], grad[acc] = cand[ok], cval[ok], cgrad[ok]
-        step[acc] = np.minimum(s[ok] * 2.0, 1.0)
-        taken[acc] += 1
-        g_t[acc], gn2[acc] = tangent(y[acc], grad[acc])
-        live[acc] = (taken[acc] < iters) & ~(gn2[acc] < gtol)
-        step[rej] *= 0.5
-        live[rej] = step[rej] > 1e-14
-    finite = np.isfinite(val)
-    if not finite.any():
-        raise ArithmeticError("all sphere-descent starts were non-finite")
-    best = int(np.argmin(np.where(finite, val, np.inf)))
-    return float(val[best]), y[best], int(lanes[best])
-
-
-def estimate_L(op: ControlOperator, tol: float, z_star=None) -> LSearch:
-    """Least ratio int int_R |W(y)| / ||exp(AT) y||, W = op.dual_field.
-
-    W observes y at T - s on op's region R, so on a region reflected in
-    time this is the forward observability constant of the region.  By
-    L1-Linf duality it is the least null-control cost over unit states, so
-    the minimisers are dual optima, and the starts come from dual solves.
-    Phase 1 descends, as lanes of one batched sphere_descent, from z_star
-    (a null control's own dual optimum) and the solves of the unit targets
-    exp(A^T T) e_i / ||.|| over the coordinate states e_i whose
-    ||exp(A^T T) e_i|| is at least tol times the largest (the cut
-    drops targets below roundoff, whose solves would spend their budget).
-    Phase 2 solves the target exp(A^T T) v / ||.||, v = exp(AT) y_1, of
-    phase 1's winner y_1 and descends that solve ("refine") and y_1 itself
-    ("continue").  Each solve is _null_solve from z = 0 to tol, and its
-    last z is a start whether or not it converged: descent only lowers the
-    ratio, so L_hat is at most the ratio of every start.  The LSearch
-    names the winning lane.
-    """
-    n = op.domain.n_modes
-    ratio = lambda Y: _ratio_and_grad(op, Y)
-    starts, names = ([], []) if z_star is None else ([z_star], ["z_star"])
-    t = op.free(np.eye(2 * n).reshape(2 * n, n, 2))     # of each e_i
-    size = lane_norms(t)
-    steps = 0
-    for i in np.flatnonzero(size >= tol * size.max()):
-        _, z, *_, k = _null_solve(op, t[i] / size[i], tol)
-        starts.append(z)
-        names.append(f"target_{i}")
-        steps += k
-    if not names:
-        raise ArithmeticError("no finite start for the ratio descent")
-    best, y1, win = sphere_descent(ratio, np.reshape(starts, (-1, n, 2)),
-                                   iters=200, gtol=1e-24)
-    t = op.free(propagate(op.at_horizon, y1))
-    _, z, *_, k = _null_solve(op, t / np.linalg.norm(t), tol)
-    refined, _, win2 = sphere_descent(ratio, np.stack([z, y1]),
-                                      iters=200, gtol=1e-24)
-    winner = names[win]
-    if refined < best:
-        best, winner = refined, ("refine", "continue")[win2]
-    if best <= 0:
-        raise ArithmeticError("observability ratio collapsed to zero")
-    return LSearch(best, len(names) + 2, winner, steps + k)
-
-
-# ---------------------------------------------------------------------------
-# the dual Newton engine; null control by duality
+# the dual Newton engine: null control and the observability constant
 
 
 # The smoothing width mu of |W| ~ sqrt(W^2 + mu^2) falls tenfold per stage
 # over this range.  A Newton step is halved until the Armijo decrease holds,
 # at most _BACKTRACKS times; a step that never decreases ends the stage.
-# _NEWTON_BUDGET caps the trial points of a null-control dual solve.
+# _NEWTON_BUDGET caps the trial points of a null-control dual solve, and
+# those of all the solves of one estimate_L chain together.  A chain's
+# solves run to the terminal norm _CHAIN_TOL of their unit targets: an
+# iterate's ratio is only as low as its solve is converged.  A config's tol
+# is too loose for that (0.05 leaves L_hat up to 2.7e-3 relative higher on
+# 6-mode regions), 1e-3 leaves it 4e-6 higher on the default rectangle,
+# and much tighter solves can spend the whole budget.
 _MU_STAGES = tuple(10.0 ** -k for k in range(8))
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 _NEWTON_BUDGET = 10_000
+_CHAIN_TOL = 1e-4
 
 
 def _newton_stages(op: ControlOperator, x: np.ndarray, value, newton,
@@ -502,37 +370,79 @@ def _null_solve(op: ControlOperator, free: np.ndarray, target: float):
     return mu, z, u, M, bulk, lin, terminal, steps
 
 
+def estimate_L(op: ControlOperator, z_star: np.ndarray) -> LSearch:
+    """Least ratio int int_R |W(y)| / ||exp(AT) y||, W = op.dual_field.
+
+    W observes y at T - s on op's region R, so on a region reflected in
+    time this is the forward observability constant of the region.  The
+    ratio is a quotient of two convex 1-homogeneous functions, which the
+    inverse power method of Hein and Buhler (NIPS 2010) lowers with exact
+    inner solves: y_{k+1} minimises 0.5 N(z)^2 - <s, z> with N the
+    numerator and s = exp(A^T T) exp(AT) y_k a gradient of the
+    denominator, which is _null_solve of the unit target s / ||s||, and its
+    ratio is that solve's own bulk / ||exp(AT) y_{k+1}||.  The chain starts
+    from z_star, a dual optimum (by L1-Linf duality the minimisers are dual
+    optima), and stops once a ratio fails to fall by 1e-10 relative
+    ("stationary") or its solves have spent _NEWTON_BUDGET trial points
+    ("budget").  L_hat is the least ratio over z_star and every iterate,
+    so it is at most z_star's.
+    """
+    mask, w = op.region.mask, op.weight
+    size_T = lambda y: float(np.linalg.norm(propagate(op.at_horizon, y)))
+    ratio = float(np.abs(op.dual_field(z_star)[mask]).sum() * w) / size_T(z_star)
+    L_hat, y, iterations, steps, stop = ratio, z_star, 0, 0, "budget"
+    while steps < _NEWTON_BUDGET:
+        s = op.free(propagate(op.at_horizon, y))
+        _, y, _, _, bulk, _, _, k = _null_solve(op, s / np.linalg.norm(s),
+                                                _CHAIN_TOL)
+        iterations, steps = iterations + 1, steps + k
+        last, ratio = ratio, bulk / size_T(y)
+        L_hat = min(L_hat, ratio)
+        if not ratio < last * (1.0 - 1e-10):
+            stop = "stationary"
+            break
+    if not L_hat > 0:
+        raise ArithmeticError("observability ratio collapsed to zero")
+    return LSearch(L_hat, iterations, stop, steps)
+
+
 def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
                             tol: float, timed=None,
                             ) -> tuple[ControlField, DualityCertificate]:
     """Sup-norm-bounded control on op's region driving v(T) from v0 near
     zero, via the dual problem.
 
-    _null_solve's dual solve for free = exp(A^T T) v0 (so <free, z> =
-    <v0, exp(AT) z>), to the target tol ||v0||; the terminal norm of its
-    control u is by exact forward simulation.  Then sup|u| < M, and every
-    exact null control has sup norm at least M.  timed(phase), if given,
-    returns a context manager (a report's timer) for each of the phases
-    "solve" and "L_hat".
+    _null_solve's dual solve for the unit state v0 / ||v0||, free =
+    exp(A^T T) v0 / ||v0|| (so <free, z> = <v0, exp(AT) z> / ||v0||), to
+    the target tol; the terminal norm of its control is by exact forward
+    simulation.  The problem is linear in v0 and 1-homogeneous in z, so z,
+    the control u, M, the bulk int int_R |W| and the terminal norm scale by
+    ||v0||, and <free, z> by its square: the solve, and its Newton steps,
+    do not depend on the size of v0.  Then sup|u| < M, and every exact null
+    control has sup norm at least M.  timed(phase), if given, returns a
+    context manager (a report's timer) for each of the phases "solve" and
+    "L_hat".
     """
     if not 1e-6 < tol < 1e-1:
         raise ValueError("tol must lie in (1e-6, 1e-1)")
     timed = timed or (lambda phase: contextlib.nullcontext())
     region = op.region
     v0_norm = float(np.linalg.norm(v0))
-    target = tol * v0_norm
     with timed("solve"):
         mu, z, u, M, bulk, lin, terminal, steps = _null_solve(
-            op, op.free(v0), target)
+            op, op.free(v0 / v0_norm if v0_norm > 0 else v0), tol)
+    z, u, M, bulk, terminal = (x * v0_norm for x in (z, u, M, bulk, terminal))
+    lin *= v0_norm * v0_norm
+    target = tol * v0_norm
     if terminal > target:
         raise ConvergenceError(
             f"dual Newton stopped at terminal norm {terminal:.3e} "
             f"(target {target:.3e}) after {steps} trial points, mu {mu:.0e}",
             best=ControlField(u, region))
-    # M <= ||v0|| / ratio(z) for op's own ratio; descent from z only
-    # lowers the ratio, so M <= ||v0|| / L_hat (u = 0 needs no bound)
+    # M <= ||v0|| / ratio(z) for op's own ratio, and L_hat is at most z's
+    # ratio, so M <= ||v0|| / L_hat (u = 0 needs no bound)
     with timed("L_hat"):
-        search = (estimate_L(op, tol, z_star=z) if bulk > 0
+        search = (estimate_L(op, z) if bulk > 0
                   else LSearch(math.inf, 0, "none", 0))
     field = ControlField(u, region)
     cert = DualityCertificate(z_star=z, dual_value=0.5 * bulk ** 2 - lin,

@@ -83,9 +83,19 @@ def test_config_bounds_the_spectrum_and_the_mode_tables():
                           "domain.ly")]:
         with pytest.raises(ConfigError, match=rf"^{key}: "):
             ExperimentConfig.from_text(setting)
-    # an interval reads no ly; a long side has eigenvalues near 0, not inf
+    # an interval reads no ly
     ExperimentConfig.from_text("[domain]\nly = 1e-300\n")
-    ExperimentConfig.from_text("[domain]\nlx = 1e300\n")
+    # a long side: lambda_1 = (pi / lx)^2 must be a normal float, and the
+    # Gram's cell weight (dt * cell volume)^2 finite
+    ExperimentConfig.from_text("[domain]\nlx = 2.1060935446725317e154\n")
+    for setting, key in [("[domain]\nlx = 2.106093544672532e154\n", "domain.lx"),
+                         ("[domain]\nlx = 1e300\n", "domain.lx"),
+                         ("[domain]\nkind = rectangle\nly = 1e300\n",
+                          "domain.ly"),
+                         ("[domain]\nlx = 1e150\n[system]\nhorizon = 1e200\n",
+                          "domain.lx")]:
+        with pytest.raises(ConfigError, match=rf"^{key}: side too long"):
+            ExperimentConfig.from_text(setting)
 
 
 @pytest.mark.parametrize("sub", ["telescope", "null-control", "time-optimal"])
@@ -343,21 +353,6 @@ def test_time_optimal_box_without_zero_starts_admissible(tmp_path):
     assert "certified infeasible, distance >= 8.17" in values["message"]
 
 
-@pytest.mark.parametrize("sub,setting", [
-    ("time-optimal", "[domain]\nlx = 1e300\n"),
-])
-def test_extreme_finite_config_exits_3(tmp_path, sub, setting):
-    # a side so long that the Gram's weight (dt * dx)^2 overflows: eigvalsh
-    # raises LinAlgError, which must not escape main as a traceback
-    cfg = tmp_path / "extreme.cfg"
-    cfg.write_text(setting)
-    out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert run([sub, "--config", str(cfg), "--out", str(out)]) == 3
-    text, _ = report_values(out)
-    assert "status: convergence-failure" in text
-
-
 @pytest.mark.parametrize("sub,setting,key", [
     ("interp", "[system]\na = 1e308\n", "system.a"),
     ("telescope", "[system]\na = 1e308\n", "system.a"),
@@ -371,11 +366,17 @@ def test_extreme_finite_config_exits_3(tmp_path, sub, setting):
     ("time-optimal", "[system]\nhorizon = 1e300\n", "system.horizon"),
     ("simulate", "[domain]\nlx = 1e-300\n", "domain.lx"),
     ("interp", "[domain]\nkind = rectangle\nly = 1e-300\n", "domain.ly"),
+    ("time-optimal", "[domain]\nlx = 1e300\n", "domain.lx"),
+    ("interp", "[domain]\nlx = 1e300\n", "domain.lx"),
+    ("telescope", "[domain]\nlx = 1e300\n", "domain.lx"),
+    ("counterexample", "[domain]\nlx = 1e300\n", "domain.lx"),
+    ("estimate-L", "[domain]\nlx = 1e300\n", "domain.lx"),
 ])
 def test_extreme_config_exits_2_naming_the_key(tmp_path, sub, setting, key):
-    # finite settings whose spectrum or mode tables overflow, or whose
-    # slowest mode decays below the normal floats by the horizon: the run
-    # used to read zero or NaN tables, warn, and exit 3 or 4
+    # finite settings whose spectrum or mode tables overflow, whose slowest
+    # mode decays below the normal floats by the horizon, or whose side is so
+    # long that lambda_1 underflows and (dt * dx)^2 overflows: the run used
+    # to read zero or NaN tables, warn, and exit 0, 3 or 4
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(setting)
     proc = subprocess.run(
@@ -387,6 +388,7 @@ def test_extreme_config_exits_2_naming_the_key(tmp_path, sub, setting, key):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"config error: {key}: ")
     assert "Warning" not in proc.stderr and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1     # the config error alone
     assert not (tmp_path / "out").exists()
 
 
@@ -445,10 +447,9 @@ def test_null_control_reports_solve_and_defect_times(tmp_path):
     for phase in ("solve", "L_hat", "defect"):
         assert f"time_null-control.{phase}: " in text
     assert "time_" not in strip_timings(text)
-    # z_star, the two mode-1 targets, refine and continue
-    assert "L_hat_starts: 5\n" in text
-    assert re.search(r"L_hat_winner: (z_star|target_[01]|refine|continue)\n",
-                     text)
+    # the inverse-power chain from z_star took at least one solve
+    assert re.search(r"L_hat_iterations: [1-9]\d*\n", text)
+    assert re.search(r"L_hat_stop: (stationary|budget)\n", text)
     assert re.search(r"L_hat_newton_steps: [1-9]\d*\n", text)
 
 
@@ -460,6 +461,10 @@ def test_estimate_l_times_each_region(tmp_path):
     for phase in ("estimate-L", "estimate-L.config", "estimate-L.half"):
         assert float(values[f"time_{phase}"]) >= 0.0
     assert "time_" not in strip_timings(text)
+    for region in ("config", "half"):
+        section = text.split(f"section: estimate_L_{region}\n")[1]
+        assert re.match(r"(.+\n)*L_hat_iterations: [1-9]\d*\n", section)
+        assert re.match(r"(.+\n)*L_hat_stop: (stationary|budget)\n", section)
 
 
 @pytest.mark.parametrize("flags", [["--time", "-1"], ["--multi", "0"],
@@ -904,7 +909,7 @@ def test_null_control_certificate_violation_under_optimize(tmp_path):
     script = ("import sys\n"
               "from obslab import cli, control\n"
               "control.estimate_L = lambda *args, **kwargs: "
-              "control.LSearch(1e6, 1, 'z_star', 0)\n"
+              "control.LSearch(1e6, 1, 'stationary', 0)\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     cfg = tmp_path / "dual.cfg"
     cfg.write_text(DUAL_CONFIG)
@@ -1015,8 +1020,9 @@ def test_unparseable_fixture_exits_2(tmp_path, capsys):
 
 
 def test_estimate_l_exit_3_when_ratio_collapses(tmp_path, monkeypatch):
-    monkeypatch.setattr(control, "_ratio_and_grad",
-                        lambda op, Y: (np.zeros(len(Y)), np.zeros_like(Y)))
+    # every dual solve returns its target as z with a zero bulk
+    monkeypatch.setattr(control, "_null_solve", lambda op, free, target: (
+        1.0, free, None, 0.0, 0.0, 0.0, 0.0, 1))
     cfg = tmp_path / "small.cfg"
     cfg.write_text("[domain]\nnx = 8\nn_modes = 4\n"
                    "[observation]\nn_time = 16\nfill = 0.6\n")

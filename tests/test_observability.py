@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obslab import control as ctl
 from obslab import observability as obs
 from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet, good_time_set
@@ -302,112 +301,6 @@ def test_solve_increasing_inverts():
     x = obs.solve_increasing(f, 5.0)
     assert f(x) == pytest.approx(5.0, rel=1e-9)
     assert obs.solve_increasing(f, 0.0) == 0.0
-
-
-# -- batched sphere descent -----------------------------------------------
-
-SMALL_DOMAINS = {"interval": interval(PI, n_modes=4, n_cells=32),
-                 "rectangle": rectangle(PI, PI, n_modes=4, cells=(8, 8))}
-
-
-def assert_lanes_run_alone(value_grad, starts, iters, gtol):
-    """The batch returns what the best single-start run returns, bit for bit.
-
-    Single-start results are taken in order with a strict <, so the first
-    of equal values wins; a non-finite single start raises and drops out.
-    """
-    expected = None
-    for i in range(len(starts)):
-        try:
-            res = ctl.sphere_descent(value_grad, starts[i:i + 1], iters, gtol)
-        except ArithmeticError:
-            continue
-        if expected is None or res[0] < expected[0]:
-            expected, winner = res, i
-    val, y, best = ctl.sphere_descent(value_grad, starts, iters, gtol)
-    assert val == expected[0]
-    assert np.array_equal(y, expected[1])
-    assert best == winner
-    # an objective even in y has mirrored lanes of equal value: first wins
-    a = next(s for s in starts if np.isfinite(s).all())
-    val_a, y_a, best_a = ctl.sphere_descent(value_grad, np.stack([a, -a]),
-                                            iters, gtol)
-    val_b, y_b, best_b = ctl.sphere_descent(value_grad, np.stack([-a, a]),
-                                            iters, gtol)
-    assert val_a == val_b and np.array_equal(y_a, -y_b)
-    assert best_a == best_b == 0
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.sampled_from(sorted(SMALL_DOMAINS)),
-       st.integers(min_value=0, max_value=5))
-def test_batched_ratio_descent_matches_single_starts(seed, kind, nan_lane):
-    dom = SMALL_DOMAINS[kind]
-    rng = np.random.default_rng(seed)
-    region = SpaceTimeSet.random(dom, 1.0, 16, rng, fill=0.6,
-                                 min_measure_fraction=0.1)
-    op = ctl.ControlOperator(dom, PARAMS, region)
-    starts = rng.standard_normal((6, dom.n_modes, 2))
-    starts[nan_lane] = np.nan
-    assert_lanes_run_alone(lambda Y: ctl._ratio_and_grad(op, Y),
-                           starts, iters=60, gtol=1e-24)
-
-
-def test_sphere_descent_all_lanes_non_finite_raises():
-    def value_grad(Y):
-        return np.full(len(Y), np.nan), np.zeros_like(Y)
-
-    with pytest.raises(ArithmeticError, match="non-finite"):
-        ctl.sphere_descent(value_grad, np.ones((3, 4, 2)), iters=10,
-                           gtol=1e-24)
-    with pytest.raises(ArithmeticError, match="non-finite"):
-        ctl.sphere_descent(lambda Y: (np.abs(Y).sum(axis=1), np.sign(Y)),
-                           np.full((2, 5), np.nan), iters=10, gtol=1e-20)
-
-
-def test_sphere_descent_tiny_starts_run_as_their_unit_directions():
-    # a start of size 2^-1000 has a squared norm below the smallest double;
-    # the descent still sees its direction, bit for bit as at size 1
-    dom = interval(PI, n_modes=6, n_cells=48)
-    rng = np.random.default_rng(9)
-    region = SpaceTimeSet.random(dom, 1.0, 32, rng, fill=0.6,
-                                 min_measure_fraction=0.1)
-    op = ctl.ControlOperator(dom, PARAMS, region)
-    starts = (rng.standard_normal((5, dom.n_modes, 2))
-              * rng.uniform(0.1, 8.0, (5, 1, 1)))
-    ratio = lambda Y: ctl._ratio_and_grad(op, Y)
-    plain = ctl.sphere_descent(ratio, starts, iters=200, gtol=1e-24)
-    tiny = ctl.sphere_descent(ratio, starts * 2.0 ** -1000, iters=200,
-                              gtol=1e-24)
-    assert tiny[0] == plain[0] and tiny[2] == plain[2]
-    assert np.array_equal(tiny[1], plain[1])
-
-
-def test_sphere_descent_drops_zero_and_non_finite_starts():
-    # a start that is 0 or inf has no direction: it is dropped before the
-    # first evaluation, with no divide warning, and cannot change the
-    # winner, which is numbered among all the starts
-    dom = interval(PI, n_modes=6, n_cells=48)
-    rng = np.random.default_rng(12)     # its winner comes after the inf lane
-    region = SpaceTimeSet.random(dom, 1.0, 32, rng, fill=0.6,
-                                 min_measure_fraction=0.1)
-    op = ctl.ControlOperator(dom, PARAMS, region)
-    finite = rng.standard_normal((4, dom.n_modes, 2))
-    inf_lane = finite[0].copy()
-    inf_lane[2, 1] = np.inf
-    starts = np.stack([np.zeros_like(finite[0]), finite[0], finite[1],
-                       inf_lane, finite[2], finite[3]])
-    ratio = lambda Y: ctl._ratio_and_grad(op, Y)
-    alone = ctl.sphere_descent(ratio, finite, iters=200, gtol=1e-24)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mixed = ctl.sphere_descent(ratio, starts, iters=200, gtol=1e-24)
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            ctl.sphere_descent(ratio, starts[[0, 3]], iters=200, gtol=1e-24)
-    assert mixed[0] == alone[0]
-    assert mixed[1].tobytes() == alone[1].tobytes()
-    assert mixed[2] == [1, 2, 4, 5][alone[2]]
 
 
 # -- equivalence of interpolation forms ----------------------------------
