@@ -189,9 +189,13 @@ def _run_estimate_L(cfg, rng, report) -> bool:
         reflected = SpaceTimeSet(region.mask[::-1], region.horizon, domain)
         with report.timed(f"estimate-L.{name}"):
             op = control.ControlOperator(domain, params, reflected)
-            # the chain starts from the dual optimum of the unit mode-1
-            # state, the z* that null-control's solve finds on this op
-            _, z, *_ = control._null_solve(op, op.free(v0), cfg.tol)
+            # the chain starts from the dual optimum of the unit target
+            # exp(A^T T) v0 / ||.||, solved to tol as null-control solves;
+            # unscaled, its norm exp(-a lambda_1 T) can be below tol / 2,
+            # where the solve stops at z = 0
+            free = op.free(v0)
+            _, z, *_ = control._null_solve(op, free / np.linalg.norm(free),
+                                           cfg.tol)
             search = control.estimate_L(op, z)
         ok = ok and search.L_hat > 0
         rows.append((region.measure(), search.L_hat))

@@ -138,10 +138,13 @@ class ExperimentConfig:
             bad("observation", "n_time", "need at least 2 time cells")
         # the Gram weighs a region cell by (dt * cell volume)^2
         cells = self.nx if self.kind == "interval" else self.nx * self.ny
-        weight = (self.horizon / self.n_time
-                  * math.prod(getattr(self, s) for s in sides) / cells)
+        dt = self.horizon / self.n_time
+        volume = math.prod(getattr(self, s) for s in sides) / cells
+        weight = dt * volume
         if not math.isfinite(weight * weight):
-            bad("domain", longest, "side too long: the squared cell weight "
+            section, key, what = (("system", "horizon", "horizon") if dt >= volume
+                                  else ("domain", longest, "side"))
+            bad(section, key, f"{what} too long: the squared cell weight "
                 "(dt * cell volume)^2 overflows")
         if self.selector not in _SELECTORS:
             bad("observation", "selector", f"must be one of {_SELECTORS}")

@@ -277,7 +277,7 @@ def _pair_table(domain: SpectralDomain, blk: int):
 # over this range.  A Newton step is halved until the Armijo decrease holds,
 # at most _BACKTRACKS times; a step that never decreases ends the stage.
 # _NEWTON_BUDGET caps the trial points of a null-control dual solve, and
-# those of all the solves of one estimate_L chain together.  A chain's
+# those of one estimate_L chain, checked between its solves.  A chain's
 # solves run to the terminal norm _CHAIN_TOL of their unit targets: an
 # iterate's ratio is only as low as its solve is converged.  A config's tol
 # is too loose for that (0.05 leaves L_hat up to 2.7e-3 relative higher on
@@ -384,19 +384,24 @@ def estimate_L(op: ControlOperator, z_star: np.ndarray) -> LSearch:
     from z_star, a dual optimum (by L1-Linf duality the minimisers are dual
     optima), and stops once a ratio fails to fall by 1e-10 relative
     ("stationary") or its solves have spent _NEWTON_BUDGET trial points
-    ("budget").  L_hat is the least ratio over z_star and every iterate,
-    so it is at most z_star's.
+    ("budget").  The budget is checked between solves, so the last solve
+    may take the chain past it by up to its own _NEWTON_BUDGET.  L_hat is
+    the least ratio over z_star and every iterate, so it is at most
+    z_star's.
     """
     mask, w = op.region.mask, op.weight
-    size_T = lambda y: float(np.linalg.norm(propagate(op.at_horizon, y)))
-    ratio = float(np.abs(op.dual_field(z_star)[mask]).sum() * w) / size_T(z_star)
-    L_hat, y, iterations, steps, stop = ratio, z_star, 0, 0, "budget"
+    v = propagate(op.at_horizon, z_star)
+    ratio = float(np.abs(op.dual_field(z_star)[mask]).sum() * w / np.linalg.norm(v))
+    L_hat, iterations, steps, stop = ratio, 0, 0, "budget"
     while steps < _NEWTON_BUDGET:
-        s = op.free(propagate(op.at_horizon, y))
+        # exp(AT) y is made unit before exp(A^T T) acts, so that its decay
+        # is taken once: s itself stays a normal float wherever v does
+        s = op.free(v / np.linalg.norm(v))
         _, y, _, _, bulk, _, _, k = _null_solve(op, s / np.linalg.norm(s),
                                                 _CHAIN_TOL)
+        v = propagate(op.at_horizon, y)
         iterations, steps = iterations + 1, steps + k
-        last, ratio = ratio, bulk / size_T(y)
+        last, ratio = ratio, bulk / float(np.linalg.norm(v))
         L_hat = min(L_hat, ratio)
         if not ratio < last * (1.0 - 1e-10):
             stop = "stationary"

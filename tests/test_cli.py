@@ -92,9 +92,15 @@ def test_config_bounds_the_spectrum_and_the_mode_tables():
                          ("[domain]\nlx = 1e300\n", "domain.lx"),
                          ("[domain]\nkind = rectangle\nly = 1e300\n",
                           "domain.ly"),
-                         ("[domain]\nlx = 1e150\n[system]\nhorizon = 1e200\n",
+                         ("[domain]\nlx = 1e154\n[system]\nhorizon = 1e150\n",
                           "domain.lx")]:
         with pytest.raises(ConfigError, match=rf"^{key}: side too long"):
+            ExperimentConfig.from_text(setting)
+    # the weight names the horizon where dt is its larger factor, as where a
+    # tiny a lets the decay bound pass a huge horizon
+    for setting in ["[domain]\nlx = 1e150\n[system]\nhorizon = 1e200\n",
+                    "[system]\na = 1e-300\nhorizon = 1e300\n"]:
+        with pytest.raises(ConfigError, match=r"^system.horizon: horizon too long"):
             ExperimentConfig.from_text(setting)
 
 
@@ -182,6 +188,22 @@ def test_exit_3_on_numerical_failure_with_partial_report(tmp_path):
     (report_dir,) = out.iterdir()
     text = (report_dir / "report.txt").read_text()
     assert "status: convergence-failure" in text
+
+
+def test_exit_3_on_a_linear_algebra_failure(tmp_path, monkeypatch):
+    def singular(self, weights):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(control.ControlOperator, "gram", singular)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("[domain]\nnx = 8\nn_modes = 4\n"
+                   "[observation]\nn_time = 16\nfill = 0.6\n")
+    out = tmp_path / "out"
+    assert run(["null-control", "--config", str(cfg), "--out", str(out)]) == 3
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: convergence-failure" in text
+    assert "error: LinAlgError" in text
 
 
 def test_exit_4_on_property_violation(tmp_path, monkeypatch):
@@ -1017,6 +1039,26 @@ def test_unparseable_fixture_exits_2(tmp_path, capsys):
     code, _ = fixture_run(tmp_path, "nt=32 T=1.0\n")
     assert code == 2
     assert "observation.fixture" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["[domain]\nlx = 1\n",
+                                     "[system]\nhorizon = 300\n"])
+def test_estimate_l_exits_0_where_the_slowest_mode_decays_below_tol(
+        tmp_path, setting):
+    # exp(-a lambda_1 T), exp(-pi^2) ~ 5e-5 at lx = 1, is below half the
+    # default tol, so a solve of the unscaled target exp(A^T T) v0 ends at
+    # z = 0, whose ratio is 0 / 0; at horizon = 300 the chain's
+    # exp(A^T T) exp(AT) y, exp(-600) ||y||, also has a norm that underflows
+    cfg = tmp_path / "decayed.cfg"
+    cfg.write_text(setting)
+    out = tmp_path / "out"
+    assert run(["estimate-L", "--config", str(cfg), "--out", str(out)]) == 0
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    for region in ("config", "half"):
+        section = text.split(f"section: estimate_L_{region}\n")[1]
+        L_hat = float(re.match(r"(.+\n)*L_hat: (.+)\n", section).group(2))
+        assert 0 < L_hat < math.inf
 
 
 def test_estimate_l_exit_3_when_ratio_collapses(tmp_path, monkeypatch):
