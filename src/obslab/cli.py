@@ -20,8 +20,7 @@ from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      ResolutionError)
 from .geometry import SpaceTimeSet
 from .report import RunReport
-from .semigroup import (ObservationSelector, SelectorKind, mode_factors,
-                        propagate, single_mode)
+from .semigroup import FIRST, FULL, mode_factors, propagate, single_mode
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,10 +101,11 @@ def _run_interp(cfg, rng, report) -> bool:
     D = _observation_set(cfg, domain, rng)
     ip = observability.InterpolationParams(cfg.theta, cfg.s1, cfg.s2)
     lanes = observability.unit_lanes(domain, rng, cfg.batch)
-    sel = ObservationSelector(SelectorKind(cfg.selector), cfg.mu1, cfg.mu2)
+    B = {"first": FIRST, "full": FULL,
+         "direction": ((cfg.mu1, cfg.mu2),)}[cfg.selector]
     with report.timed("interp.integral"):
         rep = observability.verify_integral_interpolation(
-            domain, params, D, ip, lanes, sel=sel)
+            domain, params, D, ip, lanes, B)
     ok = math.isfinite(rep.K_hat) and rep.K_hat > 0
     report.add("integral_interpolation", K_hat=rep.K_hat,
                K_hat_lane=rep.K_hat_lane, M_hat=rep.M_hat,
@@ -114,7 +114,7 @@ def _run_interp(cfg, rng, report) -> bool:
     report.add_series("interp_ratios", "probe,ratio,integral",
                       [(i, float(r), float(g)) for i, (r, g)
                        in enumerate(zip(rep.ratios, rep.integrals))])
-    if sel.kind is SelectorKind.DIRECTION:
+    if cfg.selector == "direction":
         scale = cfg.mu1 * cfg.mu1 + cfg.mu2 * cfg.mu2
         amplitude, field = observability.verify_direction_observation(
             domain, params, cfg.mu1, cfg.mu2, lanes)
@@ -122,7 +122,7 @@ def _run_interp(cfg, rng, report) -> bool:
               and field <= 1e-10 * math.sqrt(scale))
         report.add("direction_reduction", mu1=cfg.mu1, mu2=cfg.mu2,
                    amplitude_defect=amplitude, field_defect=field)
-    elif sel.kind is SelectorKind.FULL:
+    elif cfg.selector == "full":
         # pointwise in time at the midpoints of E cap [S1, S2], all in E,
         # from the traces the integral check observed there
         with report.timed("interp.full_pointwise"):

@@ -20,8 +20,9 @@ from .spectral import PhysicalParams, SpectralDomain
 _DOMAIN_KINDS = ("interval", "rectangle")
 _GENERATORS = ("random", "full", "fixture")
 _SELECTORS = ("first", "direction", "full")
-# exp(-x) is a normal float for x up to this, about 708.4
-_DECAY_LIMIT = -math.log(sys.float_info.min)
+# every norm sums squares, so the slowest decay's square exp(-2 x) must be a
+# normal float: x up to this, about 354.2
+_DECAY_LIMIT = -math.log(sys.float_info.min) / 2.0
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,8 @@ class ExperimentConfig:
         if decay > _DECAY_LIMIT:
             key = "a" if self.a * lam_1 >= self.horizon else "horizon"
             bad("system", key, f"a * lambda_1 * horizon = {decay:.6g} exceeds "
-                f"{_DECAY_LIMIT:.6g}: the slowest mode decays below the normal floats")
+                f"{_DECAY_LIMIT:.6g}: the square of the slowest mode's decay, "
+                "which every norm sums, falls below the normal floats")
         for key in ("a", "b"):       # mode_factors' exponents lambda * a|b * t
             rate = abs(getattr(self, key)) * lam_top * max(1.0, self.horizon)
             if not math.isfinite(rate):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, InfeasibleError, require
 from .geometry import SpaceTimeSet
 from .observability import lane_block
-from .semigroup import mode_factors, propagate
+from .semigroup import FIRST, mode_factors, observation_table, propagate
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -183,11 +183,12 @@ class ControlOperator:
         self.domain = domain
         self.region = region
         T = region.horizon
-        # the one mode table: f[k, c, i] = decay * (cos, sin)[c] of mode k at
-        # T - s_i; traces, fold and gram are matmuls on it
-        decay, cos, sin = mode_factors(domain, params, T - region.midpoints)
-        f = decay * np.stack([cos, sin])                     # (c, i, k)
-        self.f = np.ascontiguousarray(f.transpose(2, 0, 1))
+        # the one mode table: f[k, c, i] = decay * g[c] of mode k at T - s_i,
+        # g the first component's observation row; traces, fold and gram are
+        # matmuls on it
+        decay, (g,) = observation_table(domain, params, T - region.midpoints,
+                                        FIRST)
+        self.f = np.ascontiguousarray((decay * g).transpose(2, 0, 1))
         self.at_horizon = mode_factors(domain, params, T)
         self.weight = region.dt * domain.cell_volume
 

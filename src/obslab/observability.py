@@ -19,8 +19,8 @@ from .errors import InsufficientTruncationError, ResolutionError, require
 from .geometry import (SpaceTimeSet, find_density_point, good_time_set,
                        telescoping_sequence)
 # evolve is unused here, but the benchmark's tracer wraps observability.evolve
-from .semigroup import (ObservationSelector, SelectorKind, evolve,
-                        mode_factors, propagate, single_mode)
+from .semigroup import (FIRST, FULL, evolve, mode_factors,
+                        observation_table, propagate, single_mode)
 from .spectral import PhysicalParams, SpectralDomain
 
 
@@ -44,44 +44,40 @@ def lane_block(values_per_lane: int) -> int:
     return max(1, _FIELD_BLOCK // values_per_lane)
 
 
-def observed_fields(traces: np.ndarray, eig: np.ndarray,
-                    sel: ObservationSelector) -> tuple:
-    """Signed grid fields of coefficient traces (..., n_modes, 2) under sel.
-
-    One field (..., n_cells) for FIRST and DIRECTION, both components for
-    FULL.
-    """
-    if sel.kind is SelectorKind.FIRST:
-        return (traces[..., 0] @ eig,)
-    if sel.kind is SelectorKind.DIRECTION:
-        return ((sel.mu1 * traces[..., 0] + sel.mu2 * traces[..., 1]) @ eig,)
-    return traces[..., 0] @ eig, traces[..., 1] @ eig
+def _row_traces(decay: np.ndarray, row: np.ndarray,
+                z: np.ndarray) -> np.ndarray:
+    """What one row of an observation_table sees of each mode of lanes z
+    (..., n_modes, 2): decay * (z1 * row[0] + z2 * row[1])."""
+    return decay * (z[..., 0] * row[0] + z[..., 1] * row[1])
 
 
 def observation_profile(domain: SpectralDomain, params: PhysicalParams,
                         lanes: np.ndarray, times, mask: np.ndarray,
-                        sel: ObservationSelector) -> np.ndarray:
+                        B) -> np.ndarray:
     """L1 norms of the observed fields of lanes at times, over mask's rows.
 
-    lanes stacks coefficient pairs (B, n_modes, 2), and row i of mask
-    (n_times, n_cells) is the spatial set observed at times[i]; a FULL
-    observation is measured by its pointwise Euclidean magnitude.  Returns
-    (B, n_times).  The rows of one pattern, adjacent or not, form a group:
-    one batched matmul over its rows and over mask's cells only (an empty
-    row reads 0), in lane blocks of at most _FIELD_BLOCK trace and field
-    values but one lane at least, so memory does not grow with B and a
+    lanes stacks coefficient pairs (n_lanes, n_modes, 2), row i of mask
+    (n_times, n_cells) is the spatial set observed at times[i], and B is
+    one observation row or two (see semigroup.observation_table); two rows
+    are measured by their pointwise Euclidean magnitude.  Returns (n_lanes,
+    n_times).  The rows of one pattern, adjacent or not, form a group: one
+    batched matmul over its rows and over mask's cells only (an empty row
+    reads 0), in lane blocks of at most _FIELD_BLOCK trace and field values
+    but one lane at least, so memory does not grow with the lanes and a
     lane's norms do not depend on the blocks.
     """
-    factors = mode_factors(domain, params, times)
+    decay, g = observation_table(domain, params, times, B)
     groups = {}
     for i in np.flatnonzero(mask.any(axis=1)):
         groups.setdefault(mask[i].tobytes(), []).append(i)
     out = np.zeros((len(lanes), len(mask)))
     for rows in groups.values():
-        fac, eig = [f[rows] for f in factors], domain.eigenfunctions[:, mask[rows[0]]]
+        d, gr = decay[rows], g[:, :, rows]
+        eig = domain.eigenfunctions[:, mask[rows[0]]]
         blk = lane_block(len(rows) * (eig.shape[1] + 2 * domain.n_modes))
         for lo in range(0, len(lanes), blk):
-            f = observed_fields(propagate(fac, lanes[lo:lo + blk, None]), eig, sel)
+            z = lanes[lo:lo + blk, None]
+            f = [_row_traces(d, row, z) @ eig for row in gr]
             # measured in place: one lane's field can take a megabyte
             mag = np.hypot(*f, out=f[0]) if len(f) == 2 else np.abs(f[0], out=f[0])
             out[lo:lo + blk, rows] = mag.sum(axis=-1)
@@ -214,14 +210,13 @@ def _row_sums(profiles: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def verify_integral_interpolation(
         domain: SpectralDomain, params: PhysicalParams, D: SpaceTimeSet,
-        ip: InterpolationParams, lanes: np.ndarray,
-        sel: ObservationSelector = ObservationSelector.first(),
+        ip: InterpolationParams, lanes: np.ndarray, B=FIRST,
         ) -> InterpolationReport:
     """Empirical constant of the integral-type interpolation inequality.
 
     For each z:  ||exp(A*S2) z||  vs
     (|E cap [S1,S2]|^-1 int_{S1}^{S2} chi_E ||chi_{D_t} B exp(A*t) z||_L1)^(1-theta)
-    * ||z||^theta, with E the good-time set of D.
+    * ||z||^theta, with E the good-time set of D and B the observation rows.
     """
     # the time cells of E cap [S1, S2], and its measure
     window = (good_time_set(D).mask & (D.midpoints >= ip.s1)
@@ -231,7 +226,7 @@ def verify_integral_interpolation(
         raise ResolutionError(f"E cap [S1, S2] = [{ip.s1}, {ip.s2}] has zero "
                               "measure: the window holds no good time")
     profiles = observation_profile(domain, params, lanes, D.midpoints,
-                                   D.mask & window[:, None], sel)
+                                   D.mask & window[:, None], B)
     integrals = _row_sums(profiles, window) * D.dt
     zn = lane_norms(lanes)
     live = zn != 0                          # a zero state has ratio 0
@@ -307,9 +302,8 @@ def pointwise_failure_demo(domain: SpectralDomain, params: PhysicalParams,
     """Measure the vanishing state's traces on the full domain at its times."""
     full_mask = np.ones((len(cex.times), domain.n_cells), dtype=bool)
     first, full = (observation_profile(domain, params, cex.state[None],
-                                       cex.times, full_mask, sel)[0]
-                   for sel in (ObservationSelector.first(),
-                               ObservationSelector.full()))
+                                       cex.times, full_mask, B)[0]
+                   for B in (FIRST, FULL))
     lam = domain.eigenvalues[cex.mode - 1]
     floor = 0.1 * math.exp(-params.a * lam * max(cex.times))
     return PointwiseFailureReport(counterexample=cex, first_residuals=first,
@@ -342,12 +336,12 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
     phis = direction_transform(lanes, mu1, mu2)
     amp_defect = float(np.abs(lane_norms(phis) ** 2
                               - scale * lane_norms(lanes) ** 2).max())
-    factors = mode_factors(domain, params, (0.1, 0.5, 1.0))
-    (a,) = observed_fields(propagate(factors, phis[:, None]),
-                           domain.eigenfunctions, ObservationSelector.first())
-    (b,) = observed_fields(propagate(factors, lanes[:, None]),
-                           domain.eigenfunctions,
-                           ObservationSelector.direction(mu1, mu2))
+    # phi through the observation table, z through the state formula
+    times, eig = (0.1, 0.5, 1.0), domain.eigenfunctions
+    decay, (g,) = observation_table(domain, params, times, FIRST)
+    a = _row_traces(decay, g, phis[:, None]) @ eig
+    v = propagate(mode_factors(domain, params, times), lanes[:, None])
+    b = (mu1 * v[..., 0] + mu2 * v[..., 1]) @ eig
     return amp_defect, float(np.abs(a - b).max())
 
 
@@ -364,8 +358,8 @@ def verify_full_observation_pointwise(domain: SpectralDomain,
                                       lanes: np.ndarray) -> FullObservationReport:
     """Pointwise-in-time inequality under full (both-component) observation.
 
-    rep is verify_integral_interpolation's report on D and lanes under the
-    FULL selector; its window's midpoints are the times t, all in E, and its
+    rep is verify_integral_interpolation's report on D and lanes under FULL
+    observation; its window's midpoints are the times t, all in E, and its
     profiles there are the traces.  Per t, fits the smallest M with
     ||exp(At) z|| <= M exp(M(t/(1-theta) + 1/(theta t)))
                      * trace^(1-theta) * ||z||^theta  over the batch.
@@ -435,8 +429,7 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
 
     # per-z norms at the sequence times and the horizon; ring observations
     mids = D.midpoints
-    profiles = observation_profile(domain, params, lanes, mids, D.mask,
-                                   ObservationSelector.first())
+    profiles = observation_profile(domain, params, lanes, mids, D.mask, FIRST)
     totals = profiles.sum(axis=1) * D.dt
     norms = norms_at(domain, params, lanes, (*terms, D.horizon))
     L = norms[:, :depth]

@@ -1,4 +1,4 @@
-"""Exact mode-wise evolution of two-component states; observation selectors.
+"""Exact mode-wise evolution of two-component states; observation tables.
 
 A state is an (n_modes, 2) array of Fourier coefficient pairs (v1_j, v2_j),
 a batch of states lanes (..., n_modes, 2).  The generator acts diagonally
@@ -9,7 +9,6 @@ angle lambda_j*b*t, so time evolution is exact (no time stepping).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -46,37 +45,6 @@ def single_mode(domain: SpectralDomain, j: int, pair) -> np.ndarray:
     return c
 
 
-class SelectorKind(Enum):
-    FIRST = "first"
-    DIRECTION = "direction"
-    FULL = "full"
-
-
-@dataclass(frozen=True)
-class ObservationSelector:
-    """Which component combination of the state is observed."""
-
-    kind: SelectorKind
-    mu1: float = 1.0
-    mu2: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is SelectorKind.DIRECTION and abs(self.mu1) + abs(self.mu2) == 0:
-            raise ValueError("direction selector requires |mu1| + |mu2| != 0")
-
-    @staticmethod
-    def first() -> "ObservationSelector":
-        return ObservationSelector(SelectorKind.FIRST)
-
-    @staticmethod
-    def direction(mu1: float, mu2: float) -> "ObservationSelector":
-        return ObservationSelector(SelectorKind.DIRECTION, mu1, mu2)
-
-    @staticmethod
-    def full() -> "ObservationSelector":
-        return ObservationSelector(SelectorKind.FULL)
-
-
 def mode_factors(domain: SpectralDomain, params: PhysicalParams, t):
     """Per-mode decay and rotation (cos, sin) at time t, a scalar or an array.
 
@@ -108,6 +76,25 @@ def propagate(factors, coeffs: np.ndarray, transpose: bool = False) -> np.ndarra
     v1, v2 = coeffs[..., 0], coeffs[..., 1]
     return np.stack([decay * (c * v1 + s * v2), decay * (-s * v1 + c * v2)],
                     axis=-1)
+
+
+# An observation B is a tuple of rows (b1, b2), each observing b1 v1 + b2 v2:
+# the first component, as the paper observes, and full observation
+FIRST = ((1.0, 0.0),)
+FULL = ((1.0, 0.0), (0.0, 1.0))
+
+
+def observation_table(domain: SpectralDomain, params: PhysicalParams, t, B):
+    """What each row of B sees of each mode at time t: (decay, g).
+
+    decay is mode_factors' decay, and g[j] = (b1 cos - b2 sin, b1 sin + b2 cos)
+    for row j = (b1, b2), of shape (len(B), 2) + t.shape + (n_modes,).  Row j
+    observes decay * (z[..., 0] * g[j, 0] + z[..., 1] * g[j, 1]) of a state's
+    modes z; under FIRST and FULL these are propagate's components bit for
+    bit, since 1 * c - 0 * s = c.
+    """
+    decay, c, s = mode_factors(domain, params, t)
+    return decay, np.array([(b1 * c - b2 * s, b1 * s + b2 * c) for b1, b2 in B])
 
 
 def evolve(state: SpectralState, params: PhysicalParams, t: float,

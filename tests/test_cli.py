@@ -70,13 +70,14 @@ def test_config_rejects_non_finite_floats():
 
 
 def test_config_bounds_the_spectrum_and_the_mode_tables():
-    # on (0, pi), lambda_1 = 1: the slowest decay exp(-a * horizon) stays a
-    # normal float up to a * horizon = 708.39
-    ExperimentConfig.from_text("[system]\na = 708.0\n")
-    ExperimentConfig.from_text("[system]\na = 0.708\nhorizon = 1000.0\n"
+    # on (0, pi), lambda_1 = 1: the square of the slowest decay,
+    # exp(-2 a horizon), which every norm sums, stays a normal float up to
+    # a * horizon = 354.198
+    ExperimentConfig.from_text("[system]\na = 354.0\n")
+    ExperimentConfig.from_text("[system]\na = 0.354\nhorizon = 1000.0\n"
                                "[interpolation]\ns2 = 1.0\n")
-    for setting, key in [("[system]\na = 709.0\n", "system.a"),
-                         ("[system]\nhorizon = 709.0\n", "system.horizon"),
+    for setting, key in [("[system]\na = 355.0\n", "system.a"),
+                         ("[system]\nhorizon = 355.0\n", "system.horizon"),
                          ("[system]\nb = 1e306\n", "system.b"),
                          ("[domain]\nlx = 1e-153\n", "domain.lx"),
                          ("[domain]\nkind = rectangle\nly = 1e-153\n",
@@ -112,6 +113,16 @@ def test_non_finite_horizon_exits_2(tmp_path, capsys, sub):
     assert run([sub, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "system.horizon" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_direction_exits_2_naming_mu1(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[observation]\nselector = direction\nmu1 = 0\nmu2 = 0\n")
+    out = tmp_path / "out"
+    assert run(["interp", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: observation.mu1: ")
     assert not out.exists()
 
 
@@ -386,6 +397,10 @@ def test_time_optimal_box_without_zero_starts_admissible(tmp_path):
     ("null-control", "[system]\nb = 1e308\n", "system.b"),
     ("estimate-L", "[system]\nb = 1e308\n", "system.b"),
     ("time-optimal", "[system]\nhorizon = 1e300\n", "system.horizon"),
+    ("telescope", "[system]\nhorizon = 400\n", "system.horizon"),
+    ("estimate-L", "[system]\nhorizon = 400\n", "system.horizon"),
+    ("interp", "[system]\nhorizon = 400\n", "system.horizon"),
+    ("null-control", "[system]\nhorizon = 400\n", "system.horizon"),
     ("simulate", "[domain]\nlx = 1e-300\n", "domain.lx"),
     ("interp", "[domain]\nkind = rectangle\nly = 1e-300\n", "domain.ly"),
     ("time-optimal", "[domain]\nlx = 1e300\n", "domain.lx"),
@@ -396,9 +411,10 @@ def test_time_optimal_box_without_zero_starts_admissible(tmp_path):
 ])
 def test_extreme_config_exits_2_naming_the_key(tmp_path, sub, setting, key):
     # finite settings whose spectrum or mode tables overflow, whose slowest
-    # mode decays below the normal floats by the horizon, or whose side is so
-    # long that lambda_1 underflows and (dt * dx)^2 overflows: the run used
-    # to read zero or NaN tables, warn, and exit 0, 3 or 4
+    # mode's squared decay, which every norm sums, falls below the normal
+    # floats by the horizon, or whose side is so long that lambda_1
+    # underflows and (dt * dx)^2 overflows: the run used to read zero or NaN
+    # tables or norms, warn, and exit 0, 3 or 4
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(setting)
     proc = subprocess.run(

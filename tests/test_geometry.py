@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obslab.errors import ResolutionError
-from obslab.geometry import (SpaceTimeSet, TimeSet, ball_volume,
-                             certificate_holds, density_proxy,
+from obslab.geometry import (DENSITY_RADIUS_DIVISORS, SpaceTimeSet, TimeSet,
+                             ball_volume, certificate_holds, density_proxy,
                              find_density_point, good_time_set, mu_from_beta,
                              sequence_terms, telescoping_sequence)
 from obslab.spectral import interval, rectangle
@@ -124,6 +124,31 @@ def test_density_point_prefers_the_bulk():
     mask[200] = True
     ell = find_density_point(TimeSet(mask, 1.0))
     assert 40 / 256 <= ell <= 120 / 256
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_time=st.integers(1, 400),
+       fill=st.floats(0.05, 1.0))
+def test_density_point_matches_the_per_candidate_loop(seed, n_time, fill):
+    # every candidate's proxy in one broadcast call has the bits of its own
+    # scalar call, and find_density_point, which calls in candidate blocks
+    # above 128 candidates, picks the loop's best
+    rng = np.random.default_rng(seed)
+    mask = rng.random(n_time) < fill
+    mask[rng.integers(n_time)] = True
+    E = TimeSet(mask, rng.uniform(0.1, 10.0))
+    candidates = (np.nonzero(mask)[0] + 0.5) * E.dt
+    radii = E.horizon / np.array(DENSITY_RADIUS_DIVISORS)
+    loop = np.array([(E.measure_in(c - radii, c + radii) / (2.0 * radii)).min()
+                     for c in candidates])
+    assert density_proxy(E, candidates).tobytes() == loop.tobytes()
+    assert all(density_proxy(E, c) == p for c, p in zip(candidates, loop))
+    best = int(np.argmax(loop))
+    if loop[best] < 0.5 - 1e-12:
+        with pytest.raises(ResolutionError):
+            find_density_point(E)
+    else:
+        assert find_density_point(E) == candidates[best]
 
 
 def test_density_point_needs_positive_measure():

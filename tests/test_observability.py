@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obslab import control as ctl
 from obslab import observability as obs
 from obslab.errors import InsufficientTruncationError, PropertyViolation
 from obslab.geometry import SpaceTimeSet, good_time_set
-from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              single_mode)
+from obslab.semigroup import (FIRST, FULL, SpectralState, evolve, mode_factors,
+                              observation_table, propagate, single_mode)
 from obslab.spectral import PhysicalParams, interval, rectangle
 
 PI = math.pi
@@ -33,10 +34,9 @@ def batch(seed, n=12, domain=DOMAIN):
 # -- shared numerics ------------------------------------------------------
 
 
-def profile(lanes, times, mask, sel=ObservationSelector.first(),
-            domain=DOMAIN):
+def profile(lanes, times, mask, B=FIRST, domain=DOMAIN):
     return obs.observation_profile(domain, PARAMS, lanes, np.asarray(times),
-                                   np.asarray(mask), sel)
+                                   np.asarray(mask), B)
 
 
 def test_observation_profile_matches_direct_trace():
@@ -45,10 +45,8 @@ def test_observation_profile_matches_direct_trace():
     D = random_D(0)
     states = batch(1, 3)
     x = (np.arange(DOMAIN.n_cells) + 0.5) * PI / DOMAIN.n_cells
-    got = {name: profile(states, D.midpoints, D.mask, sel) for name, sel in (
-        ("first", ObservationSelector.first()),
-        ("direction", ObservationSelector.direction(2.0, -1.0)),
-        ("full", ObservationSelector.full()))}
+    got = {name: profile(states, D.midpoints, D.mask, B) for name, B in (
+        ("first", FIRST), ("direction", ((2.0, -1.0),)), ("full", FULL))}
     for b, z in enumerate(states):
         for i in (3, 17, 40):
             t = (i + 0.5) * D.dt
@@ -71,20 +69,22 @@ def test_observation_profile_matches_direct_trace():
 
 
 def test_observation_profile_selectors_consistent():
-    # signed fields: the direction field is mu1 v1 + mu2 v2
-    z = batch(5, 1)
+    # signed fields of the table's rows: the direction row (2, -1) observes
+    # 2 v1 - v2, and the rows of FULL the two evolved components
+    z = batch(5, 1)[0]
     eig = DOMAIN.eigenfunctions
-    (f1,) = obs.observed_fields(z[0], eig, ObservationSelector.first())
-    full = obs.observed_fields(z[0], eig, ObservationSelector.full())
-    (mu,) = obs.observed_fields(z[0], eig,
-                                ObservationSelector.direction(2.0, -1.0))
-    assert len(full) == 2 and full[0].shape == (DOMAIN.n_cells,)
-    assert np.allclose(f1, full[0])
-    assert np.allclose(mu, 2.0 * full[0] - full[1])
+    decay, g = observation_table(DOMAIN, PARAMS, 0.3, FULL + ((2.0, -1.0),))
+    assert g.shape == (3, 2, DOMAIN.n_modes)
+    v1, v2, mu = ((decay * (z[:, 0] * row[0] + z[:, 1] * row[1])) @ eig
+                  for row in g)
+    v = propagate(mode_factors(DOMAIN, PARAMS, 0.3), z)
+    assert np.array_equal(v1, v[:, 0] @ eig)
+    assert np.array_equal(v2, v[:, 1] @ eig)
+    assert np.allclose(mu, 2.0 * v1 - v2, rtol=0.0, atol=1e-15)
     # the full-observation magnitude dominates any single component
     D = random_D(6)
-    first = profile(z, D.midpoints, D.mask)
-    both = profile(z, D.midpoints, D.mask, ObservationSelector.full())
+    first = profile(z[None], D.midpoints, D.mask)
+    both = profile(z[None], D.midpoints, D.mask, FULL)
     assert np.all(both >= first - 1e-15)
 
 
@@ -94,14 +94,14 @@ def test_observation_profile_monotone_in_mask():
     small[:, :128] = True
     big = np.zeros((1, DOMAIN.n_cells), dtype=bool)
     big[:, :384] = True
-    for sel in (ObservationSelector.first(), ObservationSelector.full()):
-        assert profile(z, [0.0], small, sel) <= profile(z, [0.0], big, sel)
+    for B in (FIRST, FULL):
+        assert profile(z, [0.0], small, B) <= profile(z, [0.0], big, B)
 
 
 def test_observation_profile_full_uses_euclidean_magnitude():
     z = single_mode(DOMAIN, 1, (3.0, 4.0))
     full_mask = np.ones((1, DOMAIN.n_cells), dtype=bool)
-    v = profile(z[None], [0.0], full_mask, ObservationSelector.full())
+    v = profile(z[None], [0.0], full_mask, FULL)
     # |(3, 4) e_1(x)| = 5 |e_1(x)|; ||e_1||_L1 = 2 sqrt(2/pi) on (0, pi)
     # midpoint quadrature of |sin| carries O(h^2) error
     assert v.shape == (1, 1)
@@ -115,23 +115,22 @@ def test_observation_profile_at_zero_time():
     assert v[0, 0] == pytest.approx(2.0 * math.sqrt(2.0 / PI), rel=1e-4)
 
 
-@pytest.mark.parametrize("sel", [ObservationSelector.first(),
-                                 ObservationSelector.direction(0.6, -0.8),
-                                 ObservationSelector.full()],
-                         ids=lambda sel: sel.kind.value)
-def test_observation_profile_lanes_do_not_depend_on_blocks(monkeypatch, sel):
+@pytest.mark.parametrize("B", [pytest.param(FIRST, id="first"),
+                               pytest.param(((0.6, -0.8),), id="direction"),
+                               pytest.param(FULL, id="full")])
+def test_observation_profile_lanes_do_not_depend_on_blocks(monkeypatch, B):
     D = random_D(11, n_time=16)
     states = batch(12, 7)
-    whole = profile(states, D.midpoints, D.mask, sel)      # one block
+    whole = profile(states, D.midpoints, D.mask, B)      # one block
     assert whole.shape == (7, 16)
     for i, z in enumerate(states):
-        assert np.array_equal(profile(z[None], D.midpoints, D.mask, sel)[0],
+        assert np.array_equal(profile(z[None], D.midpoints, D.mask, B)[0],
                               whole[i])
     # blocks of a few lanes, their size set by each row group's cells (the
     # last block short), and blocks of 1 lane
     for field_block in (3 * D.mask.shape[1], 1):
         monkeypatch.setattr(obs, "_FIELD_BLOCK", field_block)
-        assert np.array_equal(profile(states, D.midpoints, D.mask, sel), whole)
+        assert np.array_equal(profile(states, D.midpoints, D.mask, B), whole)
 
 
 def test_observation_profile_memory_does_not_grow_with_lanes():
@@ -140,12 +139,11 @@ def test_observation_profile_memory_does_not_grow_with_lanes():
     mask = rng.random((16, dom.n_cells)) < 0.5
     lanes = rng.standard_normal((65, 8, 2))
     times = np.linspace(0.05, 1.0, 16)
-    sel = ObservationSelector.full()
-    obs.observation_profile(dom, PARAMS, lanes[:1], times, mask, sel)  # tables
+    obs.observation_profile(dom, PARAMS, lanes[:1], times, mask, FULL)  # tables
     all_lanes_field = len(lanes) * mask.size * 8      # bytes
     tracemalloc.start()
     try:
-        obs.observation_profile(dom, PARAMS, lanes, times, mask, sel)
+        obs.observation_profile(dom, PARAMS, lanes, times, mask, FULL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -160,41 +158,46 @@ def test_observation_profile_memory_of_thin_row_groups():
     mask[0::2, 10:13] = True
     mask[1::2, 200:203] = True
     times = np.linspace(0.05, 1.0, 32)
-    sel = ObservationSelector.full()
     rng = np.random.default_rng(1)
     obs.observation_profile(dom, PARAMS, rng.standard_normal((1, 32, 2)),
-                            times, mask, sel)                       # tables
+                            times, mask, FULL)                       # tables
     for n_lanes in (16, 1024):
         lanes = rng.standard_normal((n_lanes, 32, 2))
         outputs = 2 * n_lanes * len(mask) * 8                       # bytes
         tracemalloc.start()
         try:
-            obs.observation_profile(dom, PARAMS, lanes, times, mask, sel)
+            obs.observation_profile(dom, PARAMS, lanes, times, mask, FULL)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= outputs + 8 * obs._FIELD_BLOCK * 8
 
 
+def observation_rows(kind, mu1, mu2):
+    """The rows the interp subcommand observes under selector = kind."""
+    return {"first": FIRST, "full": FULL, "direction": ((mu1, mu2),)}[kind]
+
+
 KERNEL_DOMAINS = {"interval": interval(PI, n_modes=8, n_cells=40),
                   "rectangle": rectangle(PI, 2.0, n_modes=9, cells=(7, 5))}
 
 
-def masked_reference(dom, params, lanes, times, mask, sel):
+def masked_reference(dom, params, lanes, times, mask, B):
     """Each lane's whole field at each time, masked by the time's row; and
-    the same sum over the magnitudes of the field's mode terms."""
+    the same sum over the magnitudes of the field's mode terms.  Each row
+    (b1, b2) of B observes b1 v1 + b2 v2 of the evolved state, two rows by
+    their Euclidean magnitude."""
     lam, eig = dom.eigenvalues, dom.eigenfunctions
     out, scale = np.zeros((2, len(lanes), len(mask)))
-    weight = max(1.0, abs(sel.mu1) + abs(sel.mu2))
+    weight = max(1.0, *(abs(b1) + abs(b2) for b1, b2 in B))
     for i, (t, row) in enumerate(zip(times, mask)):
         decay = np.exp(-params.a * lam * t)
         c, s = np.cos(lam * params.b * t), np.sin(lam * params.b * t)
         for b, (z1, z2) in enumerate(zip(lanes[..., 0], lanes[..., 1])):
             w1, w2 = decay * (c * z1 + s * z2), decay * (-s * z1 + c * z2)
             v1, v2 = w1 @ eig, w2 @ eig
-            mag = {"first": np.abs(v1), "full": np.hypot(v1, v2),
-                   "direction": np.abs(sel.mu1 * v1 + sel.mu2 * v2)}
-            out[b, i] = mag[sel.kind.value][row].sum() * dom.cell_volume
+            mag = np.hypot.reduce([b1 * v1 + b2 * v2 for b1, b2 in B])
+            out[b, i] = mag[row].sum() * dom.cell_volume
             terms = (np.abs(w1) + np.abs(w2)) @ np.abs(eig) * weight
             scale[b, i] = terms[row].sum() * dom.cell_volume
     return out, scale
@@ -209,8 +212,7 @@ def test_observation_profile_matches_a_per_row_masked_loop(seed, kind,
     rng = np.random.default_rng(seed)
     dom = KERNEL_DOMAINS[kind]
     params = PhysicalParams(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
-    sel = ObservationSelector(obs.SelectorKind(sel_kind),
-                              *rng.standard_normal(2))
+    B = observation_rows(sel_kind, *rng.standard_normal(2))
     # patterns: empty, one cell, every cell, then random ones; the fixed
     # tail repeats pattern 3 around another row
     single = np.arange(dom.n_cells) == rng.integers(dom.n_cells)
@@ -221,8 +223,8 @@ def test_observation_profile_matches_a_per_row_masked_loop(seed, kind,
     mask = np.array([pool[j] for j in rng.permutation(order)])
     times = rng.uniform(0.0, 1.5, len(mask))
     lanes = rng.standard_normal((int(rng.integers(1, 9)), dom.n_modes, 2))
-    want, scale = masked_reference(dom, params, lanes, times, mask, sel)
-    got = obs.observation_profile(dom, params, lanes, times, mask, sel)
+    want, scale = masked_reference(dom, params, lanes, times, mask, B)
+    got = obs.observation_profile(dom, params, lanes, times, mask, B)
     # rel 1e-13 of the terms' magnitudes: a one-cell row whose field cancels
     # among the modes moves by more than that relative to itself with the
     # order of the sum alone
@@ -231,7 +233,66 @@ def test_observation_profile_matches_a_per_row_masked_loop(seed, kind,
     with pytest.MonkeyPatch.context() as mp:        # blocks of a few lanes
         mp.setattr(obs, "_FIELD_BLOCK", int(rng.integers(1, 400)))
         assert np.array_equal(
-            obs.observation_profile(dom, params, lanes, times, mask, sel), got)
+            obs.observation_profile(dom, params, lanes, times, mask, B), got)
+
+
+def propagated_profile(dom, params, lanes, times, mask, full):
+    """observation_profile built from propagate's components, the first
+    alone or both by their magnitude, in the same row groups and lane
+    blocks: the construction before the observation table."""
+    factors = mode_factors(dom, params, times)
+    groups = {}
+    for i in np.flatnonzero(mask.any(axis=1)):
+        groups.setdefault(mask[i].tobytes(), []).append(i)
+    out = np.zeros((len(lanes), len(mask)))
+    for rows in groups.values():
+        fac = [f[rows] for f in factors]
+        eig = dom.eigenfunctions[:, mask[rows[0]]]
+        blk = obs.lane_block(len(rows) * (eig.shape[1] + 2 * dom.n_modes))
+        for lo in range(0, len(lanes), blk):
+            traces = propagate(fac, lanes[lo:lo + blk, None])
+            v1 = traces[..., 0] @ eig
+            mag = np.hypot(v1, traces[..., 1] @ eig) if full else np.abs(v1)
+            out[lo:lo + blk, rows] = mag.sum(axis=-1)
+    return out * dom.cell_volume
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_observation_table_gives_the_propagated_components_bit_for_bit(seed,
+                                                                       rect):
+    # FIRST and FULL observe exactly propagate's components, in the profile
+    # and in ControlOperator's mode table decay * (cos, sin).  A row that
+    # observes one cell is left out of the profile's check: there the matmul
+    # is a dot product, and numpy's BLAS sums a strided component (the
+    # construction's traces[..., 0]) in another order than a contiguous one,
+    # so the two can differ in the last bit; the per-row masked loop test
+    # checks those rows to 1e-13 of their terms
+    rng = np.random.default_rng(seed)
+    n_modes = int(rng.integers(1, 10))
+    if rect:
+        dom = rectangle(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0), n_modes,
+                        cells=tuple(int(n) for n in rng.integers(2, 9, 2)))
+    else:
+        dom = interval(rng.uniform(1.0, 4.0), n_modes, int(rng.integers(4, 65)))
+    params = PhysicalParams(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
+    n_time = int(rng.integers(2, 12))
+    horizon = rng.uniform(0.2, 2.0)
+    mask = rng.random((n_time, dom.n_cells)) < rng.uniform(0.1, 0.9)
+    mask[rng.integers(n_time)] = mask[0]            # a group of two rows
+    times = (np.arange(n_time) + 0.5) * horizon / n_time
+    lanes = rng.standard_normal((int(rng.integers(1, 9)), n_modes, 2))
+    wide = mask.sum(axis=1) != 1
+    for B, full in ((FIRST, False), (FULL, True)):
+        got = obs.observation_profile(dom, params, lanes, times, mask, B)
+        want = propagated_profile(dom, params, lanes, times, mask, full)
+        assert got[:, wide].tobytes() == want[:, wide].tobytes()
+    mask[0, 0] = True                               # a region of some measure
+    region = SpaceTimeSet(mask, horizon, dom)
+    decay, cos, sin = mode_factors(dom, params, horizon - region.midpoints)
+    f = decay * np.stack([cos, sin])
+    op = ctl.ControlOperator(dom, params, region)
+    assert op.f.tobytes() == np.ascontiguousarray(f.transpose(2, 0, 1)).tobytes()
 
 
 MIRROR_DOMAIN = interval(PI, n_modes=8, n_cells=64)
@@ -248,11 +309,11 @@ def test_observation_profile_is_invariant_under_a_spatial_mirror(seed, kind):
     lanes = rng.standard_normal((3, dom.n_modes, 2))
     mask = rng.random((5, dom.n_cells)) < rng.uniform(0.1, 0.9)
     times = np.sort(rng.uniform(0.0, 1.0, 5))
-    sel = ObservationSelector(obs.SelectorKind(kind), *rng.standard_normal(2))
+    B = observation_rows(kind, *rng.standard_normal(2))
     flip = (-1.0) ** np.arange(dom.n_modes)[:, None]
-    direct = obs.observation_profile(dom, PARAMS, lanes, times, mask, sel)
+    direct = obs.observation_profile(dom, PARAMS, lanes, times, mask, B)
     mirrored = obs.observation_profile(dom, PARAMS, lanes * flip, times,
-                                       mask[:, ::-1], sel)
+                                       mask[:, ::-1], B)
     assert np.allclose(mirrored, direct, rtol=1e-12, atol=1e-15)
 
 
@@ -457,9 +518,9 @@ def test_integral_interpolation_observes_only_the_window(monkeypatch):
     whole = profile(states, D.midpoints, D.mask)
     masks, kernel = [], obs.observation_profile
 
-    def spy(domain, params, lanes, times, mask, sel):
+    def spy(domain, params, lanes, times, mask, B):
         masks.append(mask)
-        return kernel(domain, params, lanes, times, mask, sel)
+        return kernel(domain, params, lanes, times, mask, B)
 
     monkeypatch.setattr(obs, "observation_profile", spy)
     rep = obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, states)
@@ -526,8 +587,7 @@ def test_direction_observation_reduces_to_first_component():
     assert field <= 1e-10
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
     rep = obs.verify_integral_interpolation(
-        DOMAIN, PARAMS, random_D(5), ip, batch(6),
-        sel=ObservationSelector.direction(2.0, -1.0))
+        DOMAIN, PARAMS, random_D(5), ip, batch(6), ((2.0, -1.0),))
     assert math.isfinite(rep.K_hat)
 
 
@@ -541,7 +601,7 @@ def test_direction_transform_amplitude():
 def full_interpolation(D, lanes):
     ip = obs.InterpolationParams(0.5, 0.2, 0.9)
     return obs.verify_integral_interpolation(DOMAIN, PARAMS, D, ip, lanes,
-                                             sel=ObservationSelector.full())
+                                             FULL)
 
 
 def test_full_observation_pointwise_constants():
@@ -565,11 +625,10 @@ def test_full_observation_traces_are_the_window_profiles(domain):
     lanes = batch(8, 6, domain)
     ip = obs.InterpolationParams(0.5, 0.25, 0.75)
     rep = obs.verify_integral_interpolation(domain, PARAMS, D, ip, lanes,
-                                            sel=ObservationSelector.full())
+                                            FULL)
     fresh = obs.observation_profile(domain, PARAMS, lanes,
                                     D.midpoints[rep.window],
-                                    D.mask[rep.window],
-                                    ObservationSelector.full())
+                                    D.mask[rep.window], FULL)
     assert np.array_equal(rep.profiles[:, rep.window], fresh)
     assert not rep.profiles[:, ~rep.window].any()
 
@@ -612,7 +671,7 @@ def test_telescope_needs_a_ring_observation_term(depth):
 # -- checks that hold under python -O -------------------------------------
 
 
-def zero_profile(domain, params, lanes, times, mask, sel):
+def zero_profile(domain, params, lanes, times, mask, B):
     return np.zeros((len(lanes), len(mask)))
 
 

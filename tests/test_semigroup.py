@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obslab.semigroup import (ObservationSelector, SpectralState, evolve,
-                              mode_factors, propagate, single_mode)
+from obslab.semigroup import (SpectralState, evolve, mode_factors, propagate,
+                              single_mode)
 from obslab.observability import unit_lanes
 from obslab.spectral import PhysicalParams, interval
 
@@ -126,8 +126,6 @@ def test_mode_trace_matches_evolved_coefficient():
 def test_state_validation():
     with pytest.raises(ValueError):
         SpectralState(np.zeros((3, 2)), DOMAIN)
-    with pytest.raises(ValueError):
-        ObservationSelector.direction(0.0, 0.0)
 
 
 def test_state_coeffs_read_only():
