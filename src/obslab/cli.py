@@ -96,6 +96,39 @@ def _run_remez(cfg, rng, report) -> bool:
     return violations == 0
 
 
+# the eps grid of the equivalence sweep's eps-form envelope, one row per eps
+_ENVELOPE_EPS = np.geomspace(1e-9, 1 - 1e-9, 128)[:, None]
+
+
+def _equivalence_failures(rng, n_cases: int) -> int:
+    """Cases of the functional-triple equivalence sweep whose verdict fails.
+
+    Each case draws theta, Pi1, F3 and F2 (8 probes), in this order, and
+    takes the tightest admissible F1: the eps-form envelope, shrunk, capped
+    by F3.  The cases go through in blocks of lane_block(envelope values),
+    one envelope broadcast and one interp_equivalence call per block.
+    """
+    e, n = _ENVELOPE_EPS, 8
+    blk = observability.lane_block(len(e) * n)
+    failures = 0
+    for lo in range(0, n_cases, blk):
+        m = min(blk, n_cases - lo)
+        theta, pi1 = np.empty(m), np.empty(m)
+        F3, F2 = np.empty((m, n)), np.empty((m, n))
+        for i in range(m):
+            theta[i] = rng.uniform(0.1, 0.9)
+            pi1[i] = rng.uniform(0.5, 10.0)
+            F3[i] = rng.uniform(0.1, 10.0, size=n)
+            F2[i] = rng.uniform(0.0, 1.0, size=n) * F3[i]
+        expo = (-theta / (1.0 - theta))[:, None, None]
+        best = (pi1[:, None, None] * (e ** expo * F2[:, None] + e * F3[:, None])
+                ).min(axis=1)
+        F1 = np.minimum(0.9 * best, F3)
+        res = observability.interp_equivalence(pi1, theta, F1, F2, F3)
+        failures += int(np.count_nonzero(~(res.eps_form_passed & res.holds)))
+    return failures
+
+
 def _run_interp(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
@@ -132,20 +165,8 @@ def _run_interp(cfg, rng, report) -> bool:
         report.add("full_pointwise", n_times=len(full.times),
                    max_M_hat=float(full.M_hats.max()),
                    min_trace=float(full.min_traces.min()))
-    # functional-triple equivalence sweep
-    failures = 0
     with report.timed("interp.equivalence"):
-        for _ in range(cfg.equivalence_cases):
-            theta = float(rng.uniform(0.1, 0.9))
-            pi1 = float(rng.uniform(0.5, 10.0))
-            F3 = rng.uniform(0.1, 10.0, size=8)
-            F2 = rng.uniform(0.0, 1.0, size=8) * F3
-            # tight admissible F1: the eps-form envelope, shrunk, capped by F3
-            e = np.geomspace(1e-9, 1 - 1e-9, 128)[:, None]
-            best = (pi1 * (e ** (-theta / (1.0 - theta)) * F2 + e * F3)).min(axis=0)
-            F1 = np.minimum(0.9 * best, F3)
-            res = observability.interp_equivalence(pi1, theta, F1, F2, F3)
-            failures += not (res.eps_form_passed and res.holds)
+        failures = _equivalence_failures(rng, cfg.equivalence_cases)
     report.add("equivalence_sweep", cases=cfg.equivalence_cases,
                failures=failures)
     return ok and failures == 0
@@ -320,6 +341,8 @@ def main(argv=None) -> int:
                 parser.error("--time must be finite and nonnegative")
             if args.multi < 1:
                 parser.error("--multi must be at least 1")
+        if args.cases is not None and args.cases < 1:
+            parser.error("--cases must be at least 1")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

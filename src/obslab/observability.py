@@ -134,34 +134,46 @@ def solve_increasing(fn, target: float) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    eps_form_passed: bool
-    holds: bool
+    eps_form_passed: bool | np.ndarray     # one verdict per case
+    holds: bool | np.ndarray
 
 
-def interp_equivalence(pi1: float, theta: float, F1, F2, F3) -> EquivalenceResult:
+# the eps-form check's grid in (0, 1)
+_EPS_GRID = np.geomspace(1e-9, 1.0 - 1e-9, 64)
+
+
+def interp_equivalence(pi1, theta, F1, F2, F3) -> EquivalenceResult:
     """If F1 <= Pi1*(eps^-gamma F2 + eps F3) for all eps, then
     F1 <= 2*Pi1*F2^(1-theta)*F3^theta, on a finite probe set.
 
     The eps check runs over 64 geometric grid points in (0, 1) plus each
     probe's optimal eps, which is where the product form is attained.
+    Cases stack on leading axes: pi1 and theta of shape (cases,), F1, F2
+    and F3 of shape (cases, probes) give a bool array of verdicts per case;
+    scalar pi1 and theta with (probes,) give plain bools.
     """
-    F1, F2, F3 = (np.asarray(F, dtype=float) for F in (F1, F2, F3))
+    pi1, theta, F1, F2, F3 = (np.asarray(F, dtype=float)
+                              for F in (pi1, theta, F1, F2, F3))
     if np.any(F1 > F3 * (1 + 1e-12) + 1e-300):
         raise ValueError("probes must satisfy F1 <= F3")
-    if not 0.0 < theta < 1.0:
+    if not np.all((0.0 < theta) & (theta < 1.0)):
         raise ValueError("theta must lie in (0, 1)")
+    pi1, theta = pi1[..., None], theta[..., None]       # over the probes
     gamma = theta / (1.0 - theta)
     # one row per probe: the 64 grid points, then its eps*, if it has one
-    eps = np.empty((len(F1), 65))
-    eps[:, :64] = np.geomspace(1e-9, 1.0 - 1e-9, 64)
+    eps = np.empty(F1.shape + (65,))
+    eps[..., :64] = _EPS_GRID
     with np.errstate(divide="ignore", invalid="ignore"):   # dropped below
-        eps[:, 64] = (F2 / F3) ** (1.0 / (gamma + 1.0))
-        bound = pi1 * (eps ** -gamma * F2[:, None] + eps * F3[:, None])
-    star_ok = (F3 > 0) & (F2 > 0) & (eps[:, 64] > 0.0) & (eps[:, 64] < 1.0)
+        eps[..., 64] = (F2 / F3) ** (1.0 / (gamma + 1.0))
+        bound = pi1[..., None] * (eps ** -gamma[..., None] * F2[..., None]
+                                  + eps * F3[..., None])
+    star_ok = (F3 > 0) & (F2 > 0) & (eps[..., 64] > 0.0) & (eps[..., 64] < 1.0)
     bound[~star_ok, 64] = np.inf
-    eps_form = not np.any(F1 > bound.min(axis=1) * (1 + 1e-12))
+    eps_form = ~np.any(F1 > bound.min(axis=-1) * (1 + 1e-12), axis=-1)
     product = 2.0 * pi1 * F2 ** (1.0 - theta) * F3 ** theta
-    holds = bool(np.all(F1 <= product * (1 + 1e-9) + 1e-300))
+    holds = np.all(F1 <= product * (1 + 1e-9) + 1e-300, axis=-1)
+    if eps_form.ndim == 0:
+        eps_form, holds = bool(eps_form), bool(holds)
     return EquivalenceResult(eps_form_passed=eps_form, holds=holds)
 
 

@@ -285,10 +285,12 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("[run]\nseed = -5\n")
     out = tmp_path / "out"
-    for argv in (["--config", str(cfg)], ["--seed", "-1"]):
+    for argv, key in ((["--config", str(cfg)], "run.seed"),
+                      (["--seed", "-1"], "run.seed"),
+                      (["--cases", "0"], "--cases")):
         assert run(["remez", "--cases", "3", "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err
-        assert "run.seed" in err and "Traceback" not in err
+        assert key in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -660,6 +662,61 @@ def test_interp_observes_once_at_every_selector(tmp_path, monkeypatch, kind,
     assert run(["interp", "--config", str(cfg), "--cases", "5",
                 "--out", str(tmp_path / "out")]) == 0
     assert calls == {"observation_profile": 1, "good_time_set": 1}
+
+
+def per_case_equivalence_draws(rng, n):
+    """The equivalence sweep's (pi1, theta, F1, F2, F3), one case at a time."""
+    cases = []
+    for _ in range(n):
+        theta = float(rng.uniform(0.1, 0.9))
+        pi1 = float(rng.uniform(0.5, 10.0))
+        F3 = rng.uniform(0.1, 10.0, size=8)
+        F2 = rng.uniform(0.0, 1.0, size=8) * F3
+        e = np.geomspace(1e-9, 1 - 1e-9, 128)[:, None]
+        best = (pi1 * (e ** (-theta / (1.0 - theta)) * F2 + e * F3)).min(axis=0)
+        cases.append((pi1, theta, np.minimum(0.9 * best, F3), F2, F3))
+    return cases
+
+
+@pytest.mark.parametrize("forced", [(36,), (3, 5)])
+def test_interp_sweep_draws_and_counts_every_case(tmp_path, monkeypatch,
+                                                  forced):
+    # 37 cases is no multiple of the block size, so the last block is partial;
+    # the forced cases' verdicts fail, each counted once
+    start = {}
+    unit_lanes = observability.unit_lanes
+
+    def lanes_spy(domain, rng, n):      # the last draw before the sweep
+        lanes = unit_lanes(domain, rng, n)
+        start.update(rng=rng, state=rng.bit_generator.state)
+        return lanes
+
+    seen = []
+    equivalence = observability.interp_equivalence
+
+    def equivalence_spy(pi1, theta, F1, F2, F3):
+        res = equivalence(pi1, theta, F1, F2, F3)
+        lo = len(seen)
+        seen.extend(zip(pi1, theta, F1, F2, F3))
+        holds = res.holds.copy()
+        holds[[i - lo for i in forced if lo <= i < len(seen)]] = False
+        return observability.EquivalenceResult(res.eps_form_passed, holds)
+
+    monkeypatch.setattr(observability, "unit_lanes", lanes_spy)
+    monkeypatch.setattr(observability, "interp_equivalence", equivalence_spy)
+    out = tmp_path / "out"
+    assert run(["interp", "--cases", "37", "--out", str(out)]) == 4
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert f"section: equivalence_sweep\ncases: 37\nfailures: {len(forced)}\n" in text
+    ref = np.random.default_rng()
+    ref.bit_generator.state = start["state"]
+    expected = per_case_equivalence_draws(ref, 37)
+    assert len(seen) == 37
+    for got, want in zip(seen, expected):
+        assert [np.asarray(v).tobytes() for v in got] == [
+            np.asarray(v).tobytes() for v in want]
+    assert start["rng"].bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])

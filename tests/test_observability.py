@@ -423,7 +423,7 @@ def test_interp_equivalence_matches_a_scalar_reference(probes):
     # each probe's eps*: near theta = 1/2 that beats every grid point, so
     # eps* decides the tight probes
     rng = np.random.default_rng(probes)
-    verdicts = set()
+    cases = []
     for i in range(400):
         theta = float(rng.uniform(0.1, 0.9) if i % 2 else rng.uniform(0.45, 0.55))
         pi1 = float(rng.uniform(0.5, 2.0))
@@ -431,11 +431,27 @@ def test_interp_equivalence_matches_a_scalar_reference(probes):
         F2 = 10.0 ** rng.uniform(-8.0, 0.5, size=probes) * F3
         product = 2.0 * pi1 * F2 ** (1.0 - theta) * F3 ** theta
         F1 = np.minimum(product * rng.uniform(0.99, 1.01, size=probes), F3)
-        res = obs.interp_equivalence(pi1, theta, F1, F2, F3)
+        cases.append((pi1, theta, F1, F2, F3))
+    # the same cases stacked on a leading axis: one verdict per case
+    pi1s, thetas, F1s, F2s, F3s = (np.array(c) for c in zip(*cases))
+    stacked = obs.interp_equivalence(pi1s, thetas, F1s, F2s, F3s)
+    assert stacked.eps_form_passed.shape == stacked.holds.shape == (400,)
+    verdicts = set()
+    for i, case in enumerate(cases):
+        res = obs.interp_equivalence(*case)
         got = (res.eps_form_passed, res.holds)
-        assert got == scalar_equivalence(pi1, theta, F1, F2, F3)
+        assert type(got[0]) is bool and type(got[1]) is bool
+        assert got == scalar_equivalence(*case)
+        assert got == (stacked.eps_form_passed[i], stacked.holds[i])
         verdicts.add(got)
     assert {(True, True), (False, True), (False, False)} <= verdicts
+    # one bad case among the stacked ones is rejected
+    F1s[7, 0] = F3s[7, 0] * 1.01
+    with pytest.raises(ValueError, match="F1 <= F3"):
+        obs.interp_equivalence(pi1s, thetas, F1s, F2s, F3s)
+    thetas[11] = 1.0
+    with pytest.raises(ValueError, match="theta"):
+        obs.interp_equivalence(pi1s, thetas, np.minimum(F1s, F3s), F2s, F3s)
 
 
 def test_interp_equivalence_probes_without_optimal_eps_stay_quiet():
