@@ -1,9 +1,11 @@
 """Experiment configuration: flat key = value text with sections.
 
 The format is INI-style (configparser); every field has a default so a
-missing section or key falls back cleanly.  All numeric constraints of
-the downstream types are validated at parse time so a bad config fails
-with the offending field named, before any computation starts.
+missing section or key falls back cleanly.  This is the one place
+parameter ranges are checked: each is validated at parse time, so a bad
+config fails with the offending field named before any computation
+starts, and the library types (SpectralDomain, PhysicalParams,
+InterpolationParams, ControlProblem, ...) take config values as given.
 """
 
 from __future__ import annotations

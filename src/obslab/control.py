@@ -69,11 +69,6 @@ class ControlProblem:
             raise ValueError("omega must have positive measure")
         om.flags.writeable = False
         object.__setattr__(self, "omega", om)
-        nu1, nu2 = self.bounds
-        if not nu1 < nu2:
-            raise ValueError("bounds must satisfy nu1 < nu2")
-        if self.radius <= 0:
-            raise ValueError("target radius must be positive")
         if np.linalg.norm(self.v0) <= self.radius:
             raise ValueError("initial state must start outside the target ball")
 
@@ -429,10 +424,7 @@ def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
     context manager (a report's timer) for each of the phases "solve" and
     "L_hat".
     """
-    if not 1e-6 < tol < 1e-1:
-        raise ValueError("tol must lie in (1e-6, 1e-1)")
     timed = timed or (lambda phase: contextlib.nullcontext())
-    region = op.region
     v0_norm = float(np.linalg.norm(v0))
     with timed("solve"):
         mu, z, u, M, bulk, lin, terminal, steps = _null_solve(
@@ -443,14 +435,13 @@ def synthesize_null_control(op: ControlOperator, v0: np.ndarray,
     if terminal > target:
         raise ConvergenceError(
             f"dual Newton stopped at terminal norm {terminal:.3e} "
-            f"(target {target:.3e}) after {steps} trial points, mu {mu:.0e}",
-            best=ControlField(u, region))
+            f"(target {target:.3e}) after {steps} trial points, mu {mu:.0e}")
     # M <= ||v0|| / ratio(z) for op's own ratio, and L_hat is at most z's
     # ratio, so M <= ||v0|| / L_hat (u = 0 needs no bound)
     with timed("L_hat"):
         search = (estimate_L(op, z) if bulk > 0
                   else LSearch(math.inf, 0, "none", 0))
-    field = ControlField(u, region)
+    field = ControlField(u, op.region)
     cert = DualityCertificate(z_star=z, dual_value=0.5 * bulk ** 2 - lin,
                               terminal_norm=terminal, sup_norm=field.sup_norm,
                               L_search=search, tol=tol, v0_norm=v0_norm,

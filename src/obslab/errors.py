@@ -16,10 +16,6 @@ class ResolutionError(ObsLabError):
 class ConvergenceError(ObsLabError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 class InfeasibleError(ObsLabError):
     """A feasibility problem has no admissible solution at the given horizon."""

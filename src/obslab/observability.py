@@ -187,12 +187,6 @@ class InterpolationParams:
     s1: float
     s2: float
 
-    def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if not 0.0 < self.s1 < self.s2:
-            raise ValueError("require 0 < S1 < S2")
-
     def constant_template(self, M: float, window_measure: float) -> float:
         """K = M exp(M (S2/(1-theta) + 1/(theta*S1))) / |E cap [S1,S2]|^3."""
         expo = self.s2 / (1.0 - self.theta) + 1.0 / (self.theta * self.s1)
@@ -288,7 +282,8 @@ def multi_time_counterexample(domain: SpectralDomain, params: PhysicalParams,
     the times are the first m multiples of the mode's rotation period.
     """
     lam = domain.eigenvalues
-    ok = 2.0 * math.pi / (abs(params.b) * lam) <= horizon / (m + 1)
+    with np.errstate(over="ignore"):    # a period of +inf admits no mode
+        ok = 2.0 * math.pi / (abs(params.b) * lam) <= horizon / (m + 1)
     if not ok.any():
         raise InsufficientTruncationError(
             "no stored mode satisfies the multi-time admissibility condition"
@@ -342,8 +337,6 @@ def verify_direction_observation(domain: SpectralDomain, params: PhysicalParams,
     and the largest grid mismatch of the two observed fields at three times,
     phi = direction_transform(z, mu1, mu2), over the batch.
     """
-    if abs(mu1) + abs(mu2) == 0:
-        raise ValueError("direction must be nonzero")
     scale = mu1 * mu1 + mu2 * mu2
     phis = direction_transform(lanes, mu1, mu2)
     amp_defect = float(np.abs(lane_norms(phis) ** 2
@@ -376,8 +369,6 @@ def verify_full_observation_pointwise(domain: SpectralDomain,
     ||exp(At) z|| <= M exp(M(t/(1-theta) + 1/(theta t)))
                      * trace^(1-theta) * ||z||^theta  over the batch.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     times = D.midpoints[rep.window]
     traces = rep.profiles[:, rep.window]
     norms = norms_at(domain, params, lanes, times)
@@ -429,9 +420,6 @@ def telescope_chain_demo(domain: SpectralDomain, params: PhysicalParams,
     observations dominate the weighted norm at ell_2 and reports the
     end-to-end empirical observability constant.
     """
-    if depth < 4:
-        raise ValueError("the chain needs depth >= 4: its first ring "
-                         "observation term is ring m = 2")
     E = good_time_set(D)
     ell = find_density_point(E)
     seq = telescoping_sequence(E, ell, beta, depth)

@@ -34,16 +34,6 @@ class SpectralDomain:
     n_modes: int
     cells: tuple[int, ...]              # cells per axis
 
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if len(self.lengths) not in (1, 2):
-            raise ValueError("only interval and rectangle domains are supported")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("side lengths must be positive")
-        if any(c < 1 for c in self.cells):
-            raise ValueError("cell counts must be positive")
-
     # -- geometry -----------------------------------------------------
 
     @property
@@ -144,9 +134,3 @@ class PhysicalParams:
 
     a: float
     b: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("diffusion coefficient a must be positive")
-        if self.b == 0:
-            raise ValueError("coupling coefficient b must be nonzero")

@@ -23,6 +23,19 @@ def run(args):
     return cli.main(args)
 
 
+def run_subprocess(tmp_path, sub, setting):
+    """Run sub in a fresh interpreter on a config of setting, out to
+    tmp_path / "out", so the process's own stderr can be read."""
+    cfg = tmp_path / "setting.cfg"
+    cfg.write_text(setting)
+    return subprocess.run(
+        [sys.executable, "-m", "obslab.cli", sub, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__))))
+
+
 # -- config ---------------------------------------------------------------
 
 
@@ -53,6 +66,22 @@ def test_config_field_level_errors():
         ExperimentConfig.from_text("[system]\nbogus = 1\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_text("[system]\na = not-a-number\n")
+    # no library type checks these ranges again
+    for setting, key in [("[domain]\nkind = disk\n", "domain.kind"),
+                         ("[domain]\nlx = 0\n", "domain.lx"),
+                         ("[domain]\nlx = -1.0\n", "domain.lx"),
+                         ("[domain]\nkind = rectangle\nly = 0\n", "domain.ly"),
+                         ("[domain]\nn_modes = 0\n", "domain.n_modes"),
+                         ("[domain]\nnx = 0\n", "domain.nx"),
+                         ("[domain]\nkind = rectangle\nny = 0\n", "domain.ny"),
+                         ("[system]\nb = 0\n", "system.b"),
+                         ("[interpolation]\ns1 = 0.75\n", "interpolation.s1"),
+                         ("[interpolation]\ns1 = 0.9\n", "interpolation.s1"),
+                         ("[interpolation]\nbeta = 0\n", "interpolation.beta"),
+                         ("[control]\ntol = 1e-6\n", "control.tol"),
+                         ("[control]\ntol = 0.1\n", "control.tol")]:
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            ExperimentConfig.from_text(setting)
 
 
 def test_config_rejects_non_finite_floats():
@@ -69,7 +98,7 @@ def test_config_rejects_non_finite_floats():
                 ExperimentConfig.from_text(f"[{section}]\n{key} = {value}\n")
 
 
-def test_config_bounds_the_spectrum_and_the_mode_tables():
+def test_config_bounds_the_spectrum_and_the_mode_tables(tmp_path):
     # on (0, pi), lambda_1 = 1: the square of the slowest decay,
     # exp(-2 a horizon), which every norm sums, stays a normal float up to
     # a * horizon = 354.198
@@ -88,7 +117,15 @@ def test_config_bounds_the_spectrum_and_the_mode_tables():
     ExperimentConfig.from_text("[domain]\nly = 1e-300\n")
     # a long side: lambda_1 = (pi / lx)^2 must be a normal float, and the
     # Gram's cell weight (dt * cell volume)^2 finite
-    ExperimentConfig.from_text("[domain]\nlx = 2.1060935446725317e154\n")
+    limit = "[domain]\nlx = 2.1060935446725317e154\n"
+    ExperimentConfig.from_text(limit)
+    # there counterexample's rotation periods 2 pi / (|b| lambda) overflow
+    # to inf, which admit no mode, and it says so without a warning
+    proc = run_subprocess(tmp_path, "counterexample", limit)
+    assert proc.returncode == 3
+    assert "Warning" not in proc.stderr and proc.stdout == ""
+    _, values = report_values(tmp_path / "out")
+    assert values["error"] == "InsufficientTruncationError"
     for setting, key in [("[domain]\nlx = 2.106093544672532e154\n", "domain.lx"),
                          ("[domain]\nlx = 1e300\n", "domain.lx"),
                          ("[domain]\nkind = rectangle\nly = 1e300\n",
@@ -417,14 +454,7 @@ def test_extreme_config_exits_2_naming_the_key(tmp_path, sub, setting, key):
     # floats by the horizon, or whose side is so long that lambda_1
     # underflows and (dt * dx)^2 overflows: the run used to read zero or NaN
     # tables or norms, warn, and exit 0, 3 or 4
-    cfg = tmp_path / "extreme.cfg"
-    cfg.write_text(setting)
-    proc = subprocess.run(
-        [sys.executable, "-m", "obslab.cli", sub, "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=dict(
-            os.environ,
-            PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__))))
+    proc = run_subprocess(tmp_path, sub, setting)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"config error: {key}: ")
     assert "Warning" not in proc.stderr and proc.stdout == ""

@@ -469,13 +469,6 @@ def test_interp_equivalence_requires_f1_below_f3():
         obs.interp_equivalence(1.0, 0.5, [2.0], [0.5], [1.0])
 
 
-def test_interpolation_params_validation():
-    with pytest.raises(ValueError):
-        obs.InterpolationParams(0.0, 0.2, 0.8)
-    with pytest.raises(ValueError):
-        obs.InterpolationParams(0.5, 0.8, 0.2)
-
-
 # -- integral interpolation ----------------------------------------------
 
 
@@ -673,15 +666,6 @@ def test_telescope_full_cylinder():
                                    lanes=batch(23, 8))
     assert rep.dominated
     assert rep.theta == pytest.approx(2.0 / 3.0)
-
-
-@pytest.mark.parametrize("depth", [2, 3])
-def test_telescope_needs_a_ring_observation_term(depth):
-    # below depth 4 the chain has no ring observation, so nothing to check
-    D = SpaceTimeSet.full_cylinder(DOMAIN, 1.0, 128)
-    with pytest.raises(ValueError, match="depth >= 4"):
-        obs.telescope_chain_demo(DOMAIN, PARAMS, D, beta=1.0, depth=depth,
-                                 lanes=batch(23, 2))
 
 
 # -- checks that hold under python -O -------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obslab
-from obslab.spectral import PhysicalParams, SpectralDomain, interval, rectangle
+from obslab.spectral import interval, rectangle
 from oracles import eigenfunction
 
 PI = math.pi
@@ -142,19 +142,3 @@ def test_parsing_a_config_loads_no_solver_module():
                                    "obslab.spectral"]
 
 
-def test_domain_validation():
-    with pytest.raises(ValueError):
-        SpectralDomain((1.0, 2.0, 3.0), 4, (8, 8, 8))
-    with pytest.raises(ValueError):
-        SpectralDomain((-1.0,), 4, (8,))
-    with pytest.raises(ValueError):
-        SpectralDomain((1.0,), 0, (8,))
-    with pytest.raises(ValueError):
-        SpectralDomain((1.0,), 4, (0,))
-
-
-def test_physical_params_validation():
-    with pytest.raises(ValueError):
-        PhysicalParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(1.0, 0.0)
