@@ -74,9 +74,7 @@ def _run_simulate(cfg, rng, report) -> bool:
     closed = np.exp(-params.a * lam * t) * np.abs(np.cos(lam * params.b * t))
     defect = float(np.abs(observed - closed).max())
     report.add("simulate", mode=mode, eigenvalue=lam, trace_defect=defect)
-    report.add_series("trace", "t,abs_v1,closed_form",
-                      [(float(ti), float(o), float(c))
-                       for ti, o, c in zip(t, observed, closed)])
+    report.add_series("trace", "t,abs_v1,closed_form", (t, observed, closed))
     return defect <= 1e-12
 
 
@@ -145,8 +143,7 @@ def _run_interp(cfg, rng, report) -> bool:
                window_measure=rep.window_measure,
                min_integral=float(rep.integrals.min()))
     report.add_series("interp_ratios", "probe,ratio,integral",
-                      [(i, float(r), float(g)) for i, (r, g)
-                       in enumerate(zip(rep.ratios, rep.integrals))])
+                      (range(len(rep.ratios)), rep.ratios, rep.integrals))
     if cfg.selector == "direction":
         scale = cfg.mu1 * cfg.mu1 + cfg.mu2 * cfg.mu2
         amplitude, field = observability.verify_direction_observation(
@@ -188,9 +185,8 @@ def _run_counterexample(cfg, rng, report, multi=3, single=None) -> bool:
                min_full_trace=float(rep.full_traces.min()),
                full_floor=rep.full_floor)
     report.add_series("counterexample_traces", "time,first_residual,full_trace",
-                      [(float(t), float(r), float(f)) for t, r, f in
-                       zip(rep.counterexample.times, rep.first_residuals,
-                           rep.full_traces)])
+                      (rep.counterexample.times, rep.first_residuals,
+                       rep.full_traces))
     return ok
 
 
@@ -198,7 +194,7 @@ def _run_estimate_L(cfg, rng, report) -> bool:
     domain, params = cfg.build_domain(), cfg.build_params()
     D = _observation_set(cfg, domain, rng)
     v0 = single_mode(domain, 1, (1.0, 0.0))
-    rows = []
+    measures, L_hats = [], []
     ok = True
     for name, region in (("config", D),
                          ("half", SpaceTimeSet(
@@ -219,10 +215,12 @@ def _run_estimate_L(cfg, rng, report) -> bool:
                                            cfg.tol)
             search = control.estimate_L(op, z)
         ok = ok and search.L_hat > 0
-        rows.append((region.measure(), search.L_hat))
+        measures.append(region.measure())
+        L_hats.append(search.L_hat)
         report.add(f"estimate_L_{name}", region_measure=region.measure(),
                    **search.fields())
-    report.add_series("L_vs_measure", "region_measure,L_hat", rows)
+    report.add_series("L_vs_measure", "region_measure,L_hat",
+                      (measures, L_hats))
     return ok
 
 
@@ -277,15 +275,15 @@ def _run_telescope(cfg, rng, report) -> bool:
                                              cfg.depth, lanes)
     # time measure |E cap ring| per level, plus running partial sums
     rings = np.append(rep.ring_measures, 0.0)
-    rows = [(m + 1, float(ell), float(ring), float(part)) for m, (ell, ring, part)
-            in enumerate(zip(rep.terms, rings, np.cumsum(rings)))]
     report.add("telescope", ell=rep.ell, ell1=rep.ell1, mu=rep.mu,
                theta=rep.theta, C_hat=rep.C_hat, prefactor=rep.prefactor,
                domination_margin=rep.domination_margin, N_hat=rep.N_hat,
                N_hat_lane=rep.N_hat_lane,
                dominated=rep.dominated)
     report.add_series("telescope_partial_sums",
-                      "m,ell_m,ring_time_measure,partial_sum", rows)
+                      "m,ell_m,ring_time_measure,partial_sum",
+                      (range(1, len(rings) + 1), rep.terms, rings,
+                       np.cumsum(rings)))
     return rep.dominated and math.isfinite(rep.N_hat)
 
 

@@ -99,13 +99,13 @@ class ControlField:
         m = self.region.mask
         return float(np.abs(self.values[m]).max()) if m.any() else 0.0
 
-    def table(self) -> tuple[str, list]:
-        """CSV header and rows (t, x[, y], value) over the region cells."""
+    def table(self) -> tuple[str, tuple]:
+        """CSV header and columns t, x[, y], value over the region cells."""
         dom = self.region.domain
         header = "t,x,value" if dom.dim == 1 else "t,x,y,value"
         i, j = np.nonzero(self.region.mask)          # by time row, then cell
-        rows = zip(self.region.midpoints[i], dom.points[j], self.values[i, j])
-        return header, [(float(t), *map(float, x), float(v)) for t, x, v in rows]
+        return header, (self.region.midpoints[i], *dom.points[j].T,
+                        self.values[i, j])
 
 
 @dataclass(frozen=True)
@@ -529,11 +529,12 @@ class TimeOptimalResult:
         """Trials that ended without either bound deciding them."""
         return sum(t.stop in ("stalled", "budget") for t in self.trials)
 
-    def trial_table(self) -> tuple[str, list]:
-        """CSV header and one row per bisection trial, in solve order."""
-        return ("trial,time,feasible,stop,lower,upper,iterations",
-                [(i, t.time, t.feasible, t.stop, t.lower, t.upper, t.iterations)
-                 for i, t in enumerate(self.trials)])
+    def trial_table(self) -> tuple[str, tuple]:
+        """CSV header and columns of the bisection trials, in solve order."""
+        keys = ("time", "feasible", "stop", "lower", "upper", "iterations")
+        return ("trial," + ",".join(keys),
+                (range(len(self.trials)),
+                 *([getattr(t, k) for t in self.trials] for k in keys)))
 
 
 def _dual_bound(free: np.ndarray, resid: np.ndarray, grad: np.ndarray,

@@ -5,6 +5,12 @@ separated by blank lines.  Timing keys carry the `time_` prefix so
 determinism checks can strip them; floats (numpy's too) are rendered
 with the repr of a plain float, so identical runs produce byte-identical
 files.
+
+A CSV series is a tuple of columns, one 1-D sequence per header field.
+`write_csv` renders it a block of rows at a time: a float64 array column
+is rendered once per distinct bit pattern in the block, any other column
+value by value, and each block's lines are joined and written together,
+so memory holds one block however long the series is.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class RunReport:
     status: str = "ok"                       # ok | convergence-failure | violation
     sections: list = field(default_factory=list)   # (name, dict) pairs
     timings: dict = field(default_factory=dict)    # name -> seconds
-    series: dict = field(default_factory=dict)     # csv name -> (header, rows)
+    series: dict = field(default_factory=dict)     # csv name -> (header, columns)
 
     def add(self, name: str, **records) -> None:
         self.sections.append((name, records))
@@ -47,9 +53,12 @@ class RunReport:
         finally:
             self.timings[name] = time.perf_counter() - start
 
-    def add_series(self, name: str, header: str, rows) -> None:
-        """A figure-worthy CSV series; rows are tuples matching the header."""
-        self.series[name] = (header, list(rows))
+    def add_series(self, name: str, header: str, columns) -> None:
+        """A figure-worthy CSV series: one 1-D sequence per header field.
+
+        A column is a list, tuple, range or array, rendered by `write_csv`.
+        """
+        self.series[name] = (header, tuple(columns))
 
     def render(self) -> str:
         lines = [
@@ -75,17 +84,42 @@ class RunReport:
         path = os.path.join(out_dir, "report.txt")
         with open(path, "w") as fh:
             fh.write(self.render())
-        for name, (header, rows) in self.series.items():
-            write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
+        for name, (header, columns) in self.series.items():
+            write_csv(os.path.join(out_dir, f"{name}.csv"), header, columns)
         return path
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Header row, then one comma-separated line of rendered values per row."""
+# rows write_csv renders and writes at once: about 300 KB of text, enough
+# to spread each block's numpy calls, and memory stays one block
+CSV_BLOCK_ROWS = 4096
+
+
+def _column_text(col) -> list:
+    """_fmt of each value of one column.
+
+    A float64 array is rendered once per distinct bit pattern, not value:
+    -0.0 and 0.0 compare equal but print apart.
+    """
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+        text = [repr(v) for v in bits.view(np.float64).tolist()]
+        return list(map(text.__getitem__, index.tolist()))
+    return list(map(_fmt, col))
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Header row, then one comma-separated line of rendered values per row.
+
+    Row i holds value i of each column; the columns are rendered and written
+    CSV_BLOCK_ROWS rows at a time.
+    """
+    n = min(map(len, columns), default=0)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            texts = [_column_text(col[lo:lo + CSV_BLOCK_ROWS])
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def strip_timings(text: str) -> str:

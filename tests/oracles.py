@@ -1,7 +1,7 @@
 """Brute-force oracles and the fixture writer, kept beside the tests.
 
-Each oracle recomputes by scan or closed form what a solver in
-``obslab`` computes by descent or duality, so no solver can call one.
+Each oracle recomputes by scan, row loop or closed form what ``obslab``
+computes by descent, duality or column passes, so no solver can call one.
 They read ``obslab``'s public names only.  ``grid_scan_time_optimal`` shares
 only ``ControlOperator`` with the solver it checks: its minimisation is its
 own, with no radius stop and no dual bound.
@@ -49,6 +49,34 @@ def to_rle(region) -> str:
             runs = [f"{s}:{e - s + 1}" for s, e in zip(starts, ends)]
         lines.append(",".join(runs))
     return "\n".join(lines) + "\n"
+
+
+def _csv_text(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return str(value)
+
+
+def reference_csv(path, header: str, rows) -> None:
+    """The row-wise CSV writer: header, then one line per row of values.
+
+    A value is written as the report format renders it: a float (numpy's
+    too) as a plain float's repr, a bool as true or false, others by str.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_text(v) for v in row) + "\n")
+
+
+def control_field_rows(field: ControlField) -> list:
+    """(t, x[, y], value) as floats per region cell, by time row then cell."""
+    region = field.region
+    return [(float(region.midpoints[i]), *map(float, region.domain.points[j]),
+             float(field.values[i, j]))
+            for i, j in zip(*np.nonzero(region.mask))]
 
 
 def brute_force_single_mode_ratio(region, params) -> float:

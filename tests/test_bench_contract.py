@@ -1,4 +1,5 @@
-"""The benchmark's output contract: its last stdout line is one result."""
+"""The benchmark's contract: its last stdout line is one result, and its own
+unit tests pass."""
 
 import json
 import os
@@ -31,3 +32,12 @@ def test_benchmark_ends_with_a_correct_result_line(workload, trace):
     result = json.loads(last, parse_constant=_reject_constant)
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
+
+
+# perfbench's unittest module lies outside tests/, so pytest never collects it
+def test_benchmark_unit_tests_pass():
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr

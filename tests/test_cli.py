@@ -5,18 +5,22 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import obslab
-from obslab import cli, control, geometry, observability, trigpoly
+from obslab import cli, control, geometry, observability, report, trigpoly
 from obslab.config import ExperimentConfig
 from obslab.errors import ConfigError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
-from obslab.report import RunReport, strip_timings
+from obslab.report import RunReport, strip_timings, write_csv
 from obslab.trigpoly import CheckResult
-from oracles import brute_force_single_mode_ratio, to_rle
+from oracles import brute_force_single_mode_ratio, reference_csv, to_rle
 
 
 def run(args):
@@ -185,12 +189,79 @@ def test_report_render_and_strip():
 
 def test_report_emits_csv(tmp_path):
     rep = RunReport("abc", "simulate", 0)
-    rep.add_series("trace", "t,v", [(0.0, 1.0), (0.5, 0.25)])
+    rep.add_series("trace", "t,v", ([0.0, 0.5], [1.0, 0.25]))
     rep.write(tmp_path)
     assert (tmp_path / "report.txt").exists()
     lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "t,v"
     assert len(lines) == 3
+
+
+# floats whose text a writer that merges values, not bit patterns, could get
+# wrong: both zeros, NaN of either sign, the infinities, subnormals
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                  5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, 1.0)
+
+
+def _column(n: int):
+    """Strategy for one CSV column of n values, of each kind a series holds."""
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    ints = st.integers(-2**63, 2**63 - 1)
+
+    def of(values, size=n):
+        return st.lists(values, min_size=size, max_size=size)
+
+    return st.one_of(
+        of(floats).map(lambda v: np.array(v, dtype=np.float64)),
+        of(floats, 2 * n).map(lambda v: np.array(v, dtype=np.float64)[::2]),
+        of(floats), of(st.integers()), of(st.booleans()),
+        of(st.one_of(st.integers(), floats)),
+        of(st.text(st.characters(codec="utf-8", exclude_characters=",\n"))),
+        of(ints).map(lambda v: np.array(v, dtype=np.int64)),
+        of(st.booleans()).map(lambda v: np.array(v, dtype=np.bool_)),
+        st.just(range(n)))
+
+
+@st.composite
+def _series(draw):
+    n = draw(st.integers(0, 12))
+    return [draw(_column(n)) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _csv_bytes(writer, header, rows_or_columns) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        writer(path, header, rows_or_columns)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_series(), block=st.integers(1, 5))
+@example(columns=[np.array([0.0, -0.0, math.nan, -0.0, 0.0, math.inf,
+                            -math.inf, 5e-324, 5e-324, 0.0]),
+                  np.arange(10, dtype=np.int64), [1, 2.5, True, 0, -0.0,
+                                                  3, 4, 5, 6, 7]],
+         block=4)
+@example(columns=[np.array([]), np.array([], dtype=np.int64), []], block=1)
+@example(columns=[], block=1)
+def test_csv_columns_match_the_row_wise_writer(columns, block):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    with mock.patch.object(report, "CSV_BLOCK_ROWS", block):
+        got = _csv_bytes(write_csv, header, columns)
+    assert got == _csv_bytes(reference_csv, header, list(zip(*columns)))
+
+
+def test_csv_of_one_block_plus_one_row_matches_the_row_wise_writer():
+    n = report.CSV_BLOCK_ROWS + 1
+    rng = np.random.default_rng(5)
+    values = rng.choice(np.array(SPECIAL_FLOATS), n)
+    values[::7] = rng.standard_normal(len(values[::7]))
+    columns = (range(n), values, rng.integers(-3, 3, n), rng.random(n) < 0.5,
+               [k % 3 for k in range(n)], [f"s{k % 5}" for k in range(n)])
+    got = _csv_bytes(write_csv, "i,v,k,b,m,s", columns)
+    assert got == _csv_bytes(reference_csv, "i,v,k,b,m,s", list(zip(*columns)))
+    assert got.count(b"\n") == n + 1
 
 
 def test_empty_report_emits_no_csv(tmp_path):

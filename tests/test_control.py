@@ -17,8 +17,9 @@ from obslab.semigroup import (FIRST, SpectralState, evolve, propagate,
                               single_mode)
 from obslab.spectral import PhysicalParams, interval, rectangle
 from obslab.report import write_csv
-from oracles import (brute_force_single_mode_ratio, grid_scan_time_optimal,
-                     least_squares_null_control, plain_feasibility_min)
+from oracles import (brute_force_single_mode_ratio, control_field_rows,
+                     grid_scan_time_optimal, least_squares_null_control,
+                     plain_feasibility_min, reference_csv)
 
 PI = math.pi
 DOMAIN = interval(PI, n_modes=8, n_cells=256)
@@ -139,27 +140,43 @@ def test_control_field_support_check():
     assert not (np.all(on >= -0.5 - 1e-12) and np.all(on <= 0.5 + 1e-12))
 
 
+def _random_field(domain, n_time: int, seed: int) -> ctl.ControlField:
+    """Uniform values on a random half of the grid, with some 0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    region = SpaceTimeSet(rng.random((n_time, domain.n_cells)) < 0.5, 1.0,
+                          domain)
+    values = np.where(region.mask, rng.uniform(-1.0, 1.0, region.mask.shape),
+                      0.0)
+    on = np.flatnonzero(region.mask)
+    values.flat[on[:4]] = (0.0, -0.0, -0.0, 0.0)
+    return ctl.ControlField(values, region)
+
+
+def _assert_csv_matches_reference(tmp_path, field):
+    path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
+    header, columns = field.table()
+    write_csv(path, header, columns)
+    reference_csv(ref, header, control_field_rows(field))
+    assert path.read_bytes() == ref.read_bytes()
+    return path.read_text().strip().split("\n")
+
+
 def test_control_field_csv(tmp_path):
-    field = ctl.ControlField(np.zeros(FULL.mask.shape), FULL)
-    path = tmp_path / "u.csv"
-    write_csv(path, *field.table())
-    lines = path.read_text().strip().split("\n")
+    field = _random_field(DOMAIN, 40, 4)
+    lines = _assert_csv_matches_reference(tmp_path, field)
     assert lines[0] == "t,x,value"
-    assert len(lines) == 1 + int(FULL.mask.sum())
+    assert len(lines) == 1 + int(field.region.mask.sum())
 
 
 def test_control_field_csv_plain_floats_on_rectangle(tmp_path):
-    dom = rectangle(PI, PI, n_modes=4, cells=(6, 5))
-    region = SpaceTimeSet.full_cylinder(dom, 1.0, 4)
-    values = np.random.default_rng(3).uniform(-1.0, 1.0, region.mask.shape)
-    path = tmp_path / "u.csv"
-    write_csv(path, *ctl.ControlField(values, region).table())
-    lines = path.read_text().strip().split("\n")
+    field = _random_field(rectangle(PI, PI, n_modes=4, cells=(6, 5)), 4, 3)
+    lines = _assert_csv_matches_reference(tmp_path, field)
     assert lines[0] == "t,x,y,value"
     rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert len(rows) == values.size
+    on = field.values[field.region.mask]
+    assert len(rows) == on.size
     assert len({r[:3] for r in rows}) == len(rows)
-    assert sorted(r[3] for r in rows) == sorted(values.ravel())
+    assert sorted(r[3] for r in rows) == sorted(on)
 
 
 # -- observability constant ----------------------------------------------
