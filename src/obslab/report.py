@@ -6,11 +6,12 @@ determinism checks can strip them; floats (numpy's too) are rendered
 with the repr of a plain float, so identical runs produce byte-identical
 files.
 
-A CSV series is a tuple of columns, one 1-D sequence per header field.
-`write_csv` renders it a block of rows at a time: a float64 array column
-is rendered once per distinct bit pattern in the block, any other column
-value by value, and each block's lines are joined and written together,
-so memory holds one block however long the series is.
+A CSV series is a tuple of columns of equal length, one 1-D sequence per
+header field.  `write_csv` renders it a block of rows at a time: each
+column's slice of the block is turned into plain Python values (an array
+through `tolist()`) and every value goes through the same rule as the
+report, then the block's lines are joined and written together, so memory
+holds one block however long the series is.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class RunReport:
     def add_series(self, name: str, header: str, columns) -> None:
         """A figure-worthy CSV series: one 1-D sequence per header field.
 
-        A column is a list, tuple, range or array, rendered by `write_csv`.
+        A column is a list, tuple, range or array, all of one length, and
+        `write_csv` renders it.
         """
         self.series[name] = (header, tuple(columns))
 
@@ -89,35 +91,30 @@ class RunReport:
         return path
 
 
-# rows write_csv renders and writes at once: about 300 KB of text, enough
-# to spread each block's numpy calls, and memory stays one block
+# rows write_csv renders and writes at once: about 300 KB of text, and
+# memory stays one block
 CSV_BLOCK_ROWS = 4096
 
 
-def _column_text(col) -> list:
-    """_fmt of each value of one column.
-
-    A float64 array is rendered once per distinct bit pattern, not value:
-    -0.0 and 0.0 compare equal but print apart.
-    """
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
-        text = [repr(v) for v in bits.view(np.float64).tolist()]
-        return list(map(text.__getitem__, index.tolist()))
-    return list(map(_fmt, col))
+def _plain(col):
+    """Python floats, ints and bools for an array; any other column as is."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
 
 
 def write_csv(path, header: str, columns) -> None:
     """Header row, then one comma-separated line of rendered values per row.
 
-    Row i holds value i of each column; the columns are rendered and written
-    CSV_BLOCK_ROWS rows at a time.
+    Row i holds value i of each column, so the columns must be of equal
+    length.  They are rendered and written CSV_BLOCK_ROWS rows at a time.
     """
-    n = min(map(len, columns), default=0)
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            texts = [_column_text(col[lo:lo + CSV_BLOCK_ROWS])
+            texts = [map(_fmt, _plain(col[lo:lo + CSV_BLOCK_ROWS]))
                      for col in columns]
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 

@@ -197,8 +197,8 @@ def test_report_emits_csv(tmp_path):
     assert len(lines) == 3
 
 
-# floats whose text a writer that merges values, not bit patterns, could get
-# wrong: both zeros, NaN of either sign, the infinities, subnormals
+# floats whose text a writer that converts or merges values could get wrong:
+# both zeros, NaN of either sign, the infinities, subnormals
 SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
                   5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, 1.0)
 
@@ -262,6 +262,14 @@ def test_csv_of_one_block_plus_one_row_matches_the_row_wise_writer():
     got = _csv_bytes(write_csv, "i,v,k,b,m,s", columns)
     assert got == _csv_bytes(reference_csv, "i,v,k,b,m,s", list(zip(*columns)))
     assert got.count(b"\n") == n + 1
+
+
+@pytest.mark.parametrize("columns", [([0.0, 0.5], [1.0]),
+                                     (np.zeros(3), range(2), [True] * 3),
+                                     ([], [1])])
+def test_csv_columns_of_unequal_length_are_refused(tmp_path, columns):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "s.csv", "a,b,c"[:2 * len(columns) - 1], columns)
 
 
 def test_empty_report_emits_no_csv(tmp_path):

@@ -598,6 +598,7 @@ def test_gram_is_the_column_loop_bit_symmetric_and_block_free(
     n_time = int(rng.integers(4, 20))
     mask = rng.random((n_time, dom.n_cells)) < rng.uniform(0.2, 0.8)
     mask[rng.random(n_time) < 0.3] = False             # empty time rows
+    assume(mask.any())      # an empty region is refused, not a Gram case
     region = SpaceTimeSet(mask, float(rng.uniform(0.5, 2.0)), dom)
     op = ctl.ControlOperator(dom, params, region)
     weights = rng.uniform(0.0, 2.0, mask.shape)
