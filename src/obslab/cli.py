@@ -78,18 +78,65 @@ def _run_simulate(cfg, rng, report) -> bool:
     return defect <= 1e-12
 
 
-def _run_remez(cfg, rng, report) -> bool:
-    n_cases = cfg.remez_cases
+def _remez_sweep(rng, n_cases: int) -> tuple[int, float]:
+    """Violations and the worst lhs / rhs of the Remez sweep.
+
+    Each case draws its degree in 1..8, its sin and cos coefficients, its set
+    E (random_interval_union) and p in [1, 8), in this order.  The cases go
+    through in blocks of lane_block(grid values), one remez_check per block
+    on the lanes' coefficients zero-padded to degree 8.
+    """
+    blk = observability.lane_block(trigpoly.N_CELLS)
+    violations, worst = 0, 0.0
+    for lo in range(0, n_cases, blk):
+        m = min(blk, n_cases - lo)
+        a, b = np.zeros((2, m, 9))          # sin, cos: k = 0..8, zero-padded
+        degree, p = np.empty(m, dtype=int), np.empty(m)
+        E = np.empty((m, trigpoly.N_CELLS), dtype=bool)
+        for i in range(m):
+            d = degree[i] = rng.integers(1, 9)
+            a[i, :d + 1] = rng.standard_normal(d + 1)
+            b[i, :d + 1] = rng.standard_normal(d + 1)
+            E[i] = trigpoly.random_interval_union(rng)
+            p[i] = rng.uniform(1.0, 8.0)
+        res = trigpoly.remez_check(trigpoly.TrigPoly(a, b), E, p, degree)
+        worst = max(worst, float(np.max(res.lhs / res.rhs)))
+        violations += int(np.count_nonzero(~res.holds))
+    return violations, worst
+
+
+def _sine_violations(rng, n_cases: int) -> int:
+    """Violations of the |sin| integral bound over n_cases random cases,
+    drawn in blocks of lane_block(window cells), one check per block."""
+    blk = observability.lane_block(trigpoly.SINE_CELLS)
     violations = 0
-    worst = 0.0
-    for _ in range(n_cases):
-        f = trigpoly.TrigPoly.random(rng, int(rng.integers(1, 9)))
-        E = trigpoly.random_interval_union(rng)
-        p = float(rng.uniform(1.0, 8.0))
-        res = trigpoly.remez_check(f, E, p)
-        worst = max(worst, res.lhs / res.rhs)
-        violations += not res.holds
-    report.add("remez_sweep", cases=n_cases, violations=violations,
+    for lo in range(0, n_cases, blk):
+        case = trigpoly.SineBoundCase.random(rng, min(blk, n_cases - lo))
+        violations += int(np.count_nonzero(~trigpoly.sine_integral_bound(case).holds))
+    return violations
+
+
+def _geometry_failures(domain, horizon: float, rng, n_cases: int) -> int:
+    """Random space-time sets (32 time cells, fill 0.2) whose good-time set
+    fails |E| >= |D| / (2 |ball|): each draws its boxes as
+    SpaceTimeSet.random does, in blocks of lane_block(mask cells), one
+    good_times call per block."""
+    n_time = 32
+    blk = observability.lane_block(n_time * domain.n_cells)
+    failures = 0
+    for lo in range(0, n_cases, blk):
+        masks = np.zeros((min(blk, n_cases - lo), n_time, domain.n_cells),
+                         dtype=bool)
+        for mask in masks:
+            geometry.random_boxes(mask, rng, 0.2)
+        _, holds = geometry.good_times(masks, horizon, domain)
+        failures += int(np.count_nonzero(~holds))
+    return failures
+
+
+def _run_remez(cfg, rng, report) -> bool:
+    violations, worst = _remez_sweep(rng, cfg.remez_cases)
+    report.add("remez_sweep", cases=cfg.remez_cases, violations=violations,
                worst_ratio=worst)
     return violations == 0
 
@@ -290,26 +337,15 @@ def _run_telescope(cfg, rng, report) -> bool:
 def _run_sweep_all(cfg, rng, report) -> bool:
     with report.timed("sweep-all.remez"):
         ok = _run_remez(cfg, rng, report)
-    # sine-integral lower bound
-    violations = 0
     with report.timed("sweep-all.sine"):
-        for _ in range(cfg.sine_cases):
-            res = trigpoly.sine_integral_bound(trigpoly.SineBoundCase.random(rng))
-            violations += not res.holds
+        violations = _sine_violations(rng, cfg.sine_cases)
     report.add("sine_sweep", cases=cfg.sine_cases, violations=violations)
-    ok = ok and violations == 0
     # slice-geometry sweep: the good-time-set bounds hold for random sets
-    domain = cfg.build_domain()
-    geo_fail = 0
     with report.timed("sweep-all.geometry"):
-        for _ in range(cfg.geometry_cases):
-            D = SpaceTimeSet.random(domain, cfg.horizon, 32, rng, fill=0.2)
-            try:
-                geometry.good_time_set(D)
-            except PropertyViolation:
-                geo_fail += 1
+        geo_fail = _geometry_failures(cfg.build_domain(), cfg.horizon, rng,
+                                      cfg.geometry_cases)
     report.add("geometry_sweep", cases=cfg.geometry_cases, failures=geo_fail)
-    return ok and geo_fail == 0
+    return ok and violations == 0 and geo_fail == 0
 
 
 _HANDLERS = {

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,12 +93,6 @@ class SpaceTimeSet:
     def measure(self) -> float:
         return float(self.mask.sum()) * self.domain.cell_volume * self.dt
 
-    @cached_property
-    def slice_measures(self) -> np.ndarray:
-        out = self.mask.sum(axis=1) * self.domain.cell_volume
-        out.flags.writeable = False
-        return out
-
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -118,19 +111,9 @@ class SpaceTimeSet:
         the result is rejected and redrawn while its measure is below
         ``min_measure_fraction`` of the full cylinder, at most 1000 times.
         """
-        total = n_time * domain.n_cells
         for _ in range(1000):
             mask = np.zeros((n_time, domain.n_cells), dtype=bool)
-            occupied = 0
-            while occupied < fill * total:
-                t0 = rng.integers(0, n_time)
-                t1 = rng.integers(t0 + 1, n_time + 1)
-                x0 = rng.integers(0, domain.n_cells)
-                x1 = rng.integers(x0 + 1, domain.n_cells + 1)
-                box = mask[t0:t1, x0:x1]
-                occupied += box.size - int(np.count_nonzero(box))
-                box[...] = True
-            if occupied >= min_measure_fraction * total:
+            if random_boxes(mask, rng, fill) >= min_measure_fraction * mask.size:
                 return SpaceTimeSet(mask, horizon, domain)
         raise ResolutionError(
             f"observation.min_fraction: no random set of fill {fill} covered "
@@ -160,24 +143,55 @@ class SpaceTimeSet:
         return SpaceTimeSet(mask, horizon, domain)
 
 
-def good_time_set(D: SpaceTimeSet) -> TimeSet:
-    """The good-time set E: the times t with |D_t| >= |D|/(2T), with
-    |E| >= |D| / (2 |ball|) checked.
+def random_boxes(mask: np.ndarray, rng: np.random.Generator,
+                 fill: float) -> int:
+    """Set random boxes of an empty (n_time, n_cells) mask until at least
+    ``fill`` of it is set; the number of cells set."""
+    n_time, n_cells = mask.shape
+    target = fill * mask.size
+    occupied = 0
+    while occupied < target:
+        t0 = rng.integers(0, n_time)
+        t1 = rng.integers(t0 + 1, n_time + 1)
+        x0 = rng.integers(0, n_cells)
+        x1 = rng.integers(x0 + 1, n_cells + 1)
+        box = mask[t0:t1, x0:x1]
+        occupied += box.size - int(np.count_nonzero(box))
+        box[...] = True
+    return occupied
 
-    The ball is the one about the domain's center through its corners: it
-    contains every cell, so every slice of D fits in it, which is what the
-    |E| lower bound needs.
+
+def good_times(masks: np.ndarray, horizon: float, domain: SpectralDomain):
+    """The good-time mask of each of a stack of space-time masks (..., n_time,
+    n_cells), and whether |E| >= |D| / (2 |ball|) holds for it.
+
+    E is the times t with |D_t| >= |D|/(2T).  The ball is the one about the
+    domain's center through its corners: it contains every cell, so every
+    slice of D fits in it, which is what the |E| lower bound needs.  Every
+    measure is an integer cell count times cell sizes, so a set gets the
+    bits it gets alone.
     """
-    measure = D.measure()
-    if measure <= 0:
+    counts = np.count_nonzero(masks, axis=-1)   # cells of each time slice
+    dt = horizon / masks.shape[-2]
+    measure = counts.sum(axis=-1) * domain.cell_volume * dt
+    if not np.all(measure > 0):
         raise ValueError("the space-time set must have positive measure")
-    radius = float(np.linalg.norm(np.asarray(D.domain.lengths) / 2.0))
-    vol_ball = ball_volume(D.domain.dim, radius)
-    E = TimeSet(D.slice_measures >= measure / (2.0 * D.horizon), D.horizon)
+    radius = float(np.linalg.norm(np.asarray(domain.lengths) / 2.0))
+    vol_ball = ball_volume(domain.dim, radius)
+    good = counts * domain.cell_volume >= (measure / (2.0 * horizon))[..., None]
+    holds = ~(np.count_nonzero(good, axis=-1) * dt
+              < measure / (2.0 * vol_ball) - 1e-12)
+    return good, holds
+
+
+def good_time_set(D: SpaceTimeSet) -> TimeSet:
+    """The good-time set E of D, with |E| >= |D| / (2 |ball|) checked: the
+    one-set call of good_times."""
+    good, holds = good_times(D.mask, D.horizon, D.domain)
     # the slice-set conclusion, checked on every call
-    if E.measure() < measure / (2.0 * vol_ball) - 1e-12:
+    if not holds:
         raise PropertyViolation("good-time set is below |D| / (2 |ball|)")
-    return E
+    return TimeSet(good, D.horizon)
 
 
 DENSITY_RADIUS_DIVISORS = (8, 16, 32, 64)

@@ -40,7 +40,8 @@ _FIELD_BLOCK = 1 << 14
 
 def lane_block(values_per_lane: int) -> int:
     """Lanes per block: at most _FIELD_BLOCK values, at least one lane.  A lane
-    is a field, or in ControlOperator.gram one cell's pair products."""
+    is a field, in ControlOperator.gram one cell's pair products, and in the
+    CLI's sweeps one case."""
     return max(1, _FIELD_BLOCK // values_per_lane)
 
 

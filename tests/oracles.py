@@ -79,6 +79,57 @@ def control_field_rows(field: ControlField) -> list:
             for i, j in zip(*np.nonzero(region.mask))]
 
 
+# The per-case draws of sweep-all's three sweeps, one case per call, in the
+# order the per-case loops drew them; the block sweeps must check these.
+
+
+def remez_case_draws(rng):
+    """A Remez case: degree in 1..8, sin and cos coefficients, the mask E of
+    up to 5 intervals on the 8192-cell grid of (-pi, pi) (redrawn while
+    |E| < 0.1), then p in [1, 8).  Also the number of redrawn unions."""
+    n = 8192
+    grid = -math.pi + (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    degree = int(rng.integers(1, 9))
+    a = rng.standard_normal(degree + 1)
+    b = rng.standard_normal(degree + 1)
+    redrawn = -1
+    while True:
+        redrawn += 1
+        k = int(rng.integers(1, 6))
+        ends = rng.uniform(-math.pi, math.pi, size=(k, 2))
+        E = np.zeros(n, dtype=bool)
+        for lo, hi in (sorted(e) for e in ends):
+            E |= (grid > lo) & (grid < hi)
+        if float(E.sum()) * (2.0 * math.pi / n) >= 0.1:
+            break
+    p = float(rng.uniform(1.0, 8.0))
+    return degree, a, b, E, p, redrawn
+
+
+def sine_case_draws(rng):
+    """A sine case: lam, b, S, delta, then 1-4 boxes of a 1024-cell F."""
+    lam = float(rng.uniform(0.5, 10.0))
+    b = float(rng.uniform(0.1, 5.0))
+    S = float(rng.uniform(0.05, 100.0 / (lam * b)))
+    delta = float(rng.uniform(-math.pi / 2, math.pi / 2))
+    F = np.zeros(1024, dtype=bool)
+    for _ in range(int(rng.integers(1, 5))):
+        i0 = int(rng.integers(0, 1024))
+        F[i0:int(rng.integers(i0 + 1, 1025))] = True
+    return lam, b, S, delta, F
+
+
+def space_time_box_draws(rng, n_time: int, n_cells: int, fill: float):
+    """A space-time mask of random boxes, drawn until fill of it is set."""
+    mask = np.zeros((n_time, n_cells), dtype=bool)
+    while mask.sum() < fill * mask.size:
+        t0 = rng.integers(0, n_time)
+        t1 = rng.integers(t0 + 1, n_time + 1)
+        x0 = rng.integers(0, n_cells)
+        mask[t0:t1, x0:rng.integers(x0 + 1, n_cells + 1)] = True
+    return mask
+
+
 def brute_force_single_mode_ratio(region, params) -> float:
     """Oracle for single-mode truncation: scan 3600 phases of the unit circle.
 

@@ -12,8 +12,6 @@ from obslab.geometry import SpaceTimeSet, good_time_set
 from obslab.report import strip_timings
 from obslab.semigroup import SpectralState, evolve, single_mode
 from obslab.spectral import PhysicalParams, interval, rectangle
-from obslab.trigpoly import (SineBoundCase, TrigPoly, random_interval_union,
-                             remez_check, sine_integral_bound)
 from oracles import grid_scan_time_optimal, least_squares_null_control
 
 PI = math.pi
@@ -26,25 +24,16 @@ def elapsed_ok(start, budget, label):
 
 
 def test_criterion_01_remez_sweep_10k_zero_violations():
+    # the CLI's block sweep: degree, coefficients, E and p drawn per case
     start = time.perf_counter()
-    rng = np.random.default_rng(1)
-    violations = 0
-    for _ in range(10_000):
-        f = TrigPoly.random(rng, int(rng.integers(1, 9)))
-        E = random_interval_union(rng)
-        p = float(rng.uniform(1.0, 8.0))
-        violations += not remez_check(f, E, p).holds
+    violations, _ = cli._remez_sweep(np.random.default_rng(1), 10_000)
     assert violations == 0
     elapsed_ok(start, 60.0, "remez sweep")
 
 
 def test_criterion_02_sine_bound_sweep_10k_zero_violations():
     start = time.perf_counter()
-    rng = np.random.default_rng(2)
-    violations = 0
-    for _ in range(10_000):
-        violations += not sine_integral_bound(SineBoundCase.random(rng)).holds
-    assert violations == 0
+    assert cli._sine_violations(np.random.default_rng(2), 10_000) == 0
     elapsed_ok(start, 60.0, "sine-integral sweep")
 
 
@@ -98,14 +87,12 @@ def test_criterion_04_integral_observation_never_cancels():
 
 
 def test_criterion_05_slice_geometry_sweep():
+    # the CLI's block sweep; good_times checks |E| >= |D| / (2 |ball|) on
+    # every set, and the ball covering (0, pi) is (0, pi), of volume pi
     start = time.perf_counter()
     domain = interval(PI, n_modes=4, n_cells=128)
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        D = SpaceTimeSet.random(domain, 1.0, 32, rng, fill=0.2)
-        E = good_time_set(D)   # asserts both conclusions internally
-        # the ball covering (0, pi) is (0, pi), of volume pi
-        assert E.measure() >= D.measure() / (2.0 * PI) - 1e-12
+    assert cli._geometry_failures(domain, 1.0, np.random.default_rng(5),
+                                  1000) == 0
     elapsed_ok(start, 30.0, "slice-geometry sweep")
 
 

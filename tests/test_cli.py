@@ -20,7 +20,9 @@ from obslab.errors import ConfigError, PropertyViolation
 from obslab.geometry import SpaceTimeSet
 from obslab.report import RunReport, strip_timings, write_csv
 from obslab.trigpoly import CheckResult
-from oracles import brute_force_single_mode_ratio, reference_csv, to_rle
+from oracles import (brute_force_single_mode_ratio, reference_csv,
+                     remez_case_draws, sine_case_draws, space_time_box_draws,
+                     to_rle)
 
 
 def run(args):
@@ -334,14 +336,18 @@ def test_exit_3_on_a_linear_algebra_failure(tmp_path, monkeypatch):
 
 
 def test_exit_4_on_property_violation(tmp_path, monkeypatch):
-    def broken(f, E, p):
-        return CheckResult(lhs=1.0, rhs=0.5, holds=False)
+    # the sweep checks a block of lanes per remez_check call (2 + 1 here)
+    def broken(f, E, p, degree):
+        return CheckResult(lhs=np.ones(len(p)), rhs=np.full(len(p), 0.5),
+                           holds=np.zeros(len(p), dtype=bool))
 
     monkeypatch.setattr(trigpoly, "remez_check", broken)
     out = tmp_path / "out"
     assert run(["remez", "--cases", "3", "--out", str(out)]) == 4
     (report_dir,) = out.iterdir()
-    assert "status: violation" in (report_dir / "report.txt").read_text()
+    text = (report_dir / "report.txt").read_text()
+    assert "status: violation" in text
+    assert "cases: 3\nviolations: 3\nworst_ratio: 2.0\n" in text
 
 
 def test_exit_4_when_a_property_violation_escapes(tmp_path, monkeypatch):
@@ -634,7 +640,8 @@ def test_sweep_all_counts_geometry_violations_under_optimize(tmp_path):
     # under python -O an assert-based check would vanish and report 0 failures
     script = ("import sys\n"
               "from obslab import cli, geometry\n"
-              "geometry.TimeSet.measure = lambda self: 0.0\n"
+              # a ball of almost no volume: |E| >= |D| / (2 |ball|) fails
+              "geometry.ball_volume = lambda dim, radius: 1e-300\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__)))
@@ -646,6 +653,203 @@ def test_sweep_all_counts_geometry_violations_under_optimize(tmp_path):
     (report_dir,) = out.iterdir()
     text = (report_dir / "report.txt").read_text()
     assert "section: geometry_sweep\ncases: 4\nfailures: 4\n" in text
+
+
+def test_one_violated_lane_mid_block_is_counted_once_under_optimize(tmp_path):
+    # blocks of 3 lanes (Remez, geometry) and one of 12 (sine); each sweep
+    # sees one failed verdict, in the middle lane of a block
+    script = ("import dataclasses, sys\n"
+              "import numpy as np\n"
+              "from obslab import cli, geometry, observability, trigpoly\n"
+              "observability._FIELD_BLOCK = 3 * 8192\n"
+              "def once(owner, name, call, lane):\n"
+              "    original, calls = getattr(owner, name), []\n"
+              "    def failing(*args):\n"
+              "        res = original(*args)\n"
+              "        calls.append(len(calls) + 1)\n"
+              "        if calls[-1] != call:\n"
+              "            return res\n"
+              "        holds = np.array(res[1] if isinstance(res, tuple) else res.holds)\n"
+              "        assert holds.all() and len(holds) == 2 * lane + 1\n"
+              "        holds[lane] = False\n"
+              "        if isinstance(res, tuple):\n"
+              "            return res[0], holds\n"
+              "        return dataclasses.replace(res, holds=holds)\n"
+              "    setattr(owner, name, failing)\n"
+              "once(trigpoly, 'remez_check', 2, 1)\n"
+              "once(trigpoly, 'sine_integral_bound', 1, 5)\n"
+              "once(geometry, 'good_times', 2, 1)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(obslab.__file__)))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "sweep-all",
+                           "--cases", "12", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    (report_dir,) = out.iterdir()
+    text = (report_dir / "report.txt").read_text()
+    assert "section: remez_sweep\ncases: 12\nviolations: 1\n" in text
+    assert "section: sine_sweep\ncases: 12\nviolations: 1\n" in text
+    assert "section: geometry_sweep\ncases: 12\nfailures: 1\n" in text
+
+
+# -- sweep-all's block sweeps: the per-case draws, lane for lane ------------
+
+
+def spied(mp, owner, name):
+    """Record each call of owner.name: its arguments and its result."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    mp.setattr(owner, name, spy)
+    return calls
+
+
+def block_edges(blk):
+    """--cases values around a block of blk lanes, and a long sweep."""
+    return sorted({1, max(blk - 1, 1), blk, blk + 1, 300})
+
+
+def blocks_of(cases, blk):
+    return [min(blk, cases - lo) for lo in range(0, cases, blk)]
+
+
+# _FIELD_BLOCK of 5 grid fields: Remez and geometry blocks of 5 lanes
+@pytest.mark.parametrize("field_block", [None, 5 * 8192])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_remez_sweep_checks_the_per_case_draws_in_order(monkeypatch, seed,
+                                                        field_block):
+    if field_block:
+        monkeypatch.setattr(observability, "_FIELD_BLOCK", field_block)
+    blk = observability.lane_block(trigpoly.N_CELLS)
+    for cases in block_edges(blk):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        with monkeypatch.context() as mp:
+            calls = spied(mp, trigpoly, "remez_check")
+            cli._remez_sweep(rng, cases)
+        assert [len(args[2]) for args, _ in calls] == blocks_of(cases, blk)
+        edge_redraws = 0
+        lanes = [lane for (f, E, p, degree), _ in calls
+                 for lane in zip(f.sin_coeffs, f.cos_coeffs, E, p, degree)]
+        for i, (a, b, E, p, degree) in enumerate(lanes):
+            d, a_ref, b_ref, E_ref, p_ref, redrawn = remez_case_draws(ref)
+            assert degree == d and p == p_ref
+            assert np.array_equal(a, np.pad(a_ref, (0, 8 - d)))
+            assert np.array_equal(b, np.pad(b_ref, (0, 8 - d)))
+            assert np.array_equal(E, E_ref)
+            edge_redraws += redrawn > 0 and i % blk in (0, blk - 1)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    # seed 7 redraws the union of case 50, the first lane of a block
+    assert edge_redraws or seed != 7
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sine_sweep_checks_the_per_case_draws_in_order(monkeypatch, seed):
+    blk = observability.lane_block(trigpoly.SINE_CELLS)
+    for cases in block_edges(blk):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        with monkeypatch.context() as mp:
+            calls = spied(mp, trigpoly, "sine_integral_bound")
+            cli._sine_violations(rng, cases)
+        assert [len(case.F) for (case,), _ in calls] == blocks_of(cases, blk)
+        for (case,), _ in calls:
+            for lane in zip(case.lam, case.b, case.S, case.delta, case.F):
+                lam, b, S, delta, F = sine_case_draws(ref)
+                assert lane[:4] == (lam, b, S, delta)
+                assert np.array_equal(lane[4], F)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_geometry_sweep_checks_the_per_case_draws_in_order(monkeypatch, seed):
+    domain = ExperimentConfig().build_domain()
+    blk = observability.lane_block(32 * domain.n_cells)
+    for cases in block_edges(blk):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        with monkeypatch.context() as mp:
+            calls = spied(mp, geometry, "good_times")
+            cli._geometry_failures(domain, 1.0, rng, cases)
+        assert [len(args[0]) for args, _ in calls] == blocks_of(cases, blk)
+        for (masks, horizon, dom), _ in calls:
+            assert horizon == 1.0 and dom is domain
+            for mask in masks:
+                assert np.array_equal(mask, space_time_box_draws(
+                    ref, 32, domain.n_cells, 0.2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def sweep_lanes(monkeypatch, field_block, sweep, owner, name):
+    """Each lane's arguments and results in a sweep run with _FIELD_BLOCK
+    set to field_block."""
+    with monkeypatch.context() as mp:
+        mp.setattr(observability, "_FIELD_BLOCK", field_block)
+        calls = spied(mp, owner, name)
+        sweep()
+    return calls
+
+
+# a lane of one grid field, the default, and blocks of 7 grid fields
+FIELD_BLOCKS = [1, observability._FIELD_BLOCK, 7 * 8192]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_remez_lanes_are_bit_identical_in_every_block(monkeypatch, seed):
+    runs = []
+    for field_block in FIELD_BLOCKS:
+        calls = sweep_lanes(monkeypatch, field_block, lambda: cli._remez_sweep(
+            np.random.default_rng(seed), 40), trigpoly, "remez_check")
+        runs.append([np.concatenate([getattr(res, k) for _, res in calls])
+                     for k in ("lhs", "rhs", "holds")])
+    for run_ in runs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(runs[0], run_))
+    # the one-lane call: a lone polynomial of its own degree
+    for (f, E, p, degree), res in calls:
+        for i, d in enumerate(degree):
+            one = trigpoly.remez_check(trigpoly.TrigPoly(
+                f.sin_coeffs[i, :d + 1], f.cos_coeffs[i, :d + 1]), E[i], p[i])
+            assert (one.lhs, one.rhs, one.holds) == (
+                res.lhs[i], res.rhs[i], res.holds[i])
+            assert type(one.lhs) is float and type(one.holds) is bool
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sine_lanes_are_bit_identical_in_every_block(monkeypatch, seed):
+    runs = []
+    for field_block in FIELD_BLOCKS:
+        calls = sweep_lanes(monkeypatch, field_block, lambda: cli._sine_violations(
+            np.random.default_rng(seed), 40), trigpoly, "sine_integral_bound")
+        runs.append([np.concatenate([getattr(res, k) for _, res in calls])
+                     for k in ("lhs", "rhs", "holds")])
+    for run_ in runs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(runs[0], run_))
+    for (case,), res in calls:
+        for i in range(len(case.F)):
+            one = trigpoly.sine_integral_bound(trigpoly.SineBoundCase(
+                float(case.lam[i]), float(case.b[i]), float(case.S[i]),
+                float(case.delta[i]), case.F[i]))
+            assert (one.lhs, one.rhs, one.holds) == (
+                res.lhs[i], res.rhs[i], res.holds[i])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_geometry_lanes_are_bit_identical_in_every_block(monkeypatch, seed):
+    domain = ExperimentConfig().build_domain()
+    runs = []
+    for field_block in FIELD_BLOCKS:
+        calls = sweep_lanes(monkeypatch, field_block, lambda: cli._geometry_failures(
+            domain, 1.0, np.random.default_rng(seed), 20), geometry, "good_times")
+        runs.append([np.concatenate([res[k] for _, res in calls]) for k in (0, 1)])
+    for run_ in runs[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(runs[0], run_))
+    for (masks, horizon, dom), (good, holds) in calls:
+        for mask, g, ok in zip(masks, good, holds):
+            assert ok
+            E = geometry.good_time_set(SpaceTimeSet(mask, horizon, dom))
+            assert np.array_equal(E.mask, g)
 
 
 def test_sweep_all_reports_phase_timings(tmp_path):

@@ -69,7 +69,7 @@ def test_time_set_from_intervals_and_contains():
 def test_space_time_set_measure_and_slices():
     D = SpaceTimeSet.full_cylinder(DOMAIN, 2.0, 16)
     assert D.measure() == pytest.approx(2.0 * PI)
-    assert np.allclose(D.slice_measures, PI)
+    assert np.allclose(D.mask.sum(axis=1) * DOMAIN.cell_volume, PI)
 
 
 def test_space_time_set_shape_validation():
@@ -94,8 +94,9 @@ def test_good_time_set_bounds_random(seed):
     # (0, pi) itself, and the slice cutoff is |D| / (2T) with T = 1
     assert E.measure() >= D.measure() / (2.0 * PI) - 1e-12
     threshold = D.measure() / 2.0
-    assert np.all(D.slice_measures[E.mask] >= threshold)
-    assert np.all(D.slice_measures[~E.mask] < threshold)
+    slices = D.mask.sum(axis=1) * DOMAIN.cell_volume
+    assert np.all(slices[E.mask] >= threshold)
+    assert np.all(slices[~E.mask] < threshold)
 
 
 def test_good_time_set_rectangle():
